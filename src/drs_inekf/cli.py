@@ -14,41 +14,28 @@ next to its outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
 import tempfile
 import time
+
 from . import __version__
-from .filter import (
-    FilterConfig,
-    StreamEstimator,
-    UpdateSchedule,
-    Variant,
-    error_vs_truth,
-    state_from_truth,
-)
+from .filter import FilterConfig, StreamEstimator, Variant, state_from_truth
 from .harness import (
-    METRIC_NAMES,
     TrialConfig,
+    TrialResult,
     evaluate_gates,
     initial_covariance,
+    metric_series,
     monte_carlo,
-    nees,
     write_aggregate_csv,
     write_trial_csv,
 )
-from .models import NoiseParams
+from .models import NoiseLevels, NoiseParams, config_fields
 from .plots import write_report_svgs
-from .sim import (
-    GaitConfig,
-    MAX_PITCH_AMPLITUDE,
-    Rates,
-    SurfaceConfig,
-    generate_truth,
-    synthesize_sensors,
-)
+from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from .streams import StreamFormatError, TruthSample, read_jsonl, write_jsonl
 
 EXIT_OK = 0
@@ -61,44 +48,15 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the offending field."""
 
 
-DEFAULT_CONFIG: dict = {
-    "surface": {
-        "pitch_amplitude": math.radians(3.0),
-        "pitch_angular_freq": 1.5 * math.pi,
-        "pivot": [0.0, 0.0, 0.0],
-        "belt_speed": 0.0,
-    },
-    "gait": {
-        "step_period": 0.6,
-        "step_length": 0.25,
-        "stance_width": 0.2,
-        "base_height": 0.95,
-        "sway_amplitude": 0.03,
-        "bob_amplitude": 0.015,
-        "surge_amplitude": 0.01,
-        "lean_amplitude_deg": 3.0,
-        "duration": 30.0,
-    },
-    "rates": {"imu_hz": 400, "kin_hz": 100},
-    "noise": {
-        "gyro_density": 1e-5,
-        "accel_density": 1e-4,
-        "contact_vel_density": 1e-4,
-        "fk_pos_var": 1e-4,
-        "surface_orient_var": 1e-4,
-        "jump_pos_var": 1e-6,
-    },
-    "filter": {"epsilon": 1e-9, "update_schedule": "every-step"},
-    "trials": {
-        "n_trials": 100,
-        "yaw_range_deg": 30.0,
-        "roll_pitch_range_deg": 10.0,
-        "vel_range": 0.5,
-        "pos_range": 0.5,
-        "foot_range": 0.5,
-        "static_control": True,
-    },
-}
+# The config document: one section per dataclass, whose `param` fields
+# hold each key's default, type and bounds.
+SECTIONS = {"surface": SurfaceConfig, "gait": GaitConfig, "rates": Rates,
+            "noise": NoiseLevels, "filter": FilterConfig, "trials": TrialConfig}
+
+DEFAULT_CONFIG: dict = json.loads(json.dumps(
+    {name: {f.name: f.default for f in config_fields(cls)}
+     for name, cls in SECTIONS.items()},
+    default=lambda member: member.value))  # an Enum member as its value
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
@@ -116,18 +74,6 @@ def _merge(defaults: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _num(cfg: dict, section: str, key: str, lo=None, hi=None) -> float:
-    value = cfg[section][key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}")
-    value = float(value)
-    if lo is not None and value < lo:
-        raise ConfigError(f"{section}.{key}: must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"{section}.{key}: must be <= {hi}, got {value}")
-    return value
-
-
 def load_config(path: str | None) -> dict:
     if path is None:
         return json.loads(json.dumps(DEFAULT_CONFIG))
@@ -143,75 +89,16 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def build_surface(cfg: dict) -> SurfaceConfig:
-    amp = _num(cfg, "surface", "pitch_amplitude", 0.0, MAX_PITCH_AMPLITUDE)
-    pivot = cfg["surface"]["pivot"]
-    if (not isinstance(pivot, (list, tuple)) or len(pivot) != 3
-            or not all(isinstance(v, (int, float)) for v in pivot)):
-        raise ConfigError("surface.pivot: expected 3 numbers")
-    return SurfaceConfig(
-        pitch_amplitude=amp,
-        pitch_angular_freq=_num(cfg, "surface", "pitch_angular_freq", 0.0),
-        pivot=tuple(float(v) for v in pivot),
-        belt_speed=_num(cfg, "surface", "belt_speed"),
-    )
+def build(cfg: dict, section: str, make=None, **extra):
+    """Section `section` of a loaded config as its dataclass (or `make(...)`).
 
-
-def build_gait(cfg: dict) -> GaitConfig:
-    return GaitConfig(
-        step_period=_num(cfg, "gait", "step_period", 1e-3),
-        step_length=_num(cfg, "gait", "step_length", 0.0),
-        stance_width=_num(cfg, "gait", "stance_width", 0.0),
-        base_height=_num(cfg, "gait", "base_height", 0.0),
-        sway_amplitude=_num(cfg, "gait", "sway_amplitude", 0.0),
-        bob_amplitude=_num(cfg, "gait", "bob_amplitude", 0.0),
-        surge_amplitude=_num(cfg, "gait", "surge_amplitude", 0.0),
-        lean_amplitude_deg=_num(cfg, "gait", "lean_amplitude_deg", 0.0),
-        duration=_num(cfg, "gait", "duration", 1e-3),
-    )
-
-
-def build_rates(cfg: dict) -> Rates:
+    The dataclass checks its own fields; its errors gain the section name,
+    so they read `section.field: reason`.
+    """
     try:
-        return Rates(imu_hz=int(_num(cfg, "rates", "imu_hz", 1)),
-                     kin_hz=int(_num(cfg, "rates", "kin_hz", 1)))
+        return (make or SECTIONS[section])(**cfg[section], **extra)
     except ValueError as exc:
-        raise ConfigError(f"rates: {exc}") from exc
-
-
-def build_noise(cfg: dict) -> NoiseParams:
-    return NoiseParams.from_scalars(
-        gyro=_num(cfg, "noise", "gyro_density", 0.0),
-        accel=_num(cfg, "noise", "accel_density", 0.0),
-        contact_vel=_num(cfg, "noise", "contact_vel_density", 0.0),
-        fk_pos=_num(cfg, "noise", "fk_pos_var", 0.0),
-        surface_orient=_num(cfg, "noise", "surface_orient_var", 0.0),
-        jump_pos=_num(cfg, "noise", "jump_pos_var", 0.0),
-    )
-
-
-def build_schedule(cfg: dict) -> UpdateSchedule:
-    raw = cfg["filter"]["update_schedule"]
-    try:
-        return UpdateSchedule(raw)
-    except ValueError as exc:
-        options = ", ".join(s.value for s in UpdateSchedule)
-        raise ConfigError(
-            f"filter.update_schedule: expected one of [{options}], got {raw!r}"
-        ) from exc
-
-
-def build_trials(cfg: dict, seed: int) -> TrialConfig:
-    n = int(_num(cfg, "trials", "n_trials", 1))
-    return TrialConfig(
-        n_trials=n,
-        yaw_range_deg=_num(cfg, "trials", "yaw_range_deg", 0.0),
-        roll_pitch_range_deg=_num(cfg, "trials", "roll_pitch_range_deg", 0.0),
-        vel_range=_num(cfg, "trials", "vel_range", 0.0),
-        pos_range=_num(cfg, "trials", "pos_range", 0.0),
-        foot_range=_num(cfg, "trials", "foot_range", 0.0),
-        master_seed=seed,
-    )
+        raise ConfigError(f"{section}.{exc}") from exc
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -250,10 +137,10 @@ def _ensure_out_dir(path: str) -> None:
 def cmd_sim(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    surface = build_surface(cfg)
-    gait = build_gait(cfg)
-    rates = build_rates(cfg)
-    noise = build_noise(cfg)
+    surface = build(cfg, "surface")
+    gait = build(cfg, "gait")
+    rates = build(cfg, "rates")
+    noise = build(cfg, "noise", NoiseParams.from_scalars)
     truth = generate_truth(gait, surface, seed=args.seed)
     try:
         records = synthesize_sensors(truth, noise, rates, seed=args.seed)
@@ -270,50 +157,33 @@ def cmd_sim(args) -> int:
 def cmd_estimate(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    noise = build_noise(cfg)
-    epsilon = _num(cfg, "filter", "epsilon", 1e-15)
-    schedule = build_schedule(cfg)
+    noise = build(cfg, "noise", NoiseParams.from_scalars)
     variant = Variant(args.variant)
+    fcfg = build(cfg, "filter", noise=noise, variant=variant)
+    tcfg = build(cfg, "trials", master_seed=args.seed)
     records = read_jsonl(args.stream)
-    truths = [r for r in records if isinstance(r, TruthSample)]
-    if not truths:
+    first = next((r for r in records if isinstance(r, TruthSample)), None)
+    if first is None:
         raise StreamFormatError("stream contains no truth records")
-    tcfg = build_trials(cfg, args.seed)
-    state = state_from_truth(truths[0], initial_covariance(tcfg))
-    est = StreamEstimator(state, FilterConfig(noise=noise, variant=variant,
-                                              update_schedule=schedule,
-                                              epsilon=epsilon))
+    est = StreamEstimator(state_from_truth(first, initial_covariance(tcfg)), fcfg)
+    series = metric_series(records, est)
     _ensure_out_dir(args.out)
-    import csv
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "variant"] + list(METRIC_NAMES))
-        for rec in records:
-            est.step(rec)
-            if isinstance(rec, TruthSample):
-                m = error_vs_truth(est.state, rec.element)
-                writer.writerow(
-                    [f"{rec.t:.6f}", variant.value]
-                    + [f"{v:.9g}" for v in
-                       (m.pos_err, m.vel_err, abs(m.roll_deg), abs(m.pitch_deg),
-                        abs(m.yaw_deg), nees(m.xi, est.state.cov, epsilon))])
+    write_trial_csv(args.out, TrialResult(0, {variant: series}))
     write_manifest(args.out + ".manifest.json", "estimate", cfg, args.seed,
                    [args.out], started)
-    print(f"wrote metrics for {len(truths)} truth samples to {args.out}")
+    print(f"wrote metrics for {len(series.t)} truth samples to {args.out}")
     return EXIT_OK
 
 
 def cmd_montecarlo(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    surface = build_surface(cfg)
-    gait = build_gait(cfg)
-    rates = build_rates(cfg)
-    noise = build_noise(cfg)
-    epsilon = _num(cfg, "filter", "epsilon", 1e-15)
-    schedule = build_schedule(cfg)
-    tcfg = build_trials(cfg, args.seed)
+    surface = build(cfg, "surface")
+    gait = build(cfg, "gait")
+    rates = build(cfg, "rates")
+    noise = build(cfg, "noise", NoiseParams.from_scalars)
+    fcfg = build(cfg, "filter", noise=noise)
+    tcfg = build(cfg, "trials", master_seed=args.seed)
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -321,20 +191,16 @@ def cmd_montecarlo(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
+    options = dict(jobs=args.jobs, epsilon=fcfg.epsilon,
+                   schedule=fcfg.update_schedule)
     print(f"running {tcfg.n_trials} trials (rocking surface), jobs={args.jobs}")
-    rocking, results = monte_carlo(tcfg, gait, surface, noise, rates,
-                                   jobs=args.jobs, epsilon=epsilon,
-                                   schedule=schedule)
+    rocking, results = monte_carlo(tcfg, gait, surface, noise, rates, **options)
     static = None
-    if cfg["trials"]["static_control"] and surface.pitch_amplitude > 0.0:
+    if tcfg.static_control and surface.pitch_amplitude > 0.0:
         print(f"running {tcfg.n_trials} trials (static level control)")
-        static_surface = SurfaceConfig(pitch_amplitude=0.0,
-                                       pitch_angular_freq=surface.pitch_angular_freq,
-                                       pivot=surface.pivot,
-                                       belt_speed=surface.belt_speed)
-        static, _ = monte_carlo(tcfg, gait, static_surface, noise, rates,
-                                jobs=args.jobs, epsilon=epsilon,
-                                schedule=schedule)
+        static, _ = monte_carlo(
+            tcfg, gait, dataclasses.replace(surface, pitch_amplitude=0.0),
+            noise, rates, **options)
 
     outputs = []
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
@@ -398,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", parents=[common],
                            help="run one filter variant over a stream")
     p_est.add_argument("--stream", required=True)
-    p_est.add_argument("--variant", default=Variant.PROPOSED.value,
+    p_est.add_argument("--variant", default=FilterConfig.variant.value,
                        choices=[v.value for v in Variant])
     p_est.add_argument("--out", default="metrics.csv")
     p_est.set_defaults(func=cmd_estimate)

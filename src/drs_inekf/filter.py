@@ -35,8 +35,10 @@ from .models import (
     ImuStep,
     InvariantMeasurement,
     NoiseParams,
+    check_fields,
     innovation,
     orientation_measurement,
+    param,
     position_measurement,
     state_transition,
 )
@@ -77,12 +79,11 @@ class UpdateSchedule(Enum):
 class FilterConfig:
     noise: NoiseParams
     variant: Variant = Variant.PROPOSED
-    update_schedule: UpdateSchedule = UpdateSchedule.EVERY_STEP
-    epsilon: float = 1e-9
+    update_schedule: UpdateSchedule = param(UpdateSchedule.EVERY_STEP)
+    epsilon: float = param(1e-9, lo=1e-15)
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

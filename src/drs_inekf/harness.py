@@ -26,7 +26,7 @@ from .filter import (
     error_vs_truth,
 )
 from .liegroup import XI_D, XI_P, XI_V, compose, sek3_exp
-from .models import NoiseParams
+from .models import NoiseParams, check_fields, param
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from .streams import StreamRecord, TruthSample
 
@@ -39,24 +39,24 @@ CONVERGENCE_METRICS = ("roll_err", "pitch_err", "vel_err")
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """Initial-error sampling ranges (uniform, per block) and trial count."""
+    """Initial-error sampling ranges (uniform, per block) and trial count.
 
-    n_trials: int = 100
-    yaw_range_deg: float = 30.0
-    roll_pitch_range_deg: float = 10.0
-    vel_range: float = 0.5
-    pos_range: float = 0.5
-    foot_range: float = 0.5
+    static_control asks the CLI's montecarlo command for a second campaign
+    on a level, static surface whenever the configured one rocks.
+    """
+
+    n_trials: int = param(100, lo=1)
+    yaw_range_deg: float = param(30.0, lo=0.0)
+    roll_pitch_range_deg: float = param(10.0, lo=0.0)
+    vel_range: float = param(0.5, lo=0.0)
+    pos_range: float = param(0.5, lo=0.0)
+    foot_range: float = param(0.5, lo=0.0)
+    static_control: bool = param(True)
     master_seed: int = 0
     variants: tuple[Variant, ...] = (Variant.PROPOSED, Variant.POSITION_ONLY)
 
     def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        for name in ("yaw_range_deg", "roll_pitch_range_deg", "vel_range",
-                     "pos_range", "foot_range"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+        check_fields(self)
 
 
 def sample_initial_error(rng: np.random.Generator, tcfg: TrialConfig) -> np.ndarray:
@@ -85,7 +85,8 @@ def initial_covariance(tcfg: TrialConfig) -> np.ndarray:
     return p
 
 
-def nees(xi: np.ndarray, cov: np.ndarray, epsilon: float = 1e-9) -> float:
+def nees(xi: np.ndarray, cov: np.ndarray,
+         epsilon: float = FilterConfig.epsilon) -> float:
     """Normalized estimation error squared xi^T cov^-1 xi (regularized)."""
     try:
         sol = np.linalg.solve(cov + epsilon * np.eye(len(xi)), xi)
@@ -110,8 +111,29 @@ class MetricSeries:
 @dataclass
 class TrialResult:
     trial: int
-    xi0: np.ndarray
     series: dict[Variant, MetricSeries]
+
+
+def metric_series(records: list[StreamRecord],
+                  est: StreamEstimator) -> MetricSeries:
+    """Fold a stream through `est`; one metric row per truth sample.
+
+    Truth precedes the updates at its timestamp, so each row holds the
+    prior error there.
+    """
+    n = sum(isinstance(r, TruthSample) for r in records)
+    rows = np.empty((n, len(METRIC_NAMES)))
+    times = np.empty(n)
+    i = 0
+    for rec in records:
+        est.step(rec)
+        if isinstance(rec, TruthSample):
+            m = error_vs_truth(est.state, rec.element)
+            rows[i] = (m.pos_err, m.vel_err, abs(m.roll_deg), abs(m.pitch_deg),
+                       abs(m.yaw_deg), nees(m.xi, est.state.cov, est.cfg.epsilon))
+            times[i] = rec.t
+            i += 1
+    return MetricSeries(times, rows)
 
 
 def run_trial(records: list[StreamRecord], tcfg: TrialConfig,
@@ -120,35 +142,22 @@ def run_trial(records: list[StreamRecord], tcfg: TrialConfig,
     """Run every variant over one stream from a common perturbed start."""
     rng = np.random.default_rng(trial_seed)
     xi0 = sample_initial_error(rng, tcfg)
-    truth_records = [r for r in records if isinstance(r, TruthSample)]
-    if not truth_records:
+    first = next((r for r in records if isinstance(r, TruthSample)), None)
+    if first is None:
         raise ValueError("stream contains no truth samples")
-    first = truth_records[0]
     p0 = initial_covariance(tcfg)
     mean0 = compose(sek3_exp(xi0), first.element)
 
     series: dict[Variant, MetricSeries] = {}
     for variant, cfg in configs.items():
         est = StreamEstimator(State(mean0, p0.copy(), first.t, first.stance), cfg)
-        rows = np.empty((len(truth_records), len(METRIC_NAMES)))
-        times = np.empty(len(truth_records))
-        i = 0
         try:
-            for rec in records:
-                est.step(rec)
-                if isinstance(rec, TruthSample):
-                    m = error_vs_truth(est.state, rec.element)
-                    rows[i] = (m.pos_err, m.vel_err, abs(m.roll_deg),
-                               abs(m.pitch_deg), abs(m.yaw_deg),
-                               nees(m.xi, est.state.cov, cfg.epsilon))
-                    times[i] = rec.t
-                    i += 1
+            series[variant] = metric_series(records, est)
         except Exception as exc:
             raise RuntimeError(
                 f"trial {trial_index} (seed {trial_seed}, variant "
                 f"{variant.value}) failed: {exc}") from exc
-        series[variant] = MetricSeries(times, rows)
-    return TrialResult(trial_index, xi0, series)
+    return TrialResult(trial_index, series)
 
 
 @dataclass
@@ -203,8 +212,8 @@ def _trial_worker(args) -> TrialResult:
 
 def monte_carlo(tcfg: TrialConfig, gait: GaitConfig, surf: SurfaceConfig,
                 noise: NoiseParams, rates: Rates = Rates(), jobs: int = 1,
-                epsilon: float = 1e-9,
-                schedule: UpdateSchedule = UpdateSchedule.EVERY_STEP,
+                epsilon: float = FilterConfig.epsilon,
+                schedule: UpdateSchedule = FilterConfig.update_schedule,
                 ) -> tuple[AggregateReport, list[TrialResult]]:
     """Run n_trials independent trials and aggregate percentile bands.
 

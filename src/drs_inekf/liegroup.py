@@ -55,21 +55,9 @@ def vee(m: np.ndarray) -> np.ndarray:
     return 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
 
 
-def _rodrigues_coeffs(theta: float) -> tuple[float, float]:
-    """(sin t / t, (1 - cos t) / t^2) with series fallback."""
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        return a, b
-    s_half = math.sin(0.5 * theta)
-    return math.sin(theta) / theta, 2.0 * s_half * s_half / (theta * theta)
-
-
 def so3_exp(v: np.ndarray) -> np.ndarray:
     """Rotation matrix exp(hat(v)) by the Rodrigues formula."""
-    theta = math.sqrt(float(v @ v))
-    a, b = _rodrigues_coeffs(theta)
+    a, b, _, _ = _gamma_coeffs(math.sqrt(float(v @ v)))
     k = hat(v)
     return _EYE3 + a * k + b * (k @ k)
 
@@ -141,7 +129,11 @@ def so3_left_jacobian_inv(v: np.ndarray) -> np.ndarray:
 
 
 def _gamma_coeffs(theta: float) -> tuple[float, float, float, float]:
-    """Series coefficients (a, b, c, g2b) shared by the Gamma matrices."""
+    """Series coefficients (a, b, c, g2b) shared by the Gamma matrices.
+
+    With K = hat(v): Gamma_0 = exp = I + a K + b K^2,
+    Gamma_1 = I + b K + c K^2 and Gamma_2 = I/2 + c K + g2b K^2.
+    """
     if theta < SMALL_ANGLE:
         t2 = theta * theta
         return (1.0 - t2 / 6.0 + t2 * t2 / 120.0,
@@ -156,25 +148,13 @@ def _gamma_coeffs(theta: float) -> tuple[float, float, float, float]:
             (0.5 * t2 - one_minus_cos) / (t2 * t2))
 
 
-def so3_gammas(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Gamma_0, Gamma_1, Gamma_2) for strapdown integration.
-
-    Gamma_m = sum_n hat(v)^n / (n + m)!; Gamma_0 = exp, Gamma_1 = J_l and
-    Gamma_2 is the double integral term for the position update.
-    """
-    a, b, c, g2b = _gamma_coeffs(math.sqrt(float(v @ v)))
-    k = hat(v)
-    k2 = k @ k
-    return (_EYE3 + a * k + b * k2,
-            _EYE3 + b * k + c * k2,
-            0.5 * _EYE3 + c * k + g2b * k2)
-
-
 def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
     """Gamma_0(v) as a matrix plus (Gamma_1(v) u, Gamma_2(v) u) as vectors.
 
-    Same quantities as so3_gammas followed by matrix-vector products, using
-    cross products to avoid forming Gamma_1/Gamma_2.
+    Gamma_m = sum_n hat(v)^n / (n + m)!: Gamma_0 = exp, Gamma_1 = J_l and
+    Gamma_2 is the double integral term for the position update. Gamma_1
+    and Gamma_2 are applied to u through hat(v) u and hat(v)^2 u, never
+    formed.
     """
     a, b, c, g2b = _gamma_coeffs(math.sqrt(float(v @ v)))
     k = hat(v)

@@ -19,7 +19,9 @@ filter correction is X_hat+ = exp(K z) X_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+import typing
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -58,8 +60,85 @@ class ImuStep:
         return math.isfinite(total)
 
 
+def param(default, lo=None, hi=None):
+    """A field of the config document: its default and inclusive bounds."""
+    return field(default=default, metadata={"lo": lo, "hi": hi})
+
+
+def config_fields(cls) -> list:
+    """The fields of a dataclass (or instance) declared with `param`."""
+    return [f for f in fields(cls) if "lo" in f.metadata]
+
+
+def _real(value) -> float:
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
+def _as_type(hint, value):
+    """`value` as the annotated type, or ValueError saying what was expected."""
+    if hint is float:
+        return _real(value)
+    if hint is int:
+        if _real(value).is_integer():
+            return int(value)
+        expected = "an integer"
+    elif hint is bool:
+        if isinstance(value, bool):
+            return value
+        expected = "true or false"
+    elif typing.get_origin(hint) is tuple:
+        n = len(typing.get_args(hint))
+        if isinstance(value, (list, tuple)) and len(value) == n:
+            return tuple(_real(v) for v in value)
+        expected = f"{n} numbers"
+    else:  # an Enum: a member or a member's value
+        if value in list(hint) + [m.value for m in hint]:
+            return hint(value)
+        expected = f"one of [{', '.join(m.value for m in hint)}]"
+    raise ValueError(f"expected {expected}, got {value!r}")
+
+
+def check_fields(obj) -> None:
+    """Check the `param` fields of a frozen dataclass; store them converted.
+
+    By annotation, a float must be a finite real and not a bool, an int an
+    integral real, a bool a JSON boolean, a tuple that many finite reals
+    and an Enum a member or a member's value. Errors read `field: reason`.
+    """
+    hints = typing.get_type_hints(type(obj))
+    for f in config_fields(obj):
+        try:
+            value = _as_type(hints[f.name], getattr(obj, f.name))
+        except (ValueError, OverflowError) as exc:  # an int beyond float range
+            raise ValueError(f"{f.name}: {exc}") from None
+        lo, hi = f.metadata["lo"], f.metadata["hi"]
+        if lo is not None and value < lo:
+            raise ValueError(f"{f.name}: must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise ValueError(f"{f.name}: must be <= {hi}, got {value}")
+        object.__setattr__(obj, f.name, value)
+
+
 def _diag3(value: float) -> np.ndarray:
     return np.eye(3) * value
+
+
+@dataclass(frozen=True)
+class NoiseLevels:
+    """Scalar noise levels, the `noise` section of the config document."""
+
+    gyro_density: float = param(1e-5, lo=0.0)
+    accel_density: float = param(1e-4, lo=0.0)
+    contact_vel_density: float = param(1e-4, lo=0.0)
+    fk_pos_var: float = param(1e-4, lo=0.0)
+    surface_orient_var: float = param(1e-4, lo=0.0)
+    jump_pos_var: float = param(1e-6, lo=0.0)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -73,22 +152,22 @@ class NoiseParams:
     no-jump covariance behaviour).
     """
 
-    gyro_cov: np.ndarray = field(default_factory=lambda: _diag3(1e-5))
-    accel_cov: np.ndarray = field(default_factory=lambda: _diag3(1e-4))
-    contact_vel_cov: np.ndarray = field(default_factory=lambda: _diag3(1e-4))
-    fk_pos_cov: np.ndarray = field(default_factory=lambda: _diag3(1e-4))
-    surface_orient_cov: np.ndarray = field(default_factory=lambda: _diag3(1e-4))
-    jump_cov: np.ndarray = field(default_factory=lambda: np.zeros((12, 12)))
+    gyro_cov: np.ndarray
+    accel_cov: np.ndarray
+    contact_vel_cov: np.ndarray
+    fk_pos_cov: np.ndarray
+    surface_orient_cov: np.ndarray
+    jump_cov: np.ndarray
 
     @classmethod
-    def from_scalars(cls, gyro: float = 1e-5, accel: float = 1e-4,
-                     contact_vel: float = 1e-4, fk_pos: float = 1e-4,
-                     surface_orient: float = 1e-4,
-                     jump_pos: float = 0.0) -> "NoiseParams":
+    def from_scalars(cls, *args, **kwargs) -> "NoiseParams":
+        """Isotropic noise model from `NoiseLevels(*args, **kwargs)`."""
+        s = NoiseLevels(*args, **kwargs)
         jump = np.zeros((12, 12))
-        jump[XI_D, XI_D] = _diag3(jump_pos)
-        return cls(_diag3(gyro), _diag3(accel), _diag3(contact_vel),
-                   _diag3(fk_pos), _diag3(surface_orient), jump)
+        jump[XI_D, XI_D] = _diag3(s.jump_pos_var)
+        return cls(_diag3(s.gyro_density), _diag3(s.accel_density),
+                   _diag3(s.contact_vel_density), _diag3(s.fk_pos_var),
+                   _diag3(s.surface_orient_var), jump)
 
     @classmethod
     def zero(cls) -> "NoiseParams":

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import GroupElement, group_element, so3_exp
-from .models import GRAVITY, ImuStep, NoiseParams
+from .liegroup import group_element, so3_exp
+from .models import GRAVITY, ImuStep, NoiseParams, check_fields, param
 from .streams import (
     FkOrientation,
     FkPosition,
@@ -29,14 +29,11 @@ from .streams import (
     SurfacePose,
     SwapEvent,
     TruthSample,
-    read_jsonl,
-    write_jsonl,
 )
 
 __all__ = [
     "SurfaceConfig", "GaitConfig", "Rates", "TruthTrajectory",
-    "surface_state", "generate_truth", "synthesize_sensors",
-    "read_jsonl", "write_jsonl",
+    "generate_truth", "synthesize_sensors",
 ]
 
 MAX_PITCH_AMPLITUDE = 0.3  # rad
@@ -46,16 +43,14 @@ MAX_PITCH_AMPLITUDE = 0.3  # rad
 class SurfaceConfig:
     """Rocking-surface motion: pitch angle amplitude * sin(freq * t) about y."""
 
-    pitch_amplitude: float = math.radians(3.0)
-    pitch_angular_freq: float = 1.5 * math.pi
-    pivot: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    belt_speed: float = 0.0
+    pitch_amplitude: float = param(math.radians(3.0), lo=0.0,
+                                   hi=MAX_PITCH_AMPLITUDE)
+    pitch_angular_freq: float = param(1.5 * math.pi, lo=0.0)
+    pivot: tuple[float, float, float] = param((0.0, 0.0, 0.0))
+    belt_speed: float = param(0.0)
 
     def __post_init__(self):
-        if not 0.0 <= self.pitch_amplitude <= MAX_PITCH_AMPLITUDE:
-            raise ValueError(
-                f"pitch_amplitude must be in [0, {MAX_PITCH_AMPLITUDE}] rad, "
-                f"got {self.pitch_amplitude}")
+        check_fields(self)
 
     @property
     def pivot_vec(self) -> np.ndarray:
@@ -66,41 +61,29 @@ class SurfaceConfig:
 class GaitConfig:
     """Invented in-place walking gait; shapes excitation, not correctness."""
 
-    step_period: float = 0.6
-    step_length: float = 0.25
-    stance_width: float = 0.2
-    base_height: float = 0.95
-    sway_amplitude: float = 0.03
-    bob_amplitude: float = 0.015
-    surge_amplitude: float = 0.01
-    lean_amplitude_deg: float = 3.0
-    duration: float = 30.0
+    step_period: float = param(0.6, lo=1e-3)
+    step_length: float = param(0.25, lo=0.0)
+    stance_width: float = param(0.2, lo=0.0)
+    base_height: float = param(0.95, lo=0.0)
+    sway_amplitude: float = param(0.03, lo=0.0)
+    bob_amplitude: float = param(0.015, lo=0.0)
+    surge_amplitude: float = param(0.01, lo=0.0)
+    lean_amplitude_deg: float = param(3.0, lo=0.0)
+    duration: float = param(30.0, lo=1e-3)
 
     def __post_init__(self):
-        if self.step_period <= 0.0:
-            raise ValueError("step_period must be positive")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
 class Rates:
-    imu_hz: int = 400
-    kin_hz: int = 100
+    imu_hz: int = param(400, lo=1)
+    kin_hz: int = param(100, lo=1)
 
     def __post_init__(self):
-        if self.imu_hz <= 0 or self.kin_hz <= 0:
-            raise ValueError("rates must be positive")
+        check_fields(self)
         if self.imu_hz % self.kin_hz != 0:
-            raise ValueError("imu_hz must be an integer multiple of kin_hz")
-
-
-def surface_state(t, cfg: SurfaceConfig):
-    """(R_s, omega_s) of the surface at time t (scalar t)."""
-    theta = cfg.pitch_amplitude * math.sin(cfg.pitch_angular_freq * t)
-    theta_dot = (cfg.pitch_amplitude * cfg.pitch_angular_freq
-                 * math.cos(cfg.pitch_angular_freq * t))
-    return so3_exp(np.array([0.0, theta, 0.0])), np.array([0.0, theta_dot, 0.0])
+            raise ValueError("imu_hz: must be an integer multiple of kin_hz")
 
 
 def _ry_batch(theta: np.ndarray) -> np.ndarray:
@@ -251,12 +234,6 @@ class TruthTrajectory:
         n = int(math.ceil(self.gait.duration / self.gait.step_period))
         times = np.arange(1, n) * self.gait.step_period
         return times[times < self.gait.duration - 1e-9]
-
-    def state_at(self, t, index: int | None = None) -> GroupElement:
-        if index is None:
-            index = self.stance_index(t)
-        return group_element(self.base_rot(t), self.base_vel(t),
-                             self.base_pos(t), self.foot_pos(t, index))
 
 
 def generate_truth(gait: GaitConfig, surf: SurfaceConfig,

@@ -3,8 +3,10 @@
 One record per line, `{"kind": ..., "t": ...}` plus kind-specific fields.
 Rotations are serialized as 9 row-major reals. Records of the same kind
 carry strictly increasing timestamps; the file order is the processing
-order expected by the filter (at equal timestamps: swap, surface, fk_rot,
-fk_pos, truth, imu).
+order expected by the filter. At equal timestamps the simulator writes
+swap, truth, surface, fk_rot, fk_pos, imu: truth follows the swap, so a
+jump and its evaluation sample pair up, and precedes the kinematic
+updates, so the errors recorded at a truth sample are prior errors.
 """
 
 from __future__ import annotations
@@ -79,11 +81,6 @@ class TruthSample:
 
 StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose,
                      SwapEvent, TruthSample]
-
-# Processing order of co-timestamped records: truth follows the swap (so a
-# jump and its evaluation sample pair up) but precedes the kinematic
-# updates, so recorded errors are prior errors at each timestamp.
-KIND_ORDER = ("swap", "truth", "surface", "fk_rot", "fk_pos", "imu")
 
 
 def record_kind(rec: StreamRecord) -> str:

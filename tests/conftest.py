@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import logm
 
 from drs_inekf.liegroup import (
     GroupElement,
+    _gamma_coeffs,
     compose,
     from_embedded,
+    hat,
     inverse,
     sek3_exp,
     sek3_log,
@@ -30,6 +34,19 @@ def random_imu(rng, t: float = 0.0, dt: float = 0.0025,
     return ImuStep(t, dt, rng.standard_normal(3),
                    rng.standard_normal(3) * 3.0,
                    rng.standard_normal(3) * contact_vel_scale)
+
+
+def so3_gammas(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Gamma_0, Gamma_1, Gamma_2) for strapdown integration, as matrices.
+
+    Gamma_m = sum_n hat(v)^n / (n + m)!; Gamma_0 = exp, Gamma_1 = J_l and
+    Gamma_2 is the double integral term for the position update.
+    """
+    a, b, c, g2b = _gamma_coeffs(math.sqrt(float(v @ v)))
+    k = hat(v)
+    k2 = k @ k
+    eye = np.eye(3)
+    return eye + a * k + b * k2, eye + b * k + c * k2, 0.5 * eye + c * k + g2b * k2
 
 
 def rk4_flow(x, u, h, substeps=10):

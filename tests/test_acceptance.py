@@ -16,14 +16,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from drs_inekf.cli import (
-    DEFAULT_CONFIG,
-    build_gait,
-    build_noise,
-    build_rates,
-    build_surface,
-    main,
-)
+from drs_inekf.cli import main
 from drs_inekf.filter import (
     FilterConfig,
     JumpInput,
@@ -56,7 +49,13 @@ from drs_inekf.models import (
     position_measurement,
     process_dynamics,
 )
-from drs_inekf.sim import SurfaceConfig, generate_truth, synthesize_sensors
+from drs_inekf.sim import (
+    GaitConfig,
+    Rates,
+    SurfaceConfig,
+    generate_truth,
+    synthesize_sensors,
+)
 from drs_inekf.streams import TruthSample
 
 from conftest import (
@@ -75,10 +74,11 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def mc_results():
-    noise = build_noise(DEFAULT_CONFIG)
-    gait = build_gait(DEFAULT_CONFIG)
-    rates = build_rates(DEFAULT_CONFIG)
-    rocking_surface = build_surface(DEFAULT_CONFIG)
+    # The dataclass defaults are the shipped default config.
+    noise = NoiseParams.from_scalars()
+    gait = GaitConfig()
+    rates = Rates()
+    rocking_surface = SurfaceConfig()
     static_surface = SurfaceConfig(pitch_amplitude=0.0)
     tcfg = TrialConfig(n_trials=100, master_seed=2024)
     started = time.time()
@@ -238,13 +238,13 @@ def test_criterion_5_jump_invariance(rng):
 
 def test_criterion_6_keystone_self_consistency():
     started = time.time()
-    gait = build_gait(DEFAULT_CONFIG)  # 30 s at 400 Hz IMU
-    rates = build_rates(DEFAULT_CONFIG)
-    truth = generate_truth(gait, build_surface(DEFAULT_CONFIG), seed=7)
+    gait = GaitConfig()  # the default config: 30 s at 400 Hz IMU
+    rates = Rates()
+    truth = generate_truth(gait, SurfaceConfig(), seed=7)
     records = synthesize_sensors(truth, NoiseParams.zero(), rates, seed=7)
     first = next(r for r in records if isinstance(r, TruthSample))
     est = StreamEstimator(state_from_truth(first, np.eye(12) * 1e-4),
-                          FilterConfig(noise=build_noise(DEFAULT_CONFIG)))
+                          FilterConfig(noise=NoiseParams.from_scalars()))
     worst = np.zeros(12)
     worst_pos = worst_vel = 0.0
     for rec in records:

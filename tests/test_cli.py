@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from drs_inekf.cli import (
-    DEFAULT_CONFIG,
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_GATE,
@@ -28,6 +27,37 @@ def write_config(tmp_path, overrides):
 
 
 SMALL = {"gait": {"duration": 2.4}, "trials": {"n_trials": 2}}
+
+# The shipped default config, as `--print-config` printed it when the
+# defaults moved into the config dataclasses.
+DEFAULT_DOCUMENT = {
+    "filter": {"epsilon": 1e-09, "update_schedule": "every-step"},
+    "gait": {"base_height": 0.95, "bob_amplitude": 0.015, "duration": 30.0,
+             "lean_amplitude_deg": 3.0, "stance_width": 0.2,
+             "step_length": 0.25, "step_period": 0.6,
+             "surge_amplitude": 0.01, "sway_amplitude": 0.03},
+    "noise": {"accel_density": 0.0001, "contact_vel_density": 0.0001,
+              "fk_pos_var": 0.0001, "gyro_density": 1e-05,
+              "jump_pos_var": 1e-06, "surface_orient_var": 0.0001},
+    "rates": {"imu_hz": 400, "kin_hz": 100},
+    "surface": {"belt_speed": 0.0, "pitch_amplitude": 0.05235987755982989,
+                "pitch_angular_freq": 4.71238898038469,
+                "pivot": [0.0, 0.0, 0.0]},
+    "trials": {"foot_range": 0.5, "n_trials": 100, "pos_range": 0.5,
+               "roll_pitch_range_deg": 10.0, "static_control": True,
+               "vel_range": 0.5, "yaw_range_deg": 30.0},
+}
+
+# Each value fails the typed field check; `section.field` must be named.
+BAD_VALUES = [
+    ("filter", "epsilon", float("nan")),
+    ("gait", "duration", float("inf")),
+    ("surface", "pitch_amplitude", float("nan")),
+    ("rates", "imu_hz", 400.7),
+    ("trials", "n_trials", 1.9),
+    ("trials", "static_control", "no"),
+    ("surface", "pivot", [True, 0, 0]),
+]
 
 
 class TestSimCommand:
@@ -61,8 +91,29 @@ class TestSimCommand:
 
     def test_print_config(self, capsys):
         assert main(["sim", "--print-config"]) == EXIT_OK
-        printed = json.loads(capsys.readouterr().out)
-        assert printed == DEFAULT_CONFIG
+        printed = capsys.readouterr().out
+        assert printed == json.dumps(DEFAULT_DOCUMENT, indent=2, sort_keys=True) + "\n"
+
+    def test_printed_config_round_trips(self, tmp_path, capsys):
+        main(["sim", "--print-config"])
+        printed = capsys.readouterr().out
+        cfg = tmp_path / "printed.json"
+        cfg.write_text(printed)
+        out = str(tmp_path / "s.jsonl")
+        assert main(["sim", "--config", str(cfg), "--out", out]) == EXIT_OK
+        manifest = json.load(open(out + ".manifest.json"))
+        assert manifest["config"] == json.loads(printed)
+
+
+class TestConfigChecks:
+    # montecarlo builds every section before it runs anything.
+    @pytest.mark.parametrize("section, key, value", BAD_VALUES,
+                             ids=[f"{s}.{k}={v!r}" for s, k, v in BAD_VALUES])
+    def test_bad_value_names_field(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, {section: {key: value}})
+        code = main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "mc")])
+        assert code == EXIT_CONFIG
+        assert f"config error: {section}.{key}:" in capsys.readouterr().err
 
 
 class TestEstimateCommand:

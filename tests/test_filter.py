@@ -295,7 +295,7 @@ class TestStreamEstimator:
         assert np.array_equal(streamed.cov, folded.cov)
 
     def test_mixed_stream_equals_manual_sequencing(self, rng):
-        noise = NoiseParams.from_scalars(jump_pos=1e-5)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-5)
         cfg = FilterConfig(noise=noise, epsilon=1e-9)
         records = make_stream(rng)
         s0 = make_state(rng)
@@ -414,7 +414,7 @@ class TestInvariantErrorPropagation:
 
 class TestLongRunHygiene:
     def test_covariance_symmetric_psd_over_many_mixed_steps(self, rng):
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         cfg = FilterConfig(noise=noise)
         s = make_state(rng, cov_scale=0.05)
         est = StreamEstimator(s, cfg)

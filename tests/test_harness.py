@@ -23,7 +23,7 @@ SHORT_GAIT = GaitConfig(duration=2.4)
 
 
 def short_stream(seed=1, noise=None, surface=None):
-    noise = noise or NoiseParams.from_scalars(jump_pos=1e-6)
+    noise = noise or NoiseParams.from_scalars(jump_pos_var=1e-6)
     surface = surface or SurfaceConfig()
     return synthesize_sensors(generate_truth(SHORT_GAIT, surface, seed),
                               noise, Rates(), seed)
@@ -84,7 +84,7 @@ class TestSampling:
 class TestRunTrial:
     def test_same_seed_reproduces_bitwise(self):
         records = short_stream()
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         tcfg = TrialConfig(n_trials=1)
         configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
         a = run_trial(records, tcfg, configs, trial_seed=77)
@@ -112,7 +112,7 @@ class TestRunTrial:
     def test_metrics_timestamped_on_truth_grid(self):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
         result = run_trial(records, tcfg, configs, trial_seed=1)
         t = result.series[Variant.PROPOSED].t
@@ -132,7 +132,7 @@ class TestAggregation:
     def test_single_trial_percentiles_equal_the_trial(self):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
         result = run_trial(records, tcfg, configs, trial_seed=3)
         report = aggregate([result])
@@ -167,7 +167,7 @@ class TestAggregation:
     def test_trial_order_does_not_change_aggregate(self, rng):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
         results = [run_trial(records, tcfg, configs, trial_seed=s, trial_index=i)
                    for i, s in enumerate((1, 2, 3, 4, 5))]
@@ -192,7 +192,7 @@ class TestYawConvergenceReferenceRun:
         from drs_inekf.streams import TruthSample
 
         gait = GaitConfig(duration=12.0)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         records = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 21),
                                      noise, Rates(), 21)
         first = next(r for r in records if isinstance(r, TruthSample))
@@ -214,7 +214,7 @@ class TestYawConvergenceReferenceRun:
 class TestMonteCarlo:
     def test_parallel_equals_serial(self):
         tcfg = TrialConfig(n_trials=3, master_seed=9)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         serial, _ = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise,
                                 Rates(), jobs=1)
         parallel, _ = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise,
@@ -226,7 +226,7 @@ class TestMonteCarlo:
 
     def test_gate_evaluation_structure(self):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         rocking, _ = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise, Rates())
         static, _ = monte_carlo(tcfg, SHORT_GAIT,
                                 SurfaceConfig(pitch_amplitude=0.0), noise, Rates())
@@ -238,7 +238,7 @@ class TestMonteCarlo:
 
     def test_csv_outputs(self, tmp_path):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         report, results = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise,
                                       Rates())
         agg = tmp_path / "aggregate.csv"

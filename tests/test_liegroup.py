@@ -19,14 +19,13 @@ from drs_inekf.liegroup import (
     sek3_exp,
     sek3_log,
     so3_exp,
-    so3_gammas,
     so3_left_jacobian,
     so3_left_jacobian_inv,
     so3_log,
     vee,
 )
 
-from conftest import random_element
+from conftest import random_element, so3_gammas
 
 
 class TestHat:

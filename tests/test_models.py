@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ class TestOrientationMeasurement:
 
     def test_noise_mapped_through_rotation(self, rng):
         xhat = random_element(rng)
-        noise = NoiseParams.from_scalars(surface_orient=1e-3)
+        noise = NoiseParams.from_scalars(surface_orient_var=1e-3)
         m = orientation_measurement(np.eye(3), xhat.rot.T, xhat, noise)
         assert np.allclose(m.N, xhat.rot @ noise.surface_orient_cov @ xhat.rot.T)
 
@@ -269,19 +270,21 @@ class TestNoiseParams:
         NoiseParams.zero().validate()
 
     def test_validate_rejects_asymmetric(self):
-        bad = NoiseParams(gyro_cov=np.array([[1.0, 0.5, 0.0],
-                                             [0.0, 1.0, 0.0],
-                                             [0.0, 0.0, 1.0]]))
+        bad = replace(NoiseParams.from_scalars(),
+                      gyro_cov=np.array([[1.0, 0.5, 0.0],
+                                         [0.0, 1.0, 0.0],
+                                         [0.0, 0.0, 1.0]]))
         with pytest.raises(ValueError, match="gyro_cov"):
             bad.validate()
 
     def test_validate_rejects_negative_definite(self):
-        bad = NoiseParams(accel_cov=-np.eye(3))
+        bad = replace(NoiseParams.from_scalars(), accel_cov=-np.eye(3))
         with pytest.raises(ValueError, match="accel_cov"):
             bad.validate()
 
     def test_process_cov_layout(self):
-        n = NoiseParams.from_scalars(gyro=1.0, accel=2.0, contact_vel=3.0)
+        n = NoiseParams.from_scalars(gyro_density=1.0, accel_density=2.0,
+                                      contact_vel_density=3.0)
         qc = n.process_cov()
         assert np.allclose(qc[XI_R, XI_R], np.eye(3))
         assert np.allclose(qc[XI_V, XI_V], 2.0 * np.eye(3))

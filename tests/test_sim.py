@@ -12,7 +12,6 @@ from drs_inekf.sim import (
     SurfaceConfig,
     TruthTrajectory,
     generate_truth,
-    surface_state,
     synthesize_sensors,
 )
 from drs_inekf.streams import (
@@ -23,6 +22,12 @@ from drs_inekf.streams import (
     TruthSample,
     record_to_dict,
 )
+
+
+def surface_state(t, cfg):
+    """(R_s, omega_s) of the surface at time t, from the truth trajectory."""
+    truth = TruthTrajectory(GaitConfig(), cfg)
+    return truth.surface_rot(t), truth.surface_omega(t)
 
 
 class TestSurfaceState:
@@ -136,7 +141,7 @@ class TestTruthTrajectory:
 class TestSynthesizeSensors:
     def test_deterministic_given_seed(self):
         gait = GaitConfig(duration=1.2)
-        noise = NoiseParams.from_scalars(jump_pos=1e-6)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         a = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
         b = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
         c = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 10)
