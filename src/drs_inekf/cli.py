@@ -26,17 +26,17 @@ from .filter import FilterConfig, StreamEstimator, Variant, state_from_truth
 from .harness import (
     TrialConfig,
     TrialResult,
+    campaigns,
     evaluate_gates,
     initial_covariance,
     metric_series,
-    monte_carlo,
     write_aggregate_csv,
     write_trial_csv,
 )
 from .models import NoiseLevels, NoiseParams, config_fields
 from .plots import write_report_svgs
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from .streams import StreamFormatError, TruthSample, read_jsonl, write_jsonl
+from .streams import TRUTH, Stream, StreamFormatError, read_jsonl, write_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -134,39 +134,47 @@ def _ensure_out_dir(path: str) -> None:
     os.makedirs(directory, exist_ok=True)
 
 
+def build_all(cfg: dict, seed: int) -> argparse.Namespace:
+    """Every section of a loaded config, built and checked."""
+    noise = build(cfg, "noise", NoiseParams.from_scalars)
+    return argparse.Namespace(
+        surface=build(cfg, "surface"), gait=build(cfg, "gait"),
+        rates=build(cfg, "rates"), noise=noise,
+        filter=build(cfg, "filter", noise=noise),
+        trials=build(cfg, "trials", master_seed=seed))
+
+
 def cmd_sim(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    surface = build(cfg, "surface")
-    gait = build(cfg, "gait")
-    rates = build(cfg, "rates")
-    noise = build(cfg, "noise", NoiseParams.from_scalars)
-    truth = generate_truth(gait, surface, seed=args.seed)
+    c = build_all(cfg, args.seed)
+    truth = generate_truth(c.gait, c.surface, seed=args.seed)
     try:
-        records = synthesize_sensors(truth, noise, rates, seed=args.seed)
+        stream = synthesize_sensors(truth, c.noise, c.rates, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     _ensure_out_dir(args.out)
-    write_jsonl(records, args.out)
+    write_jsonl(stream, args.out)
     write_manifest(args.out + ".manifest.json", "sim", cfg, args.seed,
                    [args.out], started)
-    print(f"wrote {len(records)} records to {args.out}")
+    print(f"wrote {len(stream)} records to {args.out}")
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
     started = time.time()
+    if args.stream is None:
+        raise ConfigError("estimate needs --stream")
     cfg = load_config(args.config)
-    noise = build(cfg, "noise", NoiseParams.from_scalars)
+    c = build_all(cfg, args.seed)
     variant = Variant(args.variant)
-    fcfg = build(cfg, "filter", noise=noise, variant=variant)
-    tcfg = build(cfg, "trials", master_seed=args.seed)
-    records = read_jsonl(args.stream)
-    first = next((r for r in records if isinstance(r, TruthSample)), None)
-    if first is None:
+    stream = Stream.from_records(read_jsonl(args.stream))
+    if not stream.count("truth"):
         raise StreamFormatError("stream contains no truth records")
-    est = StreamEstimator(state_from_truth(first, initial_covariance(tcfg)), fcfg)
-    series = metric_series(records, est)
+    first = stream.record(TRUTH, 0)
+    est = StreamEstimator(state_from_truth(first, initial_covariance(c.trials)),
+                          dataclasses.replace(c.filter, variant=variant))
+    series = metric_series(stream, est)
     _ensure_out_dir(args.out)
     write_trial_csv(args.out, TrialResult(0, {variant: series}))
     write_manifest(args.out + ".manifest.json", "estimate", cfg, args.seed,
@@ -178,12 +186,8 @@ def cmd_estimate(args) -> int:
 def cmd_montecarlo(args) -> int:
     started = time.time()
     cfg = load_config(args.config)
-    surface = build(cfg, "surface")
-    gait = build(cfg, "gait")
-    rates = build(cfg, "rates")
-    noise = build(cfg, "noise", NoiseParams.from_scalars)
-    fcfg = build(cfg, "filter", noise=noise)
-    tcfg = build(cfg, "trials", master_seed=args.seed)
+    c = build_all(cfg, args.seed)
+    tcfg = c.trials
     out_dir = args.out
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -191,16 +195,15 @@ def cmd_montecarlo(args) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
 
-    options = dict(jobs=args.jobs, epsilon=fcfg.epsilon,
-                   schedule=fcfg.update_schedule)
+    surfaces = [c.surface]
     print(f"running {tcfg.n_trials} trials (rocking surface), jobs={args.jobs}")
-    rocking, results = monte_carlo(tcfg, gait, surface, noise, rates, **options)
-    static = None
-    if tcfg.static_control and surface.pitch_amplitude > 0.0:
+    if tcfg.static_control and c.surface.pitch_amplitude > 0.0:
+        surfaces.append(dataclasses.replace(c.surface, pitch_amplitude=0.0))
         print(f"running {tcfg.n_trials} trials (static level control)")
-        static, _ = monte_carlo(
-            tcfg, gait, dataclasses.replace(surface, pitch_amplitude=0.0),
-            noise, rates, **options)
+    (rocking, results), *control = campaigns(
+        tcfg, c.gait, surfaces, c.noise, c.rates, jobs=args.jobs,
+        epsilon=c.filter.epsilon, schedule=c.filter.update_schedule)
+    static = control[0][0] if control else None
 
     outputs = []
     aggregate_path = os.path.join(out_dir, "aggregate.csv")
@@ -263,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", parents=[common],
                            help="run one filter variant over a stream")
-    p_est.add_argument("--stream", required=True)
+    p_est.add_argument("--stream", help="stream file to read (required)")
     p_est.add_argument("--variant", default=FilterConfig.variant.value,
                        choices=[v.value for v in Variant])
     p_est.add_argument("--out", default="metrics.csv")
@@ -273,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="Monte Carlo comparison with pass/fail gates")
     p_mc.add_argument("--out", default="mc_out")
     p_mc.add_argument("--jobs", type=int, default=1,
-                      help="parallel trial workers")
+                      help="parallel workers, one contiguous chunk of trials each")
     p_mc.set_defaults(func=cmd_montecarlo)
     return parser
 

@@ -2,15 +2,15 @@
 
 Each trial perturbs the true initial state by a sampled tangent offset,
 runs every filter variant over the same sensor stream, and records
-estimate-vs-truth metrics on the truth-sample grid. Aggregation reduces
-the trial axis to percentile bands and summary statistics used by the
-pass/fail gates (yaw observability dichotomy, roll/pitch/velocity
-convergence).
+estimate-vs-truth metrics on the truth-sample grid. The trials of a
+worker's chunk and their variants run as one batch, in lockstep over
+their stacked streams. Aggregation reduces the trial axis to percentile
+bands and summary statistics used by the pass/fail gates (yaw
+observability dichotomy, roll/pitch/velocity convergence).
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -25,10 +25,11 @@ from .filter import (
     Variant,
     error_vs_truth,
 )
-from .liegroup import XI_D, XI_P, XI_V, compose, sek3_exp
+from .liegroup import XI_D, XI_P, XI_V, GroupElement, compose, sek3_exp
+from .liegroup import dot as _dot
 from .models import NoiseParams, check_fields, param
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from .streams import StreamRecord, TruthSample
+from .streams import STANCES, Stream, StreamRecord
 
 METRIC_NAMES = ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err", "nees")
 
@@ -86,26 +87,26 @@ def initial_covariance(tcfg: TrialConfig) -> np.ndarray:
 
 
 def nees(xi: np.ndarray, cov: np.ndarray,
-         epsilon: float = FilterConfig.epsilon) -> float:
+         epsilon: float = FilterConfig.epsilon) -> np.ndarray:
     """Normalized estimation error squared xi^T cov^-1 xi (regularized)."""
     try:
-        sol = np.linalg.solve(cov + epsilon * np.eye(len(xi)), xi)
+        sol = np.linalg.solve(cov + epsilon * np.eye(xi.shape[-1]), xi[..., None])
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular covariance in nees: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise ValueError("singular covariance in nees")
-    return float(xi @ sol)
+    return _dot(xi, sol[..., 0])
 
 
 @dataclass
 class MetricSeries:
-    """Per-variant trial output: one row per truth sample."""
+    """Metric rows on the truth-sample grid, per member of a batch."""
 
     t: np.ndarray          # (T,)
-    values: np.ndarray     # (T, len(METRIC_NAMES))
+    values: np.ndarray     # (..., T, len(METRIC_NAMES))
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, METRIC_NAMES.index(name)]
+        return self.values[..., METRIC_NAMES.index(name)]
 
 
 @dataclass
@@ -114,50 +115,70 @@ class TrialResult:
     series: dict[Variant, MetricSeries]
 
 
-def metric_series(records: list[StreamRecord],
-                  est: StreamEstimator) -> MetricSeries:
-    """Fold a stream through `est`; one metric row per truth sample.
+def metric_series(stream: Stream, est: StreamEstimator) -> MetricSeries:
+    """Fold `stream` through `est`; one metric row per truth sample and member.
 
     Truth precedes the updates at its timestamp, so each row holds the
     prior error there.
     """
-    n = sum(isinstance(r, TruthSample) for r in records)
-    rows = np.empty((n, len(METRIC_NAMES)))
-    times = np.empty(n)
-    i = 0
-    for rec in records:
-        est.step(rec)
-        if isinstance(rec, TruthSample):
-            m = error_vs_truth(est.state, rec.element)
-            rows[i] = (m.pos_err, m.vel_err, abs(m.roll_deg), abs(m.pitch_deg),
-                       abs(m.yaw_deg), nees(m.xi, est.state.cov, est.cfg.epsilon))
-            times[i] = rec.t
-            i += 1
-    return MetricSeries(times, rows)
+    t = stream.columns["truth"]["t"]
+    rows = np.empty(est.state.cov.shape[:-2] + (len(t), len(METRIC_NAMES)))
+    for i, truth in enumerate(est.fold(stream)):
+        m = error_vs_truth(est.state, truth.element)
+        row = rows[..., i, :]
+        row[..., 0] = m.pos_err
+        row[..., 1] = m.vel_err
+        np.abs(m.roll_deg, out=row[..., 2])
+        np.abs(m.pitch_deg, out=row[..., 3])
+        np.abs(m.yaw_deg, out=row[..., 4])
+        row[..., 5] = nees(m.xi, est.state.cov, est.cfg.epsilon)
+    return MetricSeries(t, rows)
 
 
-def run_trial(records: list[StreamRecord], tcfg: TrialConfig,
+def run_trials(stream: Stream, tcfg: TrialConfig,
+               configs: dict[Variant, FilterConfig], trial_seeds: list[int],
+               trial_indices: list[int]) -> list[TrialResult]:
+    """Run every variant over stacked streams, one per trial, in lockstep.
+
+    Axis 1 of the stream's value columns runs over the trials. Each trial
+    starts its variants from a common start, the truth perturbed by a
+    tangent offset drawn from its seed. The configs may differ only in
+    their variant.
+    """
+    cfg = next(iter(configs.values()))
+    if any(c.noise is not cfg.noise or c.epsilon != cfg.epsilon
+           or c.update_schedule is not cfg.update_schedule for c in configs.values()):
+        raise ValueError("variant configs of one run must share noise, "
+                         "epsilon and update schedule")
+    truth = stream.columns["truth"]
+    if not len(truth["t"]):
+        raise ValueError("stream contains no truth samples")
+    xi0 = np.array([sample_initial_error(np.random.default_rng(seed), tcfg)
+                    for seed in trial_seeds])
+    mean0 = compose(sek3_exp(xi0), GroupElement(truth["rot"][0], truth["cols"][0]))
+    batch = (len(configs), len(trial_seeds))
+    initial = State(GroupElement(np.broadcast_to(mean0.rot, batch + (3, 3)).copy(),
+                                 np.broadcast_to(mean0.cols, batch + (3, 3)).copy()),
+                    np.broadcast_to(initial_covariance(tcfg), batch + (12, 12)).copy(),
+                    float(truth["t"][0]), STANCES[truth["stance"][0]])
+    est = StreamEstimator(initial, cfg, variants=tuple(configs))
+    try:
+        series = metric_series(stream, est)
+    except Exception as exc:
+        raise RuntimeError(f"trials {trial_indices[0]}..{trial_indices[-1]} "
+                           f"failed: {exc}") from exc
+    return [TrialResult(index, {v: MetricSeries(series.t, series.values[i, j])
+                                for i, v in enumerate(configs)})
+            for j, index in enumerate(trial_indices)]
+
+
+def run_trial(records: Stream | list[StreamRecord], tcfg: TrialConfig,
               configs: dict[Variant, FilterConfig],
               trial_seed: int, trial_index: int = 0) -> TrialResult:
     """Run every variant over one stream from a common perturbed start."""
-    rng = np.random.default_rng(trial_seed)
-    xi0 = sample_initial_error(rng, tcfg)
-    first = next((r for r in records if isinstance(r, TruthSample)), None)
-    if first is None:
-        raise ValueError("stream contains no truth samples")
-    p0 = initial_covariance(tcfg)
-    mean0 = compose(sek3_exp(xi0), first.element)
-
-    series: dict[Variant, MetricSeries] = {}
-    for variant, cfg in configs.items():
-        est = StreamEstimator(State(mean0, p0.copy(), first.t, first.stance), cfg)
-        try:
-            series[variant] = metric_series(records, est)
-        except Exception as exc:
-            raise RuntimeError(
-                f"trial {trial_index} (seed {trial_seed}, variant "
-                f"{variant.value}) failed: {exc}") from exc
-    return TrialResult(trial_index, series)
+    stream = records if isinstance(records, Stream) else Stream.from_records(records)
+    return run_trials(Stream.stack([stream], 1), tcfg, configs, [trial_seed],
+                      [trial_index])[0]
 
 
 @dataclass
@@ -199,15 +220,54 @@ def aggregate(results: list[TrialResult],
     return AggregateReport(t, bands, initial, final, final_window, len(results))
 
 
-def _trial_worker(args) -> TrialResult:
-    (index, stream_seed, trial_seed, gait, surf, noise, rates, tcfg,
+def _chunk_worker(args) -> list[list[TrialResult]]:
+    """One chunk of trials of every campaign, run as one batch."""
+    (indices, stream_seeds, trial_seeds, gait, surfaces, noise, rates, tcfg,
      epsilon, schedule) = args
-    truth = generate_truth(gait, surf, seed=stream_seed)
-    records = synthesize_sensors(truth, noise, rates, seed=stream_seed)
+    stream = Stream.stack(
+        (synthesize_sensors(generate_truth(gait, surf, seed=seed), noise, rates,
+                            seed=seed)
+         for surf in surfaces for seed in stream_seeds),
+        len(surfaces) * len(stream_seeds))
     configs = {v: FilterConfig(noise=noise, variant=v, update_schedule=schedule,
                                epsilon=epsilon)
                for v in tcfg.variants}
-    return run_trial(records, tcfg, configs, trial_seed, index)
+    results = run_trials(stream, tcfg, configs, trial_seeds * len(surfaces),
+                         indices * len(surfaces))
+    n = len(indices)
+    return [results[i * n:(i + 1) * n] for i in range(len(surfaces))]
+
+
+def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig],
+              noise: NoiseParams, rates: Rates = Rates(), jobs: int = 1,
+              epsilon: float = FilterConfig.epsilon,
+              schedule: UpdateSchedule = FilterConfig.update_schedule,
+              ) -> list[tuple[AggregateReport, list[TrialResult]]]:
+    """One Monte Carlo campaign per surface, all with the same trial seeds.
+
+    Every trial derives its stream seed and initial-error seed from the
+    master seed via numpy SeedSequence spawning, so results are reproducible
+    and independent of execution order, worker count and of which campaigns
+    run together. The trials are split into `jobs` contiguous chunks; a
+    worker runs its chunk of every campaign as one batch.
+    """
+    seq = np.random.SeedSequence(tcfg.master_seed)
+    seeds = np.array([child.generate_state(2, dtype=np.uint64)
+                      for child in seq.spawn(tcfg.n_trials)])
+    chunks = np.array_split(np.arange(tcfg.n_trials), min(max(jobs, 1), tcfg.n_trials))
+    args = [(chunk.tolist(), seeds[chunk, 0].tolist(), seeds[chunk, 1].tolist(),
+             gait, list(surfaces), noise, rates, tcfg, epsilon, schedule)
+            for chunk in chunks]
+    if len(args) > 1:
+        with multiprocessing.Pool(len(args)) as pool:
+            chunked = pool.map(_chunk_worker, args)
+    else:
+        chunked = [_chunk_worker(a) for a in args]
+    out = []
+    for i in range(len(surfaces)):
+        results = [r for chunk in chunked for r in chunk[i]]
+        out.append((aggregate(results), results))
+    return out
 
 
 def monte_carlo(tcfg: TrialConfig, gait: GaitConfig, surf: SurfaceConfig,
@@ -215,26 +275,8 @@ def monte_carlo(tcfg: TrialConfig, gait: GaitConfig, surf: SurfaceConfig,
                 epsilon: float = FilterConfig.epsilon,
                 schedule: UpdateSchedule = FilterConfig.update_schedule,
                 ) -> tuple[AggregateReport, list[TrialResult]]:
-    """Run n_trials independent trials and aggregate percentile bands.
-
-    Every trial derives its stream seed and initial-error seed from the
-    master seed via numpy SeedSequence spawning, so results are reproducible
-    and independent of execution order or worker count.
-    """
-    seq = np.random.SeedSequence(tcfg.master_seed)
-    children = seq.spawn(tcfg.n_trials)
-    args = []
-    for i, child in enumerate(children):
-        stream_seed, trial_seed = (int(s) for s in
-                                   child.generate_state(2, dtype=np.uint64))
-        args.append((i, stream_seed, trial_seed, gait, surf, noise, rates,
-                     tcfg, epsilon, schedule))
-    if jobs > 1 and tcfg.n_trials > 1:
-        with multiprocessing.Pool(min(jobs, tcfg.n_trials)) as pool:
-            results = pool.map(_trial_worker, args)
-    else:
-        results = [_trial_worker(a) for a in args]
-    return aggregate(results), results
+    """Run n_trials independent trials on one surface and aggregate bands."""
+    return campaigns(tcfg, gait, [surf], noise, rates, jobs, epsilon, schedule)[0]
 
 
 @dataclass
@@ -304,22 +346,20 @@ def evaluate_gates(rocking: AggregateReport,
 
 
 def write_trial_csv(path, result: TrialResult) -> None:
+    row = "%.6f,%s" + ",%.9g" * len(METRIC_NAMES) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "variant"] + list(METRIC_NAMES))
+        fh.write("t,variant," + ",".join(METRIC_NAMES) + "\r\n")
         for variant, series in result.series.items():
-            for i, t in enumerate(series.t):
-                w.writerow([f"{t:.6f}", variant.value]
-                           + [f"{v:.9g}" for v in series.values[i]])
+            fh.writelines(row % (t, variant.value, *values) for t, values in
+                          zip(series.t.tolist(), series.values.tolist()))
 
 
 def write_aggregate_csv(path, report: AggregateReport) -> None:
+    row = "%.6f,%s,%s,%.9g,%.9g,%.9g\r\n"
+    t = report.t.tolist()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "variant", "metric", "p10", "p50", "p90"])
+        fh.write("t,variant,metric,p10,p50,p90\r\n")
         for variant, metrics in report.bands.items():
             for metric, band in metrics.items():
-                for i, t in enumerate(report.t):
-                    w.writerow([f"{t:.6f}", variant.value, metric,
-                                f"{band[0, i]:.9g}", f"{band[1, i]:.9g}",
-                                f"{band[2, i]:.9g}"])
+                fh.writelines(row % (ti, variant.value, metric, *b)
+                              for ti, b in zip(t, band.T.tolist()))

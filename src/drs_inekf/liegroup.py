@@ -1,4 +1,4 @@
-"""SO(3) and SE_K(3) primitives.
+"""SO(3) and SE_K(3) primitives, over any leading batch axes.
 
 A group element bundles a rotation matrix with K translation-like column
 vectors (here K = 3: base velocity, base position, support-foot position).
@@ -10,6 +10,13 @@ Its matrix embedding is
 Tangent vectors are (3 + 3K)-vectors in the fixed block order
 (xi_R, xi_1, ..., xi_K); for K = 3 that is (xi_R, xi_v, xi_p, xi_d).
 All angles are radians.
+
+Every function accepts leading batch axes on its arguments (a stack of
+vectors (..., 3), of rotations (..., 3, 3), of elements with rot
+(..., 3, 3) and cols (..., 3, K)) and broadcasts them; an unbatched call
+is the batch of shape (). Each slice of a batched call is computed with
+the same operations, in the same order, as the unbatched call on that
+slice, so results do not depend on the batch they were computed in.
 """
 
 from __future__ import annotations
@@ -37,29 +44,75 @@ _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 
 
+def transposed(m: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes (a view)."""
+    return m.swapaxes(-1, -2)
+
+
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product over the last axis, computed as the 1-D `a @ b` is."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """m @ v over leading batch axes, computed as the 2-D by 1-D `m @ v` is."""
+    return (m @ v[..., None])[..., 0]
+
+
+# hat(v) row-major: entry i is v[_HAT_INDEX[i]] * _HAT_SIGN[i].
+_HAT_INDEX = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
+_HAT_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+
+
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix with hat(v) @ u == cross(v, u)."""
-    x, y, z = v
-    m = np.zeros((3, 3))
-    m[0, 1] = -z
-    m[0, 2] = y
-    m[1, 0] = z
-    m[1, 2] = -x
-    m[2, 0] = -y
-    m[2, 1] = x
-    return m
+    v = np.asarray(v, dtype=float)
+    # order="C": a fancy-indexed batch may come out in another layout, and
+    # matmul takes another code path for it.
+    m = np.multiply(v[..., _HAT_INDEX], _HAT_SIGN, order="C")
+    return m.reshape(v.shape[:-1] + (3, 3))
 
 
 def vee(m: np.ndarray) -> np.ndarray:
     """Inverse of hat (takes the skew part of m)."""
-    return 0.5 * np.array([m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+    return np.multiply(0.5, (m - transposed(m))[..., [2, 0, 1], [1, 2, 0]], order="C")
+
+
+def _by_angle(theta: np.ndarray, series, closed) -> tuple:
+    """Coefficients `series(theta)` below SMALL_ANGLE, `closed(theta)` above.
+
+    Each branch sees only angles it is valid for (the closed form gets 1.0
+    in place of a small angle), so neither divides by zero.
+    """
+    small = theta < SMALL_ANGLE
+    n_small = np.count_nonzero(small)
+    if n_small == 0:
+        return closed(theta)
+    if n_small == small.size:
+        return series(theta)
+    lo = series(theta)
+    hi = closed(np.where(small, 1.0, theta))
+    return tuple(np.where(small, s, c) for s, c in zip(lo, hi))
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    return np.sqrt(dot(v, v))
+
+
+def _exp_and_left_jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of v as matrices."""
+    v = np.asarray(v, dtype=float)
+    a, b, c, _ = _gamma_coeffs(_norm(v))
+    k = hat(v)
+    kk = k @ k
+    b = b[..., None, None]
+    return (_EYE3 + a[..., None, None] * k + b * kk,
+            _EYE3 + b * k + c[..., None, None] * kk)
 
 
 def so3_exp(v: np.ndarray) -> np.ndarray:
     """Rotation matrix exp(hat(v)) by the Rodrigues formula."""
-    a, b, _, _ = _gamma_coeffs(math.sqrt(float(v @ v)))
-    k = hat(v)
-    return _EYE3 + a * k + b * (k @ k)
+    return _exp_and_left_jacobian(v)[0]
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -69,83 +122,100 @@ def so3_log(rot: np.ndarray) -> np.ndarray:
     angle, a series for tiny angles, and axis extraction from the symmetric
     part near pi where the skew part degenerates.
     """
+    return _log_and_angle(np.asarray(rot, dtype=float))[0]
+
+
+def _log_and_angle(rot: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(so3_log(rot), its rotation angle)."""
     skew_vec = vee(rot)
-    sin_norm = math.sqrt(float(skew_vec @ skew_vec))
-    cos_theta = 0.5 * (float(np.trace(rot)) - 1.0)
-    theta = math.atan2(sin_norm, cos_theta)
+    sin_norm = _norm(skew_vec)
+    cos_theta = 0.5 * (np.einsum("...ii->...", rot) - 1.0)
+    theta = np.arctan2(sin_norm, cos_theta)
+    small = theta < SMALL_ANGLE
+    near_pi = theta > _NEAR_PI
+    special = small | near_pi
+    if not np.count_nonzero(special):
+        return skew_vec * (theta / sin_norm)[..., None], theta
+    t2 = theta * theta
+    factor = np.where(small, 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0,
+                      theta / np.where(special, 1.0, sin_norm))
+    out = skew_vec * factor[..., None]
+    if np.count_nonzero(near_pi):
+        axis = _near_pi_axis(rot[near_pi], cos_theta[near_pi],
+                             skew_vec[near_pi], sin_norm[near_pi])
+        out[near_pi] = theta[near_pi][:, None] * axis
+    return out, theta
 
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        return skew_vec * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
 
-    if theta > _NEAR_PI:
-        # R + R^T = 2(cos I + (1 - cos) n n^T); take the dominant diagonal.
-        sym = 0.5 * (rot + rot.T)
-        outer = (sym - cos_theta * np.eye(3)) / (1.0 - cos_theta)
-        i = int(np.argmax(np.diag(outer)))
-        axis = np.empty(3)
-        axis[i] = math.sqrt(max(outer[i, i], 0.0))
-        for j in range(3):
-            if j != i:
-                axis[j] = outer[i, j] / axis[i]
-        axis /= np.linalg.norm(axis)
-        if sin_norm > 1e-12:
-            if float(skew_vec @ axis) < 0.0:
-                axis = -axis
-        elif axis[int(np.argmax(np.abs(axis)))] < 0.0:
-            axis = -axis
-        return theta * axis
+def _near_pi_axis(rot, cos_theta, skew_vec, sin_norm) -> np.ndarray:
+    """Rotation axes of a stack (n, 3, 3) of rotations by nearly pi.
 
-    return skew_vec * (theta / sin_norm)
+    R + R^T = 2(cos I + (1 - cos) n n^T): take the row of n n^T with the
+    dominant diagonal, then fix the sign from the skew part (or, when that
+    vanishes at pi, make the largest component positive).
+    """
+    rows = np.arange(len(rot))
+    sym = 0.5 * (rot + transposed(rot))
+    outer = ((sym - cos_theta[:, None, None] * _EYE3)
+             / (1.0 - cos_theta)[:, None, None])
+    i = np.argmax(np.diagonal(outer, axis1=1, axis2=2), axis=1)
+    lead = np.sqrt(np.maximum(outer[rows, i, i], 0.0))
+    axis = outer[rows, i] / lead[:, None]
+    axis[rows, i] = lead
+    axis /= _norm(axis)[:, None]
+    flip = np.where(sin_norm > 1e-12, dot(skew_vec, axis) < 0.0,
+                    axis[rows, np.argmax(np.abs(axis), axis=1)] < 0.0)
+    return np.where(flip[:, None], -axis, axis)
 
 
 def so3_left_jacobian(v: np.ndarray) -> np.ndarray:
     """Left Jacobian J_l of SO(3): integral of exp over [0, 1]."""
-    theta = math.sqrt(float(v @ v))
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-        c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    else:
-        s_half = math.sin(0.5 * theta)
-        b = 2.0 * s_half * s_half / (theta * theta)
-        c = (theta - math.sin(theta)) / (theta ** 3)
-    k = hat(v)
-    return _EYE3 + b * k + c * (k @ k)
+    return _exp_and_left_jacobian(v)[1]
 
 
 def so3_left_jacobian_inv(v: np.ndarray) -> np.ndarray:
     """Inverse of the left Jacobian, stable through theta = pi."""
-    theta = math.sqrt(float(v @ v))
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
-        e = 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0
-    else:
-        s_half = math.sin(0.5 * theta)
+    v = np.asarray(v, dtype=float)
+    return _left_jacobian_inv(v, _norm(v))
+
+
+def _left_jacobian_inv(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def series(t):
+        t2 = t * t
+        return (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,)
+
+    def closed(t):
+        s_half = np.sin(0.5 * t)
         one_minus_cos = 2.0 * s_half * s_half
-        e = (1.0 - theta * math.sin(theta) / (2.0 * one_minus_cos)) / (theta * theta)
+        return ((1.0 - t * np.sin(t) / (2.0 * one_minus_cos)) / (t * t),)
+
+    (e,) = _by_angle(theta, series, closed)
     k = hat(v)
-    return _EYE3 - 0.5 * k + e * (k @ k)
+    return _EYE3 - 0.5 * k + e[..., None, None] * (k @ k)
 
 
-def _gamma_coeffs(theta: float) -> tuple[float, float, float, float]:
+def _gamma_coeffs(theta):
     """Series coefficients (a, b, c, g2b) shared by the Gamma matrices.
 
     With K = hat(v): Gamma_0 = exp = I + a K + b K^2,
     Gamma_1 = I + b K + c K^2 and Gamma_2 = I/2 + c K + g2b K^2.
     """
-    if theta < SMALL_ANGLE:
-        t2 = theta * theta
+    def series(t):
+        t2 = t * t
         return (1.0 - t2 / 6.0 + t2 * t2 / 120.0,
                 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
                 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
                 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0)
-    s = math.sin(theta)
-    s_half = math.sin(0.5 * theta)
-    one_minus_cos = 2.0 * s_half * s_half
-    t2 = theta * theta
-    return (s / theta, one_minus_cos / t2, (theta - s) / (t2 * theta),
-            (0.5 * t2 - one_minus_cos) / (t2 * t2))
+
+    def closed(t):
+        s = np.sin(t)
+        s_half = np.sin(0.5 * t)
+        one_minus_cos = 2.0 * s_half * s_half
+        t2 = t * t
+        return (s / t, one_minus_cos / t2, (t - s) / (t2 * t),
+                (0.5 * t2 - one_minus_cos) / (t2 * t2))
+
+    return _by_angle(np.asarray(theta, dtype=float), series, closed)
 
 
 def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
@@ -156,57 +226,62 @@ def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
     and Gamma_2 are applied to u through hat(v) u and hat(v)^2 u, never
     formed.
     """
-    a, b, c, g2b = _gamma_coeffs(math.sqrt(float(v @ v)))
+    v = np.asarray(v, dtype=float)
+    a, b, c, g2b = _gamma_coeffs(_norm(v))
     k = hat(v)
-    g0 = _EYE3 + a * k + b * (k @ k)
-    ku = k @ u
-    kku = k @ ku
-    return g0, u + b * ku + c * kku, 0.5 * u + c * ku + g2b * kku
+    g0 = _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
+    ku = matvec(k, u)
+    kku = matvec(k, ku)
+    b, c = b[..., None], c[..., None]
+    return g0, u + b * ku + c * kku, 0.5 * u + c * ku + g2b[..., None] * kku
 
 
 def project_to_rotation(m: np.ndarray) -> np.ndarray:
     """Nearest rotation matrix by polar decomposition (SVD)."""
     u, _, vt = np.linalg.svd(m)
     rot = u @ vt
-    if np.linalg.det(rot) < 0.0:
-        rot = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    reflected = np.linalg.det(rot) < 0.0
+    if np.count_nonzero(reflected):
+        rot[reflected] = (u[reflected] * [1.0, 1.0, -1.0]) @ vt[reflected]
     return rot
 
 
-def rotation_defect(rot: np.ndarray) -> float:
+def rotation_defect(rot: np.ndarray) -> np.ndarray:
     """Frobenius distance of rot^T rot from the identity."""
-    return float(np.linalg.norm(rot.T @ rot - _EYE3))
+    d = transposed(rot) @ rot - _EYE3
+    return np.sqrt(np.einsum("...ij,...ij->...", d, d))
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Point on SE_K(3): rotation plus K column vectors (3, K)."""
+    """Point on SE_K(3): rotation (..., 3, 3) plus K column vectors (..., 3, K)."""
 
     rot: np.ndarray
     cols: np.ndarray
 
     @property
     def k(self) -> int:
-        return self.cols.shape[1]
+        return self.cols.shape[-1]
 
     @property
     def vel(self) -> np.ndarray:
-        return self.cols[:, 0]
+        return self.cols[..., 0]
 
     @property
     def pos(self) -> np.ndarray:
-        return self.cols[:, 1]
+        return self.cols[..., 1]
 
     @property
     def foot(self) -> np.ndarray:
-        return self.cols[:, 2]
+        return self.cols[..., 2]
 
     def embed(self) -> np.ndarray:
         """(3+K) x (3+K) matrix embedding."""
         n = 3 + self.k
-        m = np.eye(n)
-        m[:3, :3] = self.rot
-        m[:3, 3:] = self.cols
+        m = np.zeros(self.rot.shape[:-2] + (n, n))
+        m[..., range(3, n), range(3, n)] = 1.0
+        m[..., :3, :3] = self.rot
+        m[..., :3, 3:] = self.cols
         return m
 
     def is_close(self, other: "GroupElement", tol: float = 1e-9) -> bool:
@@ -219,14 +294,14 @@ def identity(k: int = 3) -> GroupElement:
 
 
 def from_embedded(m: np.ndarray) -> GroupElement:
-    return GroupElement(m[:3, :3].copy(), m[:3, 3:].copy())
+    return GroupElement(m[..., :3, :3].copy(), m[..., :3, 3:].copy())
 
 
 def group_element(rot: np.ndarray, vel: np.ndarray, pos: np.ndarray,
                   foot: np.ndarray) -> GroupElement:
     """Convenience constructor for the K = 3 estimator state."""
     return GroupElement(np.asarray(rot, dtype=float),
-                        np.column_stack([vel, pos, foot]).astype(float))
+                        np.stack([vel, pos, foot], axis=-1).astype(float))
 
 
 def compose(x1: GroupElement, x2: GroupElement) -> GroupElement:
@@ -234,56 +309,48 @@ def compose(x1: GroupElement, x2: GroupElement) -> GroupElement:
 
 
 def inverse(x: GroupElement) -> GroupElement:
-    rt = x.rot.T
+    rt = transposed(x.rot)
     return GroupElement(rt.copy(), -(rt @ x.cols))
+
+
+def _tangent_cols(xi: np.ndarray) -> np.ndarray:
+    """The translation blocks of tangent vectors as (..., 3, K) columns."""
+    k = (xi.shape[-1] - 3) // 3
+    return transposed(xi[..., 3:].reshape(xi.shape[:-1] + (k, 3)))
 
 
 def sek3_exp(xi: np.ndarray) -> GroupElement:
     """Group exponential: columns are mapped through J_l of the rotation block."""
-    w = xi[:3]
-    k = (xi.shape[0] - 3) // 3
-    jl = so3_left_jacobian(w)
-    cols = jl @ xi[3:].reshape(k, 3).T
-    return GroupElement(so3_exp(w), cols)
+    xi = np.asarray(xi, dtype=float)
+    rot, jl = _exp_and_left_jacobian(xi[..., :3])
+    return GroupElement(rot, jl @ _tangent_cols(xi))
 
 
 def sek3_log(x: GroupElement) -> np.ndarray:
-    w = so3_log(x.rot)
-    jinv = so3_left_jacobian_inv(w)
-    out = np.empty(3 + 3 * x.k)
-    out[:3] = w
-    out[3:] = (jinv @ x.cols).T.reshape(-1)
-    return out
+    w, theta = _log_and_angle(x.rot)
+    cols = transposed(_left_jacobian_inv(w, theta) @ x.cols)
+    return np.concatenate([w, cols.reshape(w.shape[:-1] + (3 * x.k,))], axis=-1)
 
 
 def algebra_hat(xi: np.ndarray) -> np.ndarray:
     """Lie-algebra matrix of a tangent vector in the embedding."""
-    k = (xi.shape[0] - 3) // 3
-    m = np.zeros((3 + k, 3 + k))
-    m[:3, :3] = hat(xi[:3])
-    m[:3, 3:] = xi[3:].reshape(k, 3).T
+    xi = np.asarray(xi, dtype=float)
+    k = (xi.shape[-1] - 3) // 3
+    m = np.zeros(xi.shape[:-1] + (3 + k, 3 + k))
+    m[..., :3, :3] = hat(xi[..., :3])
+    m[..., :3, 3:] = _tangent_cols(xi)
     return m
 
 
 def adjoint(x: GroupElement) -> np.ndarray:
     """Adjoint matrix: satisfies X xi^ X^-1 == (adjoint(X) xi)^."""
     k = x.k
-    n = 3 + 3 * k
     rot = x.rot
-    cols = x.cols
-    # hat(col_i) for all columns as one (k, 3, 3) stack, then batch-multiply.
-    hats = np.zeros((k, 3, 3))
-    hats[:, 0, 1] = -cols[2]
-    hats[:, 0, 2] = cols[1]
-    hats[:, 1, 0] = cols[2]
-    hats[:, 1, 2] = -cols[0]
-    hats[:, 2, 0] = -cols[1]
-    hats[:, 2, 1] = cols[0]
-    crossed = hats @ rot
-    ad = np.zeros((n, n))
-    ad[:3, :3] = rot
-    for i in range(k):
-        r = slice(3 + 3 * i, 6 + 3 * i)
-        ad[r, :3] = crossed[i]
-        ad[r, r] = rot
-    return ad
+    lead = rot.shape[:-2]
+    # As (1 + k) x (1 + k) blocks of 3 x 3: rot on the diagonal and
+    # hat(col_i) @ rot down the first block column.
+    ad = np.zeros(lead + (1 + k, 3, 1 + k, 3))
+    ad[..., 1:, :, 0, :] = hat(transposed(x.cols)) @ rot[..., None, :, :]
+    diagonal = np.arange(1 + k)
+    ad[..., diagonal, :, diagonal, :] = rot
+    return ad.reshape(lead + (3 + 3 * k, 3 + 3 * k))

@@ -32,8 +32,9 @@ from .liegroup import (
     XI_R,
     XI_V,
     hat,
-    sek3_exp,
 )
+from .liegroup import matvec as _mv
+from .liegroup import transposed as _T
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -44,7 +45,10 @@ class ImuStep:
     """Inputs for one propagation interval [t, t + dt].
 
     gyro/accel are body-frame raw IMU data; contact_vel is the world-frame
-    linear velocity of the foot-surface contact area.
+    linear velocity of the foot-surface contact area. The arrays may carry
+    leading stream axes (one interval of several streams in lockstep).
+    terms, when given, are the interval's integration terms computed
+    ahead, which depend on the inputs only (see `filter.imu_terms`).
     """
 
     t: float
@@ -52,12 +56,7 @@ class ImuStep:
     gyro: np.ndarray
     accel: np.ndarray
     contact_vel: np.ndarray
-
-    def is_finite(self) -> bool:
-        g, a, c = self.gyro, self.accel, self.contact_vel
-        total = (self.dt + g[0] + g[1] + g[2] + a[0] + a[1] + a[2]
-                 + c[0] + c[1] + c[2])
-        return math.isfinite(total)
+    terms: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def param(default, lo=None, hi=None):
@@ -209,7 +208,7 @@ class InvariantMeasurement:
 
 def innovation(m: InvariantMeasurement, xhat: GroupElement) -> np.ndarray:
     """Top three rows of X_hat @ Y - b."""
-    return xhat.rot @ m.Y[:3] + xhat.cols @ m.Y[3:] - m.b[:3]
+    return _mv(xhat.rot, m.Y[..., :3]) + _mv(xhat.cols, m.Y[..., 3:]) - m.b[..., :3]
 
 
 def process_dynamics(x: GroupElement, u: ImuStep) -> np.ndarray:
@@ -271,12 +270,28 @@ def orientation_measurement(surface_rot: np.ndarray, foot_rot_in_base: np.ndarra
     surface normal is parallel to gravity.
     """
     n_s = surface_rot @ E3
-    y = np.concatenate([foot_rot_in_base @ E3, np.zeros(3)])
-    b = np.concatenate([n_s, np.zeros(3)])
-    h = np.zeros((3, 12))
-    h[:, XI_R] = hat(n_s)
-    n = xhat.rot @ noise.surface_orient_cov @ xhat.rot.T
+    y = _augment(foot_rot_in_base @ E3, (0.0, 0.0, 0.0))
+    b = _augment(n_s, (0.0, 0.0, 0.0))
+    h = np.zeros(n_s.shape[:-1] + (3, 12))
+    h[..., XI_R] = hat(n_s)
+    n = xhat.rot @ noise.surface_orient_cov @ _T(xhat.rot)
     return InvariantMeasurement(y, b, h, n)
+
+
+_POSITION_B = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
+_POSITION_H = np.zeros((3, 12))
+_POSITION_H[:, XI_P] = -np.eye(3)
+_POSITION_H[:, XI_D] = np.eye(3)
+for _constant in (_POSITION_B, _POSITION_H):
+    _constant.setflags(write=False)
+
+
+def _augment(v: np.ndarray, rows: tuple) -> np.ndarray:
+    """[v; rows] over leading batch axes."""
+    out = np.empty(v.shape[:-1] + (3 + len(rows),))
+    out[..., :3] = v
+    out[..., 3:] = rows
+    return out
 
 
 def position_measurement(hp: np.ndarray, xhat: GroupElement,
@@ -287,10 +302,6 @@ def position_measurement(hp: np.ndarray, xhat: GroupElement,
     so hp = R^T (d - p) + noise and Y = [hp; 0, 1, -1], b = [0; 0, 1, -1].
     The innovation R_hat hp + p_hat - d_hat observes xi_d - xi_p.
     """
-    y = np.concatenate([hp, [0.0, 1.0, -1.0]])
-    b = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
-    h = np.zeros((3, 12))
-    h[:, XI_P] = -np.eye(3)
-    h[:, XI_D] = np.eye(3)
-    n = xhat.rot @ noise.fk_pos_cov @ xhat.rot.T
-    return InvariantMeasurement(y, b, h, n)
+    y = _augment(hp, (0.0, 1.0, -1.0))
+    n = xhat.rot @ noise.fk_pos_cov @ _T(xhat.rot)
+    return InvariantMeasurement(y, _POSITION_B, _POSITION_H, n)

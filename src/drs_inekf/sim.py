@@ -19,16 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liegroup import group_element, so3_exp
-from .models import GRAVITY, ImuStep, NoiseParams, check_fields, param
+from .liegroup import so3_exp, so3_left_jacobian, so3_log
+from .liegroup import matvec as _mv
+from .liegroup import transposed as _T
+from .models import GRAVITY, NoiseParams, check_fields, param
 from .streams import (
-    FkOrientation,
-    FkPosition,
-    StanceFoot,
-    StreamRecord,
-    SurfacePose,
-    SwapEvent,
-    TruthSample,
+    FK_POS,
+    FK_ROT,
+    IMU,
+    KINDS,
+    SURFACE,
+    SWAP,
+    TRUTH,
+    Stream,
 )
 
 __all__ = [
@@ -197,9 +200,6 @@ class TruthTrajectory:
     def stance_index(self, t) -> int:
         return int(math.floor(float(t) / self.gait.step_period + 1e-9))
 
-    def stance_foot(self, index: int) -> StanceFoot:
-        return StanceFoot.LEFT if index % 2 == 0 else StanceFoot.RIGHT
-
     def foot_anchor(self, index: int) -> np.ndarray:
         """Surface-local coordinates of the stance foot for one step."""
         sign = 1.0 if index % 2 == 0 else -1.0
@@ -250,38 +250,8 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
 
-def _batched_small_log(dr: np.ndarray) -> np.ndarray:
-    """so3_log for a batch of near-identity rotations (angle << 1)."""
-    skew = 0.5 * np.stack([dr[:, 2, 1] - dr[:, 1, 2],
-                           dr[:, 0, 2] - dr[:, 2, 0],
-                           dr[:, 1, 0] - dr[:, 0, 1]], axis=-1)
-    sin_norm = np.linalg.norm(skew, axis=-1)
-    cos_theta = 0.5 * (np.trace(dr, axis1=1, axis2=2) - 1.0)
-    theta = np.arctan2(sin_norm, cos_theta)
-    if np.any(theta > 0.05):
-        raise ValueError("per-tick rotation too large for small-angle synthesis")
-    t2 = theta * theta
-    factor = 1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0
-    return skew * factor[:, None]
-
-
-def _batched_left_jacobian(w: np.ndarray) -> np.ndarray:
-    """J_l for a batch of small rotation vectors (series coefficients)."""
-    t2 = np.einsum("ij,ij->i", w, w)
-    b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0
-    c = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0
-    k = np.zeros(w.shape[:1] + (3, 3))
-    k[:, 0, 1] = -w[:, 2]
-    k[:, 0, 2] = w[:, 1]
-    k[:, 1, 0] = w[:, 2]
-    k[:, 1, 2] = -w[:, 0]
-    k[:, 2, 0] = -w[:, 1]
-    k[:, 2, 1] = w[:, 0]
-    return np.eye(3) + b[:, None, None] * k + c[:, None, None] * (k @ k)
-
-
 def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
-                       rates: Rates = Rates(), seed: int = 0) -> list[StreamRecord]:
+                       rates: Rates = Rates(), seed: int = 0) -> Stream:
     """Build the full sensor stream from a truth trajectory.
 
     IMU gyro/accel and the contact velocity are the exact inverses of the
@@ -305,10 +275,11 @@ def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
 
     ticks = np.arange(n_imu + 1)
     times = ticks / rates.imu_hz
-    swap_ticks = [k for k in range(swap_stride, n_imu, swap_stride)]
+    swaps = np.arange(swap_stride, n_imu, swap_stride)
+    kin = np.arange(0, n_imu + 1, kin_stride)
     # Stance active at each tick, consistent with the swaps actually emitted
     # (no swap at the final tick even if it lands on a stance boundary).
-    stance_idx = np.minimum(ticks // swap_stride, len(swap_ticks))
+    stance_idx = np.minimum(ticks // swap_stride, len(swaps))
 
     rot = truth.base_rot(times)          # (N+1, 3, 3)
     vel = truth.base_vel(times)
@@ -317,20 +288,18 @@ def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
     # Foot position at each tick with its own stance, and with the previous
     # stance (needed for the swap offset; differs only at swap ticks).
     foot_own = np.empty((n_imu + 1, 3))
-    foot_prev = np.empty((n_imu + 1, 3))
     for idx in range(int(stance_idx[-1]) + 1):
         mask = stance_idx == idx
         foot_own[mask] = truth.foot_pos(times[mask], idx)
-    foot_prev[:] = foot_own
-    for k in swap_ticks:
-        foot_prev[k] = truth.foot_pos(times[k], int(stance_idx[k]) - 1)
+    foot_prev = np.empty((len(swaps), 3))
+    for i, k in enumerate(swaps):
+        foot_prev[i] = truth.foot_pos(times[k], int(stance_idx[k]) - 1)
 
     # Exact-inverse IMU synthesis: gyro from the tick-to-tick rotation,
     # accel from the velocity increment through Gamma_1, contact velocity
     # from the foot displacement within the step's stance interval.
-    dr = np.einsum("nji,njk->nik", rot[:-1], rot[1:])
-    gyro = _batched_small_log(dr) / dt
-    jl = _batched_left_jacobian(gyro * dt)
+    gyro = so3_log(_T(rot[:-1]) @ rot[1:]) / dt
+    jl = so3_left_jacobian(gyro * dt)
     rhs = vel[1:] - vel[:-1] - GRAVITY * dt
     accel = np.linalg.solve(rot[:-1] @ jl * dt, rhs[..., None])[..., 0]
     foot_next = np.empty((n_imu, 3))
@@ -340,36 +309,35 @@ def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
             foot_next[mask] = truth.foot_pos(times[1:][mask], idx)
     contact_vel = (foot_next - foot_own[:-1]) / dt
 
-    kin_ticks = [k for k in range(0, n_imu + 1, kin_stride)]
     rng = np.random.default_rng(seed)
     gyro_n = rng.standard_normal((n_imu, 3)) @ _psd_sqrt(noise.gyro_cov / dt).T
     accel_n = rng.standard_normal((n_imu, 3)) @ _psd_sqrt(noise.accel_cov / dt).T
     cvel_n = rng.standard_normal((n_imu, 3)) @ _psd_sqrt(noise.contact_vel_cov / dt).T
-    fk_n = rng.standard_normal((len(kin_ticks), 3)) @ _psd_sqrt(noise.fk_pos_cov).T
-    orient_n = rng.standard_normal((len(kin_ticks), 3)) @ _psd_sqrt(noise.surface_orient_cov).T
-    hd_n = rng.standard_normal((len(swap_ticks), 3)) @ _psd_sqrt(noise.jump_cov[9:12, 9:12]).T
+    fk_n = rng.standard_normal((len(kin), 3)) @ _psd_sqrt(noise.fk_pos_cov).T
+    orient_n = rng.standard_normal((len(kin), 3)) @ _psd_sqrt(noise.surface_orient_cov).T
+    hd_n = rng.standard_normal((len(swaps), 3)) @ _psd_sqrt(noise.jump_cov[9:12, 9:12]).T
 
-    records: list[StreamRecord] = []
-    kin_count = 0
-    swap_count = 0
-    for k in range(n_imu + 1):
-        t = times[k]
-        if k > 0 and k % swap_stride == 0 and k < n_imu:
-            h_d = rot[k].T @ (foot_own[k] - foot_prev[k]) + hd_n[swap_count]
-            records.append(SwapEvent(t, h_d))
-            swap_count += 1
-        if k % kin_stride == 0:
-            element = group_element(rot[k], vel[k], pos[k], foot_own[k])
-            records.append(TruthSample(t, element,
-                                       truth.stance_foot(int(stance_idx[k]))))
-            records.append(SurfacePose(t, rs[k]))
-            foot_rot = rot[k].T @ rs[k] @ so3_exp(orient_n[kin_count])
-            records.append(FkOrientation(t, foot_rot))
-            hp = rot[k].T @ (foot_own[k] - pos[k]) + fk_n[kin_count]
-            records.append(FkPosition(t, hp))
-            kin_count += 1
-        if k < n_imu:
-            records.append(ImuStep(t, dt, gyro[k] + gyro_n[k],
-                                   accel[k] + accel_n[k],
-                                   contact_vel[k] + cvel_n[k]))
-    return records
+    # Records present at each tick, in the co-timestamp order of KINDS.
+    present = np.zeros((n_imu + 1, len(KINDS)), dtype=bool)
+    present[swaps, SWAP] = True
+    present[kin, TRUTH] = present[kin, SURFACE] = True
+    present[kin, FK_ROT] = present[kin, FK_POS] = True
+    present[:-1, IMU] = True
+    kinds = np.nonzero(present)[1].astype(np.int8)
+
+    rot_k = _T(rot[kin])
+    columns = {
+        "swap": {"t": times[swaps],
+                 "h_d": _mv(_T(rot[swaps]), foot_own[swaps] - foot_prev) + hd_n},
+        "truth": {"t": times[kin], "stance": stance_idx[kin] % 2,
+                  "rot": rot[kin],
+                  "cols": np.stack([vel, pos, foot_own], axis=-1)[kin]},
+        "surface": {"t": times[kin], "rot": rs[kin]},
+        "fk_rot": {"t": times[kin], "rot": rot_k @ rs[kin] @ so3_exp(orient_n)},
+        "fk_pos": {"t": times[kin],
+                   "hp": _mv(rot_k, foot_own[kin] - pos[kin]) + fk_n},
+        "imu": {"t": times[:-1], "dt": np.full(n_imu, dt),
+                "gyro": gyro + gyro_n, "accel": accel + accel_n,
+                "contact_vel": contact_vel + cvel_n},
+    }
+    return Stream(kinds, columns)

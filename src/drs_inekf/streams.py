@@ -1,4 +1,9 @@
-"""Sensor stream records and their JSON Lines serialization.
+"""Sensor streams: columnar arrays, record objects and JSON Lines.
+
+A `Stream` holds a sensor stream as one array per field of each record
+kind, plus the merged record order; the estimator and the simulator work
+on it. The record classes (`ImuStep`, `FkPosition`, ...) are its
+record-by-record view, which the JSON Lines reader and writer use.
 
 One record per line, `{"kind": ..., "t": ...}` plus kind-specific fields.
 Rotations are serialized as 9 row-major reals. Records of the same kind
@@ -7,6 +12,7 @@ order expected by the filter. At equal timestamps the simulator writes
 swap, truth, surface, fk_rot, fk_pos, imu: truth follows the swap, so a
 jump and its evaluation sample pair up, and precedes the kinematic
 updates, so the errors recorded at a truth sample are prior errors.
+IMU intervals must tile time: each starts where the previous one ends.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ import numpy as np
 
 from .liegroup import GroupElement, group_element
 from .models import ImuStep
+
+# Timestamps closer than this are equal (IMU interval ends, record order).
+TIME_TOL = 1e-9
 
 
 class StanceFoot(Enum):
@@ -83,9 +92,17 @@ StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose,
                      SwapEvent, TruthSample]
 
 
+# Record kind names and classes; a kind's code is its index here.
+KINDS = ("swap", "truth", "surface", "fk_rot", "fk_pos", "imu")
+RECORD_TYPES = (SwapEvent, TruthSample, SurfacePose, FkOrientation, FkPosition,
+                ImuStep)
+SWAP, TRUTH, SURFACE, FK_ROT, FK_POS, IMU = range(len(KINDS))
+STANCES = (StanceFoot.LEFT, StanceFoot.RIGHT)
+_CODE = {cls: code for code, cls in enumerate(RECORD_TYPES)}
+
+
 def record_kind(rec: StreamRecord) -> str:
-    return {ImuStep: "imu", FkPosition: "fk_pos", FkOrientation: "fk_rot",
-            SurfacePose: "surface", SwapEvent: "swap", TruthSample: "truth"}[type(rec)]
+    return KINDS[_CODE[type(rec)]]
 
 
 def _rot_list(rot: np.ndarray) -> list[float]:
@@ -187,3 +204,140 @@ def read_jsonl(path) -> list[StreamRecord]:
             last_t[kind] = rec.t
             records.append(rec)
     return records
+
+
+# Per kind, its value columns and the shape of one record's value. Truth
+# elements are held as the GroupElement arrays rot and cols.
+_VALUES = {
+    "swap": {"h_d": (3,)},
+    "truth": {"rot": (3, 3), "cols": (3, 3)},
+    "surface": {"rot": (3, 3)},
+    "fk_rot": {"rot": (3, 3)},
+    "fk_pos": {"hp": (3,)},
+    "imu": {"gyro": (3,), "accel": (3,), "contact_vel": (3,)},
+}
+# Columns every stream of a stack shares: the record layout.
+_LAYOUT = {"swap": ("t",), "truth": ("t", "stance"), "surface": ("t",),
+           "fk_rot": ("t",), "fk_pos": ("t",), "imu": ("t", "dt")}
+
+
+def _field(rec: StreamRecord, name: str):
+    if name == "stance":
+        return STANCES.index(rec.stance)
+    if isinstance(rec, TruthSample) and name != "t":
+        return getattr(rec.element, name)
+    return getattr(rec, name)
+
+
+@dataclass(frozen=True)
+class Stream:
+    """A sensor stream as columns, plus the merged record order.
+
+    `kinds` holds each record's kind code (its index in KINDS) in
+    processing order. `columns[kind]` maps field names to arrays whose
+    first axis runs over that kind's records: the layout columns `t`, the
+    IMU `dt` and the truth `stance` (an index into STANCES) are 1-D; value
+    columns (`gyro`, `hp`, truth `rot` and `cols`, ...) may carry a stream
+    axis next, when `stack` has put several streams with the same layout
+    side by side. Iterating yields the records in order (for a stack, each
+    holds the values of every stream). Building one checks that the IMU
+    intervals tile time.
+    """
+
+    kinds: np.ndarray
+    columns: dict
+
+    def __post_init__(self):
+        imu = self.columns["imu"]
+        t, end = imu["t"], imu["t"] + imu["dt"]
+        gaps = np.flatnonzero(np.abs(end[:-1] - t[1:]) > TIME_TOL)
+        if len(gaps):
+            i = gaps[0]
+            raise StreamFormatError(
+                f"imu gap at t={end[i]:.9g}: the imu interval from "
+                f"t={t[i]:.9g} ends there, the next imu record starts at "
+                f"t={t[i + 1]:.9g}")
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __iter__(self):
+        for code, k in self.index():
+            yield self.record(code, k)
+
+    def count(self, kind: str) -> int:
+        return len(self.columns[kind]["t"])
+
+    def index(self):
+        """(kind code, index among records of that kind) for every record."""
+        within = np.empty(len(self.kinds), dtype=np.int64)
+        for code in range(len(KINDS)):
+            mask = self.kinds == code
+            within[mask] = np.arange(np.count_nonzero(mask))
+        return zip(self.kinds.tolist(), within.tolist())
+
+    def record(self, code: int, k: int, **extra) -> StreamRecord:
+        """Record `k` of kind `code` (extra fields go to an ImuStep)."""
+        c = self.columns[KINDS[code]]
+        t = float(c["t"][k])
+        if code == IMU:
+            return ImuStep(t, float(c["dt"][k]), c["gyro"][k], c["accel"][k],
+                           c["contact_vel"][k], **extra)
+        if code == FK_POS:
+            return FkPosition(t, c["hp"][k])
+        if code == FK_ROT:
+            return FkOrientation(t, c["rot"][k])
+        if code == SURFACE:
+            return SurfacePose(t, c["rot"][k])
+        if code == SWAP:
+            return SwapEvent(t, c["h_d"][k])
+        return TruthSample(t, GroupElement(c["rot"][k], c["cols"][k]),
+                           STANCES[c["stance"][k]])
+
+    @classmethod
+    def from_records(cls, records: Iterable[StreamRecord]) -> "Stream":
+        """The columns of a record sequence (the record view's inverse)."""
+        codes: list[int] = []
+        rows: dict[str, list] = {kind: [] for kind in KINDS}
+        for rec in records:
+            code = _CODE[type(rec)]
+            codes.append(code)
+            rows[KINDS[code]].append(rec)
+        columns = {}
+        for kind, recs in rows.items():
+            col = {name: np.array([_field(r, name) for r in recs],
+                                  dtype=int if name == "stance" else float)
+                   for name in _LAYOUT[kind]}
+            for name, shape in _VALUES[kind].items():
+                col[name] = np.array([_field(r, name) for r in recs],
+                                     dtype=float).reshape((len(recs),) + shape)
+            columns[kind] = col
+        return cls(np.array(codes, dtype=np.int8), columns)
+
+    @classmethod
+    def stack(cls, streams: Iterable["Stream"], count: int) -> "Stream":
+        """`count` streams with one record layout, side by side on a stream axis.
+
+        Each stream's values are copied in as it arrives, so a generator
+        of streams never has them all in memory at once.
+        """
+        columns = None
+        for i, stream in enumerate(streams):
+            if columns is None:
+                first = stream
+                columns = {kind: {name: stream.columns[kind][name] for name in names}
+                           for kind, names in _LAYOUT.items()}
+                for kind, values in _VALUES.items():
+                    for name, shape in values.items():
+                        n = len(stream.columns[kind]["t"])
+                        columns[kind][name] = np.empty((n, count) + shape)
+            elif not (np.array_equal(stream.kinds, first.kinds) and all(
+                    np.array_equal(stream.columns[kind][name], columns[kind][name])
+                    for kind, names in _LAYOUT.items() for name in names)):
+                raise ValueError("streams to stack differ in record layout")
+            for kind, values in _VALUES.items():
+                for name in values:
+                    columns[kind][name][:, i] = stream.columns[kind][name]
+        if columns is None or i + 1 != count:
+            raise ValueError(f"expected {count} streams to stack")
+        return cls(first.kinds, columns)

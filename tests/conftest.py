@@ -7,14 +7,24 @@ from scipy.linalg import logm
 from drs_inekf.liegroup import (
     GroupElement,
     _gamma_coeffs,
+    adjoint,
     compose,
     from_embedded,
+    gamma0_and_applied,
     hat,
     inverse,
+    project_to_rotation,
     sek3_exp,
     sek3_log,
 )
-from drs_inekf.models import ImuStep, process_dynamics
+from drs_inekf.models import GRAVITY, ImuStep, process_dynamics, state_transition
+from drs_inekf.streams import (
+    FkOrientation,
+    FkPosition,
+    SurfacePose,
+    SwapEvent,
+    TruthSample,
+)
 
 
 @pytest.fixture
@@ -93,3 +103,95 @@ def fd_measurement_jacobian(build_innovation, eps=1e-6):
         zm = build_innovation(xi)
         h[:, j] = (zp - zm) / (2.0 * eps)
     return h
+
+
+# -- scalar reference filter --------------------------------------------------
+#
+# The per-record, one-estimate-at-a-time fold the lockstep engine replaced,
+# kept as the oracle the engine is compared with: propagate, update and
+# apply_jump on 2-D arrays, routed record by record, with the metrics of
+# one row per truth sample.
+
+def _sym(m):
+    return 0.5 * (m + m.T)
+
+
+def oracle_propagate(mean, cov, u, noise):
+    dt = u.dt
+    rot = mean.rot
+    g0, g1a, g2a = gamma0_and_applied(u.gyro * dt, u.accel)
+    rot_new = rot @ g0
+    diff = rot_new.T @ rot_new - np.eye(3)
+    if float((diff * diff).sum()) > 1e-18:
+        rot_new = project_to_rotation(rot_new)
+    old = mean.cols
+    cols = np.empty((3, 3))
+    cols[:, 0] = old[:, 0] + GRAVITY * dt + (rot @ g1a) * dt
+    cols[:, 1] = (old[:, 1] + old[:, 0] * dt + 0.5 * GRAVITY * dt * dt
+                  + (rot @ g2a) * dt * dt)
+    cols[:, 2] = old[:, 2] + u.contact_vel * dt
+    phi = state_transition(dt)
+    m = phi @ adjoint(mean)
+    cov = _sym(phi @ cov @ phi.T + (m @ noise.process_cov() @ m.T) * dt)
+    return GroupElement(rot_new, cols), cov
+
+
+def oracle_update(mean, cov, y, b, h, n, epsilon):
+    z = mean.rot @ y[:3] + mean.cols @ y[3:] - b[:3]
+    pht = cov @ h.T
+    gain = np.linalg.solve((h @ pht + n + epsilon * np.eye(3)).T, pht.T).T
+    ikh = np.eye(12) - gain @ h
+    return (compose(sek3_exp(gain @ z), mean),
+            _sym(ikh @ cov @ ikh.T + gain @ n @ gain.T))
+
+
+def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
+                       epsilon):
+    """Metric rows (pos, vel, |roll|, |pitch|, |yaw| in deg, NEES) per truth."""
+    surface, fresh, rows = None, True, []
+    for rec in records:
+        enabled = fresh or not on_contact_only
+        if isinstance(rec, ImuStep):
+            mean, cov = oracle_propagate(mean, cov, rec, noise)
+        elif isinstance(rec, SurfacePose):
+            surface = rec.rot
+        elif isinstance(rec, FkOrientation):
+            if proposed and enabled:
+                n_s = surface @ np.array([0.0, 0.0, 1.0])
+                h = np.zeros((3, 12))
+                h[:, 0:3] = hat(n_s)
+                y = np.concatenate([rec.rot[:, 2], np.zeros(3)])
+                n = mean.rot @ noise.surface_orient_cov @ mean.rot.T
+                mean, cov = oracle_update(mean, cov, y, np.concatenate(
+                    [n_s, np.zeros(3)]), h, n, epsilon)
+        elif isinstance(rec, FkPosition):
+            if enabled:
+                h = np.zeros((3, 12))
+                h[:, 6:9] = -np.eye(3)
+                h[:, 9:12] = np.eye(3)
+                n = mean.rot @ noise.fk_pos_cov @ mean.rot.T
+                mean, cov = oracle_update(
+                    mean, cov, np.concatenate([rec.hp, [0.0, 1.0, -1.0]]),
+                    np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]), h, n, epsilon)
+            fresh = False
+        elif isinstance(rec, SwapEvent):
+            cols = mean.cols.copy()
+            cols[:, 2] = mean.foot + mean.rot @ rec.h_d
+            mean = GroupElement(mean.rot, cols)
+            if np.any(noise.jump_cov):
+                ad = adjoint(mean)
+                cov = _sym(cov + ad @ noise.jump_cov @ ad.T)
+            fresh = True
+        elif isinstance(rec, TruthSample):
+            truth = rec.element
+            xi = sek3_log(compose(mean, inverse(truth)))
+            r = mean.rot @ truth.rot.T
+            euler = (math.atan2(r[2, 1], r[2, 2]),
+                     -math.asin(min(1.0, max(-1.0, r[2, 0]))),
+                     math.atan2(r[1, 0], r[0, 0]))
+            rows.append([float(np.linalg.norm(mean.pos - truth.pos)),
+                         float(np.linalg.norm(mean.vel - truth.vel))]
+                        + [abs(math.degrees(a)) for a in euler]
+                        + [float(xi @ np.linalg.solve(cov + epsilon * np.eye(12),
+                                                      xi))])
+    return np.array(rows)

@@ -105,6 +105,18 @@ class TestSimCommand:
         assert manifest["config"] == json.loads(printed)
 
 
+@pytest.mark.parametrize("command", ["sim", "estimate", "montecarlo"])
+def test_every_command_prints_config(capsys, command):
+    assert main([command, "--print-config"]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(DEFAULT_DOCUMENT, indent=2, sort_keys=True) + "\n"
+
+
+def test_estimate_without_stream_exits_config(capsys):
+    assert main(["estimate"]) == EXIT_CONFIG
+    assert "--stream" in capsys.readouterr().err
+
+
 class TestConfigChecks:
     # montecarlo builds every section before it runs anything.
     @pytest.mark.parametrize("section, key, value", BAD_VALUES,
@@ -114,6 +126,17 @@ class TestConfigChecks:
         code = main(["montecarlo", "--config", cfg, "--out", str(tmp_path / "mc")])
         assert code == EXIT_CONFIG
         assert f"config error: {section}.{key}:" in capsys.readouterr().err
+
+    # sim checks the sections it does not use too, so it never records a
+    # config that montecarlo would reject.
+    @pytest.mark.parametrize("section, key, value",
+                             [("filter", "epsilon", -1), ("trials", "n_trials", 0)])
+    def test_sim_checks_every_section(self, tmp_path, capsys, section, key, value):
+        cfg = write_config(tmp_path, {section: {key: value}})
+        out = tmp_path / "s.jsonl"
+        assert main(["sim", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert f"config error: {section}.{key}:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimateCommand:
@@ -167,6 +190,23 @@ class TestEstimateCommand:
                      "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
         assert "line" in capsys.readouterr().err
+
+    def test_imu_gap_exits_with_data_error(self, tmp_path, capsys):
+        # Dropping 40 imu records (100 ms at 400 Hz) leaves intervals that
+        # no longer tile time; the stream time of the gap is named.
+        stream = tmp_path / "s.jsonl"
+        assert main(["sim", "--config", write_config(tmp_path, {"gait": {"duration": 2.4}}),
+                     "--out", str(stream)]) == EXIT_OK
+        lines = stream.read_text().splitlines(keepends=True)
+        imu = [i for i, line in enumerate(lines)
+               if json.loads(line)["kind"] == "imu" and json.loads(line)["t"] >= 1.0]
+        dropped = set(imu[:40])
+        stream.write_text("".join(line for i, line in enumerate(lines)
+                                  if i not in dropped))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert "imu gap at t=1:" in capsys.readouterr().err
 
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from drs_inekf.filter import FilterConfig, Variant
+from drs_inekf.filter import FilterConfig, UpdateSchedule, Variant
 from drs_inekf.harness import (
     METRIC_NAMES,
     TrialConfig,
     aggregate,
+    campaigns,
     evaluate_gates,
     initial_covariance,
     monte_carlo,
@@ -16,8 +17,12 @@ from drs_inekf.harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
+from drs_inekf.liegroup import compose, sek3_exp
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
+from drs_inekf.streams import TRUTH
+
+from conftest import oracle_metric_rows
 
 SHORT_GAIT = GaitConfig(duration=2.4)
 
@@ -211,18 +216,64 @@ class TestYawConvergenceReferenceRun:
         assert final_yaw <= 3.0, final_yaw
 
 
+class TestLockstepEngine:
+    @pytest.mark.parametrize("schedule", list(UpdateSchedule))
+    def test_matches_scalar_oracle(self, schedule):
+        # Both variants run in one batch; each must match the scalar
+        # record-by-record fold within 1e-10 relative per metric value.
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        stream = synthesize_sensors(generate_truth(GaitConfig(duration=6.0),
+                                                   SurfaceConfig(), 4),
+                                    noise, Rates(), 4)
+        tcfg = TrialConfig(n_trials=1)
+        configs = {v: FilterConfig(noise=noise, variant=v, update_schedule=schedule)
+                   for v in tcfg.variants}
+        result = run_trial(stream, tcfg, configs, trial_seed=13)
+        xi0 = sample_initial_error(np.random.default_rng(13), tcfg)
+        mean0 = compose(sek3_exp(xi0), stream.record(TRUTH, 0).element)
+        for variant, cfg in configs.items():
+            want = oracle_metric_rows(
+                stream, mean0, initial_covariance(tcfg), noise,
+                variant is Variant.PROPOSED,
+                schedule is UpdateSchedule.ON_CONTACT_ONLY, cfg.epsilon)
+            got = result.series[variant].values
+            assert got.shape == want.shape == (601, len(METRIC_NAMES))
+            err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert err.max() <= 1e-10, (variant, err.max())
+
+
 class TestMonteCarlo:
     def test_parallel_equals_serial(self):
+        # Trials are split into 1, 2 or 3 chunks, so each runs in batches of
+        # different sizes and at different positions: every series and band
+        # must be bitwise the same.
         tcfg = TrialConfig(n_trials=3, master_seed=9)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        serial, _ = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise,
-                                Rates(), jobs=1)
-        parallel, _ = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise,
-                                  Rates(), jobs=2)
-        for v in serial.bands:
-            for name in METRIC_NAMES:
-                assert np.array_equal(serial.bands[v][name],
-                                      parallel.bands[v][name])
+        serial, serial_results = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(),
+                                             noise, Rates(), jobs=1)
+        for jobs in (2, 3):
+            parallel, results = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(),
+                                            noise, Rates(), jobs=jobs)
+            for v in serial.bands:
+                for name in METRIC_NAMES:
+                    assert np.array_equal(serial.bands[v][name],
+                                          parallel.bands[v][name])
+            assert [r.trial for r in results] == [0, 1, 2]
+            for a, b in zip(serial_results, results):
+                for v in tcfg.variants:
+                    assert np.array_equal(a.series[v].t, b.series[v].t)
+                    assert np.array_equal(a.series[v].values, b.series[v].values)
+
+    def test_campaigns_run_together_equal_apart(self):
+        tcfg = TrialConfig(n_trials=2, master_seed=4)
+        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        surfaces = [SurfaceConfig(), SurfaceConfig(pitch_amplitude=0.0)]
+        together = campaigns(tcfg, SHORT_GAIT, surfaces, noise, Rates())
+        for surface, (_, results) in zip(surfaces, together):
+            _, apart = monte_carlo(tcfg, SHORT_GAIT, surface, noise, Rates())
+            for a, b in zip(results, apart):
+                for v in tcfg.variants:
+                    assert np.array_equal(a.series[v].values, b.series[v].values)
 
     def test_gate_evaluation_structure(self):
         tcfg = TrialConfig(n_trials=2, master_seed=4)

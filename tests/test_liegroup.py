@@ -238,3 +238,80 @@ class TestNumericalHygiene:
         fixed = project_to_rotation(noisy)
         assert rotation_defect(fixed) < 1e-12
         assert np.linalg.norm(fixed - rot) < 1e-5
+
+
+def angle_cases(rng):
+    """Rotation vectors at every branch: zero, series, closed form, near pi."""
+    angles = np.array([0.0, 1e-12, 1e-7, 9e-7, 2e-6, 0.3, 1.5, math.pi - 1e-2,
+                       math.pi - 1e-4, math.pi - 1e-9, math.pi, 2.5])
+    axes = rng.standard_normal((len(angles), 3))
+    axes[-2] = [0.0, 0.0, 1.0]
+    return axes / np.linalg.norm(axes, axis=1, keepdims=True) * angles[:, None]
+
+
+class TestBatched:
+    """A batched call equals the unbatched call on each slice, bit for bit."""
+
+    @staticmethod
+    def assert_slices(got, single, inputs, shape):
+        for i in np.ndindex(shape):
+            expected = single(*(x[i] for x in inputs))
+            if isinstance(expected, tuple):
+                for g, e in zip(got, expected):
+                    assert np.array_equal(g[i], e), i
+            elif isinstance(expected, GroupElement):
+                assert np.array_equal(got.rot[i], expected.rot), i
+                assert np.array_equal(got.cols[i], expected.cols), i
+            else:
+                assert np.array_equal(got[i], expected), i
+
+    @pytest.mark.parametrize("name", ["hat", "so3_exp", "so3_left_jacobian",
+                                      "so3_left_jacobian_inv", "sek3_exp",
+                                      "algebra_hat", "gamma0_and_applied"])
+    def test_vector_functions(self, rng, name):
+        v = angle_cases(rng)
+        xi = np.concatenate([v, rng.standard_normal((len(v), 9))], axis=1)
+        u = rng.standard_normal(v.shape)
+        fn = getattr(lg, name)
+        args = {"sek3_exp": (xi,), "algebra_hat": (xi,),
+                "gamma0_and_applied": (v, u)}.get(name, (v,))
+        for shape in ((len(v),), (3, len(v) // 3)):
+            inputs = [a.reshape(shape + a.shape[1:]) for a in args]
+            self.assert_slices(fn(*inputs), fn, inputs, shape)
+
+    @pytest.mark.parametrize("name", ["so3_log", "vee", "project_to_rotation",
+                                      "rotation_defect"])
+    def test_rotation_functions(self, rng, name):
+        rots = so3_exp(angle_cases(rng))
+        if name == "project_to_rotation":
+            rots = rots + rng.standard_normal(rots.shape) * 1e-6
+        fn = getattr(lg, name)
+        for shape in ((len(rots),), (3, len(rots) // 3)):
+            inputs = [rots.reshape(shape + (3, 3))]
+            self.assert_slices(fn(*inputs), fn, inputs, shape)
+
+    @pytest.mark.parametrize("name", ["sek3_log", "adjoint", "inverse", "embed"])
+    def test_element_functions(self, rng, name):
+        v = angle_cases(rng)
+        x = GroupElement(so3_exp(v), rng.standard_normal((len(v), 3, 3)))
+        fn = (lambda e: e.embed()) if name == "embed" else getattr(lg, name)
+        for shape in ((len(v),), (3, len(v) // 3)):
+            xs = GroupElement(x.rot.reshape(shape + (3, 3)),
+                              x.cols.reshape(shape + (3, 3)))
+            self.assert_slices(fn(xs), lambda r, c: fn(GroupElement(r, c)),
+                               [xs.rot, xs.cols], shape)
+
+    def test_compose_broadcasts_a_shared_element(self, rng):
+        xs = GroupElement(so3_exp(angle_cases(rng)),
+                          rng.standard_normal((12, 3, 3)))
+        y = random_element(rng)
+        got = compose(xs, y)
+        for i in range(12):
+            expected = compose(GroupElement(xs.rot[i], xs.cols[i]), y)
+            assert np.array_equal(got.rot[i], expected.rot)
+            assert np.array_equal(got.cols[i], expected.cols)
+
+    def test_near_pi_log_in_a_batch_still_round_trips(self, rng):
+        v = angle_cases(rng)
+        back = so3_exp(so3_log(so3_exp(v)))
+        assert np.allclose(back, so3_exp(v), atol=1e-9)
