@@ -21,22 +21,22 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 from . import __version__
-from .filter import FilterConfig, StreamEstimator, Variant, state_from_truth
+from .filter import FilterConfig, Variant
 from .harness import (
     TrialConfig,
-    TrialResult,
     campaigns,
     evaluate_gates,
-    initial_covariance,
-    metric_series,
+    run_trial,
     write_aggregate_csv,
     write_trial_csv,
 )
 from .models import NoiseLevels, NoiseParams, config_fields
 from .plots import write_report_svgs
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from .streams import TRUTH, Stream, StreamFormatError, read_jsonl, write_jsonl
+from .streams import StreamFormatError, read_jsonl, write_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -168,23 +168,22 @@ def cmd_estimate(args) -> int:
     cfg = load_config(args.config)
     c = build_all(cfg, args.seed)
     variant = Variant(args.variant)
-    stream = Stream.from_records(read_jsonl(args.stream))
-    if not stream.count("truth"):
-        raise StreamFormatError("stream contains no truth records")
-    first = stream.record(TRUTH, 0)
-    est = StreamEstimator(state_from_truth(first, initial_covariance(c.trials)),
-                          dataclasses.replace(c.filter, variant=variant))
-    series = metric_series(stream, est)
+    # One variant, one trial, started exactly at the first truth sample.
+    result = run_trial(read_jsonl(args.stream), c.trials, c.filter, (variant,),
+                       np.zeros(12))
     _ensure_out_dir(args.out)
-    write_trial_csv(args.out, TrialResult(0, {variant: series}))
+    write_trial_csv(args.out, result)
     write_manifest(args.out + ".manifest.json", "estimate", cfg, args.seed,
                    [args.out], started)
-    print(f"wrote metrics for {len(series.t)} truth samples to {args.out}")
+    print(f"wrote metrics for {len(result.series[variant].t)} truth samples "
+          f"to {args.out}")
     return EXIT_OK
 
 
 def cmd_montecarlo(args) -> int:
     started = time.time()
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
     c = build_all(cfg, args.seed)
     tcfg = c.trials
@@ -200,9 +199,8 @@ def cmd_montecarlo(args) -> int:
     if tcfg.static_control and c.surface.pitch_amplitude > 0.0:
         surfaces.append(dataclasses.replace(c.surface, pitch_amplitude=0.0))
         print(f"running {tcfg.n_trials} trials (static level control)")
-    (rocking, results), *control = campaigns(
-        tcfg, c.gait, surfaces, c.noise, c.rates, jobs=args.jobs,
-        epsilon=c.filter.epsilon, schedule=c.filter.update_schedule)
+    (rocking, results), *control = campaigns(tcfg, c.gait, surfaces, c.filter,
+                                             c.rates, jobs=args.jobs)
     static = control[0][0] if control else None
 
     outputs = []
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", parents=[common],
                            help="run one filter variant over a stream")
     p_est.add_argument("--stream", help="stream file to read (required)")
-    p_est.add_argument("--variant", default=FilterConfig.variant.value,
+    p_est.add_argument("--variant", default=Variant.PROPOSED.value,
                        choices=[v.value for v in Variant])
     p_est.add_argument("--out", default="metrics.csv")
     p_est.set_defaults(func=cmd_estimate)

@@ -54,6 +54,7 @@ from .models import (
 )
 from .streams import (
     IMU,
+    KINDS,
     TIME_TOL,
     TRUTH,
     FkOrientation,
@@ -92,7 +93,6 @@ class UpdateSchedule(Enum):
 @dataclass(frozen=True)
 class FilterConfig:
     noise: NoiseParams
-    variant: Variant = Variant.PROPOSED
     update_schedule: UpdateSchedule = param(UpdateSchedule.EVERY_STEP)
     epsilon: float = param(1e-9, lo=1e-15)
 
@@ -284,16 +284,16 @@ class StreamEstimator:
     """Folds a time-ordered sensor stream through the filter.
 
     The state may be a batch of members that see the same records in
-    lockstep. `variants`, when given, names the variant of each index of
-    the state's first axis, and orientation updates then reach only the
-    proposed ones; otherwise every member runs `cfg.variant`. Holds the
-    latest known surface pose (needed to form the orientation measurement)
-    and the contact-freshness flag used by the on-contact-only update
-    schedule. One instance per estimation run; not shared across tasks.
+    lockstep. `variants` names the variant of each index of the state's
+    first axis (one variant for an unbatched state); orientation updates
+    reach only the proposed ones. Holds the latest known surface pose
+    (needed to form the orientation measurement) and the contact-freshness
+    flag used by the on-contact-only update schedule. One instance per
+    estimation run; not shared across tasks.
     """
 
     def __init__(self, initial: State, cfg: FilterConfig,
-                 variants: tuple[Variant, ...] | None = None):
+                 variants: tuple[Variant, ...]):
         self.state = initial
         self.cfg = cfg
         self.surface_rot: np.ndarray | None = None
@@ -301,7 +301,6 @@ class StreamEstimator:
         self._qc = cfg.noise.process_cov()
         self._contact_fresh = True
         # Members that take orientation updates: all, none, or one row.
-        variants = variants or (cfg.variant,)
         self._orient_rows = None
         if set(variants) == {Variant.PROPOSED}:
             self._orient_rows = slice(None)
@@ -353,11 +352,6 @@ class StreamEstimator:
             raise FilterError(f"unknown stream record {type(event)!r}")
         return self.state
 
-    def run(self, records) -> State:
-        for rec in records:
-            self.step(rec)
-        return self.state
-
     def fold(self, stream: Stream):
         """Route every record of a columnar stream through `step`, in order.
 
@@ -366,8 +360,10 @@ class StreamEstimator:
         which depend on the inputs only, are computed ahead along the time
         axis, _TERMS_BLOCK intervals at a time for every stream of a stack.
         """
-        imu = stream.columns["imu"]
-        for code, k in stream.index():
+        imu, seen = stream.columns["imu"], [0] * len(KINDS)
+        for code in stream.kinds.tolist():
+            k = seen[code]
+            seen[code] += 1
             if code == IMU:
                 j = k % _TERMS_BLOCK
                 if j == 0:
@@ -381,6 +377,3 @@ class StreamEstimator:
             if code == TRUTH:
                 yield rec
 
-
-def state_from_truth(truth: TruthSample, cov: np.ndarray) -> State:
-    return State(truth.element, np.array(cov, dtype=float), truth.t, truth.stance)

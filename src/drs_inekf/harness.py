@@ -17,19 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import (
-    FilterConfig,
-    State,
-    StreamEstimator,
-    UpdateSchedule,
-    Variant,
-    error_vs_truth,
-)
+from .filter import FilterConfig, State, StreamEstimator, Variant, error_vs_truth
 from .liegroup import XI_D, XI_P, XI_V, GroupElement, compose, sek3_exp
 from .liegroup import dot as _dot
-from .models import NoiseParams, check_fields, param
+from .models import check_fields, param
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from .streams import STANCES, Stream, StreamRecord
+from .streams import TRUTH, Stream, StreamFormatError
 
 METRIC_NAMES = ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err", "nees")
 
@@ -105,9 +98,6 @@ class MetricSeries:
     t: np.ndarray          # (T,)
     values: np.ndarray     # (..., T, len(METRIC_NAMES))
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[..., METRIC_NAMES.index(name)]
-
 
 @dataclass
 class TrialResult:
@@ -115,70 +105,53 @@ class TrialResult:
     series: dict[Variant, MetricSeries]
 
 
-def metric_series(stream: Stream, est: StreamEstimator) -> MetricSeries:
-    """Fold `stream` through `est`; one metric row per truth sample and member.
+def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
+               variants: tuple[Variant, ...], xi0: np.ndarray,
+               indices: list[int]) -> list[TrialResult]:
+    """Run every variant of every trial over a stream, in lockstep.
 
-    Truth precedes the updates at its timestamp, so each row holds the
-    prior error there.
+    Trial j starts from the first truth sample perturbed by the tangent
+    offset xi0[j] (exp(xi0[j]) @ X_true); axis 1 of the stream's value
+    columns runs over the trials (`Stream.stack`). One trial over an
+    unstacked stream may pass its offset as xi0 of shape (12,). The state's
+    batch axes are (variant, trial): the variant axis only for more than one
+    variant, the trial axis only for xi0 of shape (n, 12). So one variant of
+    one such trial runs unbatched, as small numpy operations run fastest.
+    Truth precedes the updates at its timestamp, so each metric row holds
+    the prior error there.
     """
     t = stream.columns["truth"]["t"]
-    rows = np.empty(est.state.cov.shape[:-2] + (len(t), len(METRIC_NAMES)))
-    for i, truth in enumerate(est.fold(stream)):
-        m = error_vs_truth(est.state, truth.element)
+    if not len(t):
+        raise StreamFormatError("stream contains no truth records")
+    first = stream.record(TRUTH, 0)
+    mean0 = compose(sek3_exp(xi0), first.element)
+    batch = ((len(variants),) if len(variants) > 1 else ()) + xi0.shape[:-1]
+    est = StreamEstimator(State(
+        GroupElement(np.broadcast_to(mean0.rot, batch + (3, 3)).copy(),
+                     np.broadcast_to(mean0.cols, batch + (3, 3)).copy()),
+        np.broadcast_to(initial_covariance(tcfg), batch + (12, 12)).copy(),
+        first.t, first.stance), cfg, variants)
+    rows = np.empty(batch + (len(t), len(METRIC_NAMES)))
+    for i, sample in enumerate(est.fold(stream)):
+        m = error_vs_truth(est.state, sample.element)
         row = rows[..., i, :]
         row[..., 0] = m.pos_err
         row[..., 1] = m.vel_err
         np.abs(m.roll_deg, out=row[..., 2])
         np.abs(m.pitch_deg, out=row[..., 3])
         np.abs(m.yaw_deg, out=row[..., 4])
-        row[..., 5] = nees(m.xi, est.state.cov, est.cfg.epsilon)
-    return MetricSeries(t, rows)
+        row[..., 5] = nees(m.xi, est.state.cov, cfg.epsilon)
+    rows = rows.reshape((len(variants), len(indices)) + rows.shape[-2:])
+    return [TrialResult(index, {v: MetricSeries(t, rows[i, j])
+                                for i, v in enumerate(variants)})
+            for j, index in enumerate(indices)]
 
 
-def run_trials(stream: Stream, tcfg: TrialConfig,
-               configs: dict[Variant, FilterConfig], trial_seeds: list[int],
-               trial_indices: list[int]) -> list[TrialResult]:
-    """Run every variant over stacked streams, one per trial, in lockstep.
-
-    Axis 1 of the stream's value columns runs over the trials. Each trial
-    starts its variants from a common start, the truth perturbed by a
-    tangent offset drawn from its seed. The configs may differ only in
-    their variant.
-    """
-    cfg = next(iter(configs.values()))
-    if any(c.noise is not cfg.noise or c.epsilon != cfg.epsilon
-           or c.update_schedule is not cfg.update_schedule for c in configs.values()):
-        raise ValueError("variant configs of one run must share noise, "
-                         "epsilon and update schedule")
-    truth = stream.columns["truth"]
-    if not len(truth["t"]):
-        raise ValueError("stream contains no truth samples")
-    xi0 = np.array([sample_initial_error(np.random.default_rng(seed), tcfg)
-                    for seed in trial_seeds])
-    mean0 = compose(sek3_exp(xi0), GroupElement(truth["rot"][0], truth["cols"][0]))
-    batch = (len(configs), len(trial_seeds))
-    initial = State(GroupElement(np.broadcast_to(mean0.rot, batch + (3, 3)).copy(),
-                                 np.broadcast_to(mean0.cols, batch + (3, 3)).copy()),
-                    np.broadcast_to(initial_covariance(tcfg), batch + (12, 12)).copy(),
-                    float(truth["t"][0]), STANCES[truth["stance"][0]])
-    est = StreamEstimator(initial, cfg, variants=tuple(configs))
-    try:
-        series = metric_series(stream, est)
-    except Exception as exc:
-        raise RuntimeError(f"trials {trial_indices[0]}..{trial_indices[-1]} "
-                           f"failed: {exc}") from exc
-    return [TrialResult(index, {v: MetricSeries(series.t, series.values[i, j])
-                                for i, v in enumerate(configs)})
-            for j, index in enumerate(trial_indices)]
-
-
-def run_trial(records: Stream | list[StreamRecord], tcfg: TrialConfig,
-              configs: dict[Variant, FilterConfig],
-              trial_seed: int, trial_index: int = 0) -> TrialResult:
-    """Run every variant over one stream from a common perturbed start."""
-    stream = records if isinstance(records, Stream) else Stream.from_records(records)
-    return run_trials(Stream.stack([stream], 1), tcfg, configs, [trial_seed],
-                      [trial_index])[0]
+def run_trial(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
+              variants: tuple[Variant, ...], xi0: np.ndarray,
+              index: int = 0) -> TrialResult:
+    """Run every variant over one stream from the truth perturbed by xi0."""
+    return run_trials(stream, tcfg, cfg, variants, xi0, [index])[0]
 
 
 @dataclass
@@ -222,41 +195,41 @@ def aggregate(results: list[TrialResult],
 
 def _chunk_worker(args) -> list[list[TrialResult]]:
     """One chunk of trials of every campaign, run as one batch."""
-    (indices, stream_seeds, trial_seeds, gait, surfaces, noise, rates, tcfg,
-     epsilon, schedule) = args
+    indices, stream_seeds, trial_seeds, gait, surfaces, cfg, rates, tcfg = args
     stream = Stream.stack(
-        (synthesize_sensors(generate_truth(gait, surf, seed=seed), noise, rates,
+        (synthesize_sensors(generate_truth(gait, surf, seed=seed), cfg.noise, rates,
                             seed=seed)
          for surf in surfaces for seed in stream_seeds),
         len(surfaces) * len(stream_seeds))
-    configs = {v: FilterConfig(noise=noise, variant=v, update_schedule=schedule,
-                               epsilon=epsilon)
-               for v in tcfg.variants}
-    results = run_trials(stream, tcfg, configs, trial_seeds * len(surfaces),
-                         indices * len(surfaces))
+    xi0 = np.array([sample_initial_error(np.random.default_rng(seed), tcfg)
+                    for seed in trial_seeds])
+    try:
+        results = run_trials(stream, tcfg, cfg, tcfg.variants,
+                             np.tile(xi0, (len(surfaces), 1)), indices * len(surfaces))
+    except Exception as exc:
+        raise RuntimeError(f"trials {indices[0]}..{indices[-1]} failed: {exc}") from exc
     n = len(indices)
     return [results[i * n:(i + 1) * n] for i in range(len(surfaces))]
 
 
 def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig],
-              noise: NoiseParams, rates: Rates = Rates(), jobs: int = 1,
-              epsilon: float = FilterConfig.epsilon,
-              schedule: UpdateSchedule = FilterConfig.update_schedule,
+              cfg: FilterConfig, rates: Rates = Rates(), jobs: int = 1,
               ) -> list[tuple[AggregateReport, list[TrialResult]]]:
     """One Monte Carlo campaign per surface, all with the same trial seeds.
 
     Every trial derives its stream seed and initial-error seed from the
     master seed via numpy SeedSequence spawning, so results are reproducible
     and independent of execution order, worker count and of which campaigns
-    run together. The trials are split into `jobs` contiguous chunks; a
-    worker runs its chunk of every campaign as one batch.
+    run together. The trials are split into `jobs` (at least 1) contiguous
+    chunks; a worker runs its chunk of every campaign as one batch. The
+    streams are synthesized with the filter's noise model.
     """
     seq = np.random.SeedSequence(tcfg.master_seed)
     seeds = np.array([child.generate_state(2, dtype=np.uint64)
                       for child in seq.spawn(tcfg.n_trials)])
-    chunks = np.array_split(np.arange(tcfg.n_trials), min(max(jobs, 1), tcfg.n_trials))
+    chunks = np.array_split(np.arange(tcfg.n_trials), min(jobs, tcfg.n_trials))
     args = [(chunk.tolist(), seeds[chunk, 0].tolist(), seeds[chunk, 1].tolist(),
-             gait, list(surfaces), noise, rates, tcfg, epsilon, schedule)
+             gait, list(surfaces), cfg, rates, tcfg)
             for chunk in chunks]
     if len(args) > 1:
         with multiprocessing.Pool(len(args)) as pool:
@@ -268,15 +241,6 @@ def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig]
         results = [r for chunk in chunked for r in chunk[i]]
         out.append((aggregate(results), results))
     return out
-
-
-def monte_carlo(tcfg: TrialConfig, gait: GaitConfig, surf: SurfaceConfig,
-                noise: NoiseParams, rates: Rates = Rates(), jobs: int = 1,
-                epsilon: float = FilterConfig.epsilon,
-                schedule: UpdateSchedule = FilterConfig.update_schedule,
-                ) -> tuple[AggregateReport, list[TrialResult]]:
-    """Run n_trials independent trials on one surface and aggregate bands."""
-    return campaigns(tcfg, gait, [surf], noise, rates, jobs, epsilon, schedule)[0]
 
 
 @dataclass

@@ -173,12 +173,6 @@ def so3_left_jacobian(v: np.ndarray) -> np.ndarray:
     return _exp_and_left_jacobian(v)[1]
 
 
-def so3_left_jacobian_inv(v: np.ndarray) -> np.ndarray:
-    """Inverse of the left Jacobian, stable through theta = pi."""
-    v = np.asarray(v, dtype=float)
-    return _left_jacobian_inv(v, _norm(v))
-
-
 def _left_jacobian_inv(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     def series(t):
         t2 = t * t
@@ -275,34 +269,6 @@ class GroupElement:
     def foot(self) -> np.ndarray:
         return self.cols[..., 2]
 
-    def embed(self) -> np.ndarray:
-        """(3+K) x (3+K) matrix embedding."""
-        n = 3 + self.k
-        m = np.zeros(self.rot.shape[:-2] + (n, n))
-        m[..., range(3, n), range(3, n)] = 1.0
-        m[..., :3, :3] = self.rot
-        m[..., :3, 3:] = self.cols
-        return m
-
-    def is_close(self, other: "GroupElement", tol: float = 1e-9) -> bool:
-        return (np.allclose(self.rot, other.rot, atol=tol)
-                and np.allclose(self.cols, other.cols, atol=tol))
-
-
-def identity(k: int = 3) -> GroupElement:
-    return GroupElement(np.eye(3), np.zeros((3, k)))
-
-
-def from_embedded(m: np.ndarray) -> GroupElement:
-    return GroupElement(m[..., :3, :3].copy(), m[..., :3, 3:].copy())
-
-
-def group_element(rot: np.ndarray, vel: np.ndarray, pos: np.ndarray,
-                  foot: np.ndarray) -> GroupElement:
-    """Convenience constructor for the K = 3 estimator state."""
-    return GroupElement(np.asarray(rot, dtype=float),
-                        np.stack([vel, pos, foot], axis=-1).astype(float))
-
 
 def compose(x1: GroupElement, x2: GroupElement) -> GroupElement:
     return GroupElement(x1.rot @ x2.rot, x1.rot @ x2.cols + x1.cols)
@@ -330,16 +296,6 @@ def sek3_log(x: GroupElement) -> np.ndarray:
     w, theta = _log_and_angle(x.rot)
     cols = transposed(_left_jacobian_inv(w, theta) @ x.cols)
     return np.concatenate([w, cols.reshape(w.shape[:-1] + (3 * x.k,))], axis=-1)
-
-
-def algebra_hat(xi: np.ndarray) -> np.ndarray:
-    """Lie-algebra matrix of a tangent vector in the embedding."""
-    xi = np.asarray(xi, dtype=float)
-    k = (xi.shape[-1] - 3) // 3
-    m = np.zeros(xi.shape[:-1] + (3 + k, 3 + k))
-    m[..., :3, :3] = hat(xi[..., :3])
-    m[..., :3, 3:] = _tangent_cols(xi)
-    return m
 
 
 def adjoint(x: GroupElement) -> np.ndarray:

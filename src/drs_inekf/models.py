@@ -168,10 +168,6 @@ class NoiseParams:
                    _diag3(s.contact_vel_density), _diag3(s.fk_pos_var),
                    _diag3(s.surface_orient_var), jump)
 
-    @classmethod
-    def zero(cls) -> "NoiseParams":
-        return cls.from_scalars(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
     def process_cov(self) -> np.ndarray:
         """12x12 continuous density of the process noise (position rows zero)."""
         qc = np.zeros((12, 12))
@@ -179,15 +175,6 @@ class NoiseParams:
         qc[XI_V, XI_V] = self.accel_cov
         qc[XI_D, XI_D] = self.contact_vel_cov
         return qc
-
-    def validate(self, tol: float = 1e-9) -> None:
-        for name in ("gyro_cov", "accel_cov", "contact_vel_cov",
-                     "fk_pos_cov", "surface_orient_cov", "jump_cov"):
-            m = getattr(self, name)
-            if not np.allclose(m, m.T, atol=tol):
-                raise ValueError(f"{name} is not symmetric")
-            if np.min(np.linalg.eigvalsh(m)) < -tol:
-                raise ValueError(f"{name} is not positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -209,32 +196,6 @@ class InvariantMeasurement:
 def innovation(m: InvariantMeasurement, xhat: GroupElement) -> np.ndarray:
     """Top three rows of X_hat @ Y - b."""
     return _mv(xhat.rot, m.Y[..., :3]) + _mv(xhat.cols, m.Y[..., 3:]) - m.b[..., :3]
-
-
-def process_dynamics(x: GroupElement, u: ImuStep) -> np.ndarray:
-    """Deterministic part of d/dt of the embedded state matrix."""
-    out = np.zeros((6, 6))
-    out[:3, :3] = x.rot @ hat(u.gyro)
-    out[:3, 3] = x.rot @ u.accel + GRAVITY
-    out[:3, 4] = x.vel
-    out[:3, 5] = u.contact_vel
-    return out
-
-
-def group_affine_residual(x1: GroupElement, x2: GroupElement, u: ImuStep,
-                          dynamics=process_dynamics) -> float:
-    """Frobenius norm of f(X1 X2) - f(X1) X2 - X1 f(X2) + X1 f(Id) X2.
-
-    Zero (to roundoff) iff the dynamics are group-affine. A different
-    `dynamics` callable can be passed to confirm the check has power.
-    """
-    from .liegroup import compose, identity
-
-    m1 = x1.embed()
-    m2 = x2.embed()
-    lhs = dynamics(compose(x1, x2), u)
-    rhs = dynamics(x1, u) @ m2 + m1 @ dynamics(x2, u) - m1 @ dynamics(identity(), u) @ m2
-    return float(np.linalg.norm(lhs - rhs))
 
 
 def error_jacobian_A(contact_vel: np.ndarray | None = None) -> np.ndarray:

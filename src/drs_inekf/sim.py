@@ -104,8 +104,8 @@ class TruthTrajectory:
     """Analytic ground truth: base motion plus surface-locked stance feet.
 
     All evaluators accept scalar or 1-D arrays of times. Stance intervals
-    are [n*step_period, (n+1)*step_period); foot_pos/foot_vel take the
-    stance index explicitly so callers control behaviour across swaps.
+    are [n*step_period, (n+1)*step_period); foot_pos takes the stance
+    index explicitly so callers control behaviour across swaps.
     """
 
     def __init__(self, gait: GaitConfig, surf: SurfaceConfig,
@@ -142,13 +142,6 @@ class TruthTrajectory:
                          ay * wy * np.cos(wy * t + py),
                          az * wz * np.cos(wz * t + pz)], axis=-1)
 
-    def base_acc(self, t):
-        t = np.asarray(t, dtype=float)
-        (ax, wx, px), (ay, wy, py), (az, wz, pz) = self._osc(t)
-        return np.stack([-ax * wx * wx * np.sin(wx * t + px),
-                         -ay * wy * wy * np.sin(wy * t + py),
-                         -az * wz * wz * np.sin(wz * t + pz)], axis=-1)
-
     def _roll_pitch(self, t):
         roll = self._lean * np.sin(self._w_sway * t + self.phases[3])
         pitch = 0.5 * self._lean * np.sin(self._w_bob * t + self.phases[4])
@@ -170,14 +163,6 @@ class TruthTrajectory:
         out[..., 2, 2] = cb * ca
         return out
 
-    def omega_body(self, t):
-        """Body-frame angular velocity of the base (analytic)."""
-        t = np.asarray(t, dtype=float)
-        a, _ = self._roll_pitch(t)
-        da = self._lean * self._w_sway * np.cos(self._w_sway * t + self.phases[3])
-        db = 0.5 * self._lean * self._w_bob * np.cos(self._w_bob * t + self.phases[4])
-        return np.stack([da, db * np.cos(a), -db * np.sin(a)], axis=-1)
-
     # -- surface ------------------------------------------------------------
 
     def surface_angle(self, t):
@@ -187,18 +172,7 @@ class TruthTrajectory:
     def surface_rot(self, t):
         return _ry_batch(self.surface_angle(t))
 
-    def surface_omega(self, t):
-        t = np.asarray(t, dtype=float)
-        rate = (self.surf.pitch_amplitude * self.surf.pitch_angular_freq
-                * np.cos(self.surf.pitch_angular_freq * t))
-        out = np.zeros(t.shape + (3,))
-        out[..., 1] = rate
-        return out
-
     # -- stance feet ----------------------------------------------------------
-
-    def stance_index(self, t) -> int:
-        return int(math.floor(float(t) / self.gait.step_period + 1e-9))
 
     def foot_anchor(self, index: int) -> np.ndarray:
         """Surface-local coordinates of the stance foot for one step."""
@@ -220,20 +194,6 @@ class TruthTrajectory:
         rs = self.surface_rot(t)
         local = self._local(t, index)
         return self.surf.pivot_vec + np.einsum("...ij,...j->...i", rs, local)
-
-    def foot_vel(self, t, index: int):
-        """Analytic world velocity: omega_s x (d - pivot) + belt term."""
-        rs = self.surface_rot(t)
-        local = self._local(t, index)
-        arm = np.einsum("...ij,...j->...i", rs, local)
-        belt_local = np.array([-self.surf.belt_speed, 0.0, 0.0])
-        belt = np.einsum("...ij,j->...i", rs, belt_local)
-        return np.cross(self.surface_omega(t), arm) + belt
-
-    def swap_times(self) -> np.ndarray:
-        n = int(math.ceil(self.gait.duration / self.gait.step_period))
-        times = np.arange(1, n) * self.gait.step_period
-        return times[times < self.gait.duration - 1e-9]
 
 
 def generate_truth(gait: GaitConfig, surf: SurfaceConfig,
@@ -329,9 +289,8 @@ def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
     columns = {
         "swap": {"t": times[swaps],
                  "h_d": _mv(_T(rot[swaps]), foot_own[swaps] - foot_prev) + hd_n},
-        "truth": {"t": times[kin], "stance": stance_idx[kin] % 2,
-                  "rot": rot[kin],
-                  "cols": np.stack([vel, pos, foot_own], axis=-1)[kin]},
+        "truth": {"t": times[kin], "rot": rot[kin], "vel": vel[kin], "pos": pos[kin],
+                  "foot": foot_own[kin], "stance": stance_idx[kin] % 2},
         "surface": {"t": times[kin], "rot": rs[kin]},
         "fk_rot": {"t": times[kin], "rot": rot_k @ rs[kin] @ so3_exp(orient_n)},
         "fk_pos": {"t": times[kin],

@@ -1,34 +1,40 @@
-"""Sensor streams: columnar arrays, record objects and JSON Lines.
+"""Sensor streams: columnar arrays and JSON Lines.
 
 A `Stream` holds a sensor stream as one array per field of each record
-kind, plus the merged record order; the estimator and the simulator work
-on it. The record classes (`ImuStep`, `FkPosition`, ...) are its
-record-by-record view, which the JSON Lines reader and writer use.
+kind, plus the merged record order: the simulator builds one, the JSON
+Lines reader and writer convert one, the estimator folds one. The record
+classes (`ImuStep`, `FkPosition`, ...) only serve `StreamEstimator.step`.
 
-One record per line, `{"kind": ..., "t": ...}` plus kind-specific fields.
-Rotations are serialized as 9 row-major reals. Records of the same kind
-carry strictly increasing timestamps; the file order is the processing
-order expected by the filter. At equal timestamps the simulator writes
-swap, truth, surface, fk_rot, fk_pos, imu: truth follows the swap, so a
-jump and its evaluation sample pair up, and precedes the kinematic
-updates, so the errors recorded at a truth sample are prior errors.
-IMU intervals must tile time: each starts where the previous one ends.
+One record per line, `{"kind": ..., "t": ...}` plus the kind's fields, all
+required: finite JSON numbers (not true or false), and rotations as 9
+row-major reals with |R^T R - I|_F <= ROT_TOL and det R > 0. Records of
+the same kind carry strictly increasing timestamps; the file order is the
+processing order expected by the filter. At equal timestamps the simulator
+writes swap, truth, surface, fk_rot, fk_pos, imu: truth follows the swap,
+so a jump and its evaluation sample pair up, and precedes the kinematic
+updates, so the errors recorded at a truth sample are prior errors. IMU
+intervals must tile time: each starts where the previous one ends.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Union
 
 import numpy as np
 
-from .liegroup import GroupElement, group_element
+from .liegroup import GroupElement, rotation_defect
 from .models import ImuStep
 
 # Timestamps closer than this are equal (IMU interval ends, record order).
 TIME_TOL = 1e-9
+# Largest |R^T R - I|_F of a rotation read from a stream file.
+ROT_TOL = 1e-6
 
 
 class StanceFoot(Enum):
@@ -92,141 +98,30 @@ StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose,
                      SwapEvent, TruthSample]
 
 
-# Record kind names and classes; a kind's code is its index here.
+# Record kind names; a kind's code is its index here.
 KINDS = ("swap", "truth", "surface", "fk_rot", "fk_pos", "imu")
-RECORD_TYPES = (SwapEvent, TruthSample, SurfacePose, FkOrientation, FkPosition,
-                ImuStep)
 SWAP, TRUTH, SURFACE, FK_ROT, FK_POS, IMU = range(len(KINDS))
 STANCES = (StanceFoot.LEFT, StanceFoot.RIGHT)
-_CODE = {cls: code for code, cls in enumerate(RECORD_TYPES)}
 
-
-def record_kind(rec: StreamRecord) -> str:
-    return KINDS[_CODE[type(rec)]]
-
-
-def _rot_list(rot: np.ndarray) -> list[float]:
-    return [float(v) for v in rot.reshape(-1)]
-
-
-def _vec_list(v: np.ndarray) -> list[float]:
-    return [float(x) for x in v]
-
-
-def record_to_dict(rec: StreamRecord) -> dict:
-    if isinstance(rec, ImuStep):
-        return {"kind": "imu", "t": rec.t, "dt": rec.dt,
-                "gyro": _vec_list(rec.gyro), "accel": _vec_list(rec.accel),
-                "contact_vel": _vec_list(rec.contact_vel)}
-    if isinstance(rec, FkPosition):
-        return {"kind": "fk_pos", "t": rec.t, "hp": _vec_list(rec.hp)}
-    if isinstance(rec, FkOrientation):
-        return {"kind": "fk_rot", "t": rec.t, "rot": _rot_list(rec.rot)}
-    if isinstance(rec, SurfacePose):
-        return {"kind": "surface", "t": rec.t, "rot": _rot_list(rec.rot)}
-    if isinstance(rec, SwapEvent):
-        return {"kind": "swap", "t": rec.t, "h_d": _vec_list(rec.h_d)}
-    if isinstance(rec, TruthSample):
-        x = rec.element
-        return {"kind": "truth", "t": rec.t, "rot": _rot_list(x.rot),
-                "vel": _vec_list(x.vel), "pos": _vec_list(x.pos),
-                "foot": _vec_list(x.foot), "stance": rec.stance.value}
-    raise TypeError(f"unknown record type {type(rec)!r}")
-
-
-def _vec(d: dict, key: str, n: int, line: int) -> np.ndarray:
-    try:
-        v = np.asarray(d[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StreamFormatError(f"bad field {key!r}: {exc}", line) from exc
-    if v.shape != (n,):
-        raise StreamFormatError(f"field {key!r} must have {n} entries", line)
-    return v
-
-
-def _rot(d: dict, key: str, line: int) -> np.ndarray:
-    return _vec(d, key, 9, line).reshape(3, 3)
-
-
-def record_from_dict(d: dict, line: int = 0) -> StreamRecord:
-    kind = d.get("kind")
-    try:
-        t = float(d["t"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StreamFormatError(f"bad field 't': {exc}", line) from exc
-    if kind == "imu":
-        return ImuStep(t, float(d.get("dt", 0.0)), _vec(d, "gyro", 3, line),
-                       _vec(d, "accel", 3, line), _vec(d, "contact_vel", 3, line))
-    if kind == "fk_pos":
-        return FkPosition(t, _vec(d, "hp", 3, line))
-    if kind == "fk_rot":
-        return FkOrientation(t, _rot(d, "rot", line))
-    if kind == "surface":
-        return SurfacePose(t, _rot(d, "rot", line))
-    if kind == "swap":
-        return SwapEvent(t, _vec(d, "h_d", 3, line))
-    if kind == "truth":
-        stance = d.get("stance", "left")
-        try:
-            foot = StanceFoot(stance)
-        except ValueError as exc:
-            raise StreamFormatError(f"bad stance {stance!r}", line) from exc
-        element = group_element(_rot(d, "rot", line), _vec(d, "vel", 3, line),
-                                _vec(d, "pos", 3, line), _vec(d, "foot", 3, line))
-        return TruthSample(t, element, foot)
-    raise StreamFormatError(f"unknown record kind {kind!r}", line)
-
-
-def write_jsonl(records: Iterable[StreamRecord], path) -> None:
-    with open(path, "w") as fh:
-        for rec in records:
-            fh.write(json.dumps(record_to_dict(rec)) + "\n")
-
-
-def read_jsonl(path) -> list[StreamRecord]:
-    """Parse a stream file; enforces strictly increasing t per record kind."""
-    records: list[StreamRecord] = []
-    last_t: dict[str, float] = {}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                d = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StreamFormatError(f"invalid JSON: {exc}", line_no) from exc
-            rec = record_from_dict(d, line_no)
-            kind = record_kind(rec)
-            if kind in last_t and rec.t <= last_t[kind]:
-                raise StreamFormatError(
-                    f"non-increasing timestamp for kind {kind!r}", line_no)
-            last_t[kind] = rec.t
-            records.append(rec)
-    return records
-
-
-# Per kind, its value columns and the shape of one record's value. Truth
-# elements are held as the GroupElement arrays rot and cols.
-_VALUES = {
-    "swap": {"h_d": (3,)},
-    "truth": {"rot": (3, 3), "cols": (3, 3)},
-    "surface": {"rot": (3, 3)},
-    "fk_rot": {"rot": (3, 3)},
-    "fk_pos": {"hp": (3,)},
-    "imu": {"gyro": (3,), "accel": (3,), "contact_vel": (3,)},
+# Per kind, its file fields after "kind", in file order, with the shape of
+# one record's value (rotations are 9 row-major reals): the columns of a
+# Stream, whose truth stance is held as an index into STANCES.
+_FIELDS = {
+    "swap": {"t": (), "h_d": (3,)},
+    "truth": {"t": (), "rot": (3, 3), "vel": (3,), "pos": (3,), "foot": (3,),
+              "stance": ()},
+    "surface": {"t": (), "rot": (3, 3)},
+    "fk_rot": {"t": (), "rot": (3, 3)},
+    "fk_pos": {"t": (), "hp": (3,)},
+    "imu": {"t": (), "dt": (), "gyro": (3,), "accel": (3,), "contact_vel": (3,)},
 }
-# Columns every stream of a stack shares: the record layout.
-_LAYOUT = {"swap": ("t",), "truth": ("t", "stance"), "surface": ("t",),
-           "fk_rot": ("t",), "fk_pos": ("t",), "imu": ("t", "dt")}
-
-
-def _field(rec: StreamRecord, name: str):
-    if name == "stance":
-        return STANCES.index(rec.stance)
-    if isinstance(rec, TruthSample) and name != "t":
-        return getattr(rec.element, name)
-    return getattr(rec, name)
+# The record class and value column of each kind whose record is (t, value).
+_PAIRS = {SWAP: (SwapEvent, "h_d"), SURFACE: (SurfacePose, "rot"),
+          FK_ROT: (FkOrientation, "rot"), FK_POS: (FkPosition, "hp")}
+_STANCE_CODE = {s.value: code for code, s in enumerate(STANCES)}
+# JSON integers are read as floats; NaN and Infinity are rejected as non-finite.
+_DECODER = json.JSONDecoder(parse_int=float)
+_BLOCK = 4096  # records of a kind parsed before they are converted to arrays
 
 
 @dataclass(frozen=True)
@@ -237,11 +132,9 @@ class Stream:
     processing order. `columns[kind]` maps field names to arrays whose
     first axis runs over that kind's records: the layout columns `t`, the
     IMU `dt` and the truth `stance` (an index into STANCES) are 1-D; value
-    columns (`gyro`, `hp`, truth `rot` and `cols`, ...) may carry a stream
-    axis next, when `stack` has put several streams with the same layout
-    side by side. Iterating yields the records in order (for a stack, each
-    holds the values of every stream). Building one checks that the IMU
-    intervals tile time.
+    columns (`gyro`, `hp`, `rot`, ...) may carry a stream axis next, when
+    `stack` has put several streams with the same layout side by side.
+    Building one checks that the IMU intervals tile time.
     """
 
     kinds: np.ndarray
@@ -261,21 +154,6 @@ class Stream:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def __iter__(self):
-        for code, k in self.index():
-            yield self.record(code, k)
-
-    def count(self, kind: str) -> int:
-        return len(self.columns[kind]["t"])
-
-    def index(self):
-        """(kind code, index among records of that kind) for every record."""
-        within = np.empty(len(self.kinds), dtype=np.int64)
-        for code in range(len(KINDS)):
-            mask = self.kinds == code
-            within[mask] = np.arange(np.count_nonzero(mask))
-        return zip(self.kinds.tolist(), within.tolist())
-
     def record(self, code: int, k: int, **extra) -> StreamRecord:
         """Record `k` of kind `code` (extra fields go to an ImuStep)."""
         c = self.columns[KINDS[code]]
@@ -283,39 +161,15 @@ class Stream:
         if code == IMU:
             return ImuStep(t, float(c["dt"][k]), c["gyro"][k], c["accel"][k],
                            c["contact_vel"][k], **extra)
-        if code == FK_POS:
-            return FkPosition(t, c["hp"][k])
-        if code == FK_ROT:
-            return FkOrientation(t, c["rot"][k])
-        if code == SURFACE:
-            return SurfacePose(t, c["rot"][k])
-        if code == SWAP:
-            return SwapEvent(t, c["h_d"][k])
-        return TruthSample(t, GroupElement(c["rot"][k], c["cols"][k]),
-                           STANCES[c["stance"][k]])
+        if code == TRUTH:
+            element = GroupElement(c["rot"][k], np.stack(
+                [c["vel"][k], c["pos"][k], c["foot"][k]], axis=-1))
+            return TruthSample(t, element, STANCES[c["stance"][k]])
+        cls, name = _PAIRS[code]
+        return cls(t, c[name][k])
 
     @classmethod
-    def from_records(cls, records: Iterable[StreamRecord]) -> "Stream":
-        """The columns of a record sequence (the record view's inverse)."""
-        codes: list[int] = []
-        rows: dict[str, list] = {kind: [] for kind in KINDS}
-        for rec in records:
-            code = _CODE[type(rec)]
-            codes.append(code)
-            rows[KINDS[code]].append(rec)
-        columns = {}
-        for kind, recs in rows.items():
-            col = {name: np.array([_field(r, name) for r in recs],
-                                  dtype=int if name == "stance" else float)
-                   for name in _LAYOUT[kind]}
-            for name, shape in _VALUES[kind].items():
-                col[name] = np.array([_field(r, name) for r in recs],
-                                     dtype=float).reshape((len(recs),) + shape)
-            columns[kind] = col
-        return cls(np.array(codes, dtype=np.int8), columns)
-
-    @classmethod
-    def stack(cls, streams: Iterable["Stream"], count: int) -> "Stream":
+    def stack(cls, streams: Iterable[Stream], count: int) -> Stream:
         """`count` streams with one record layout, side by side on a stream axis.
 
         Each stream's values are copied in as it arrives, so a generator
@@ -325,19 +179,158 @@ class Stream:
         for i, stream in enumerate(streams):
             if columns is None:
                 first = stream
-                columns = {kind: {name: stream.columns[kind][name] for name in names}
-                           for kind, names in _LAYOUT.items()}
-                for kind, values in _VALUES.items():
-                    for name, shape in values.items():
-                        n = len(stream.columns[kind]["t"])
-                        columns[kind][name] = np.empty((n, count) + shape)
+                columns = {kind: {name: col if col.ndim == 1 else
+                                  np.empty((len(col), count) + col.shape[1:])
+                                  for name, col in c.items()}
+                           for kind, c in stream.columns.items()}
             elif not (np.array_equal(stream.kinds, first.kinds) and all(
-                    np.array_equal(stream.columns[kind][name], columns[kind][name])
-                    for kind, names in _LAYOUT.items() for name in names)):
+                    np.array_equal(col, columns[kind][name])
+                    for kind, c in stream.columns.items()
+                    for name, col in c.items() if col.ndim == 1)):
                 raise ValueError("streams to stack differ in record layout")
-            for kind, values in _VALUES.items():
-                for name in values:
-                    columns[kind][name][:, i] = stream.columns[kind][name]
+            for kind, c in stream.columns.items():
+                for name, col in c.items():
+                    if col.ndim > 1:
+                        columns[kind][name][:, i] = col
         if columns is None or i + 1 != count:
             raise ValueError(f"expected {count} streams to stack")
         return cls(first.kinds, columns)
+
+
+def _first_bad(ok, lines, message) -> None:
+    """StreamFormatError for the first False of `ok`, naming its line."""
+    bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
+    if len(bad):
+        raise StreamFormatError(message(bad[0]), lines[bad[0]])
+
+
+def _numbers(values: list, shape: tuple, lines, name: str) -> np.ndarray:
+    """One field of every record of a kind, as an array (len(values),) + shape.
+
+    Each value must be a finite JSON number (not true or false), or for a
+    shape a list of math.prod(shape) of them; types are checked record by
+    record only to find the line of a bad one.
+    """
+    n = math.prod(shape)
+    what = f"a list of {n} finite numbers" if shape else "a finite number"
+
+    def message(i):
+        return f"field {name!r} must be {what}, got {values[i]!r}"
+
+    ok = not shape or (set(map(type, values)) <= {list}
+                       and set(map(len, values)) <= {n})
+    flat = list(chain.from_iterable(values)) if shape and ok else values
+    if not (ok and set(map(type, flat)) <= {float}):
+        _first_bad([(type(v) is list and len(v) == n
+                     and all(type(x) is float for x in v)) if shape
+                    else type(v) is float for v in values], lines, message)
+    out = np.array(flat, dtype=float).reshape((len(values),) + shape)
+    _first_bad(np.isfinite(out.reshape(len(values), n)).all(axis=1), lines, message)
+    return out
+
+
+def _block(kind: str, fields: list, lines) -> dict:
+    """A block of a kind's records as arrays, from a value list per file field."""
+    block = {}
+    for (name, shape), values in zip(_FIELDS[kind].items(), fields):
+        if name != "stance":
+            block[name] = _numbers(values, shape, lines, name)
+            continue
+        codes = [_STANCE_CODE.get(v) if type(v) is str else None for v in values]
+        _first_bad([c is not None for c in codes], lines,
+                   lambda i: f"bad stance {values[i]!r}")
+        block[name] = np.array(codes, dtype=int)
+    return block
+
+
+def _columns(kind: str, blocks: list, lines) -> dict:
+    """The checked columns of a kind, joined from its blocks."""
+    columns = {name: np.concatenate([block[name] for block in blocks])
+               for name in _FIELDS[kind]}
+    if "rot" in columns:
+        defect, det = rotation_defect(columns["rot"]), np.linalg.det(columns["rot"])
+        _first_bad((defect <= ROT_TOL) & (det > 0.0), lines, lambda i: (
+            f"field 'rot' is not a rotation: |R^T R - I|_F = {defect[i]:.3g} "
+            f"(at most {ROT_TOL:g}), det = {det[i]:.3g}"))
+    _first_bad(np.diff(columns["t"], prepend=-np.inf) > 0.0, lines,
+               lambda i: f"non-increasing timestamp for kind {kind!r}")
+    return columns
+
+
+def read_jsonl(path) -> Stream:
+    """Parse a stream file into columns.
+
+    Every field is checked (see the module docstring); a StreamFormatError
+    names the line of a bad record. Records are converted to arrays
+    _BLOCK at a time, so few parsed values are held at once.
+    """
+    decode = _DECODER.decode
+    kinds = array("b")
+    lines = {kind: array("l") for kind in KINDS}  # the line of each record
+    pending = {kind: [[] for _ in fields] for kind, fields in _FIELDS.items()}
+    blocks = {kind: [] for kind in KINDS}
+
+    def convert(kind):
+        fields, n = pending[kind], len(pending[kind][0])
+        blocks[kind].append(_block(kind, fields, lines[kind][len(lines[kind]) - n:]))
+        pending[kind] = [[] for _ in fields]
+
+    with open(path) as fh:
+        for line_no, text in enumerate(fh, start=1):
+            try:
+                d = decode(text)
+            except ValueError as exc:
+                if not text.strip():
+                    continue
+                raise StreamFormatError(f"invalid JSON: {exc}", line_no) from exc
+            kind = d.get("kind") if isinstance(d, dict) else None
+            if not isinstance(kind, str) or kind not in _FIELDS:
+                raise StreamFormatError(f"unknown record kind {kind!r}", line_no)
+            try:
+                record = [d[name] for name in _FIELDS[kind]]
+            except KeyError as exc:
+                raise StreamFormatError(f"missing field {exc.args[0]!r}",
+                                        line_no) from None
+            fields = pending[kind]
+            for values, value in zip(fields, record):
+                values.append(value)
+            kinds.append(KINDS.index(kind))
+            lines[kind].append(line_no)
+            if len(fields[0]) == _BLOCK:
+                convert(kind)
+    for kind in KINDS:
+        convert(kind)
+    return Stream(np.array(kinds, dtype=np.int8),
+                  {kind: _columns(kind, blocks[kind], lines[kind]) for kind in KINDS})
+
+
+def _lines(kind: str, columns: dict):
+    """The file line of every record of a kind, as json.dumps writes it.
+
+    The values are checked first; the lines are made as they are taken.
+    """
+    parts, numbers = [f'{{"kind": "{kind}"'], []
+    for name, shape in _FIELDS[kind].items():
+        if name == "stance":
+            parts.append('"stance": "%s"')
+            continue
+        n = math.prod(shape)
+        value = "[" + ", ".join(["%r"] * n) + "]" if shape else "%r"
+        parts.append(f'"{name}": {value}')
+        numbers.append(columns[name].reshape(len(columns["t"]), n))
+    numbers = np.concatenate(numbers, axis=1)
+    if not np.all(np.isfinite(numbers)):
+        raise ValueError(f"non-finite {kind} value: JSON has no such number")
+    template = ", ".join(parts) + "}\n"
+    if kind != "truth":
+        return (template % tuple(row.tolist()) for row in numbers)
+    stances = [s.value for s in STANCES]
+    return (template % (*row.tolist(), stances[code])
+            for row, code in zip(numbers, columns["stance"].tolist()))
+
+
+def write_jsonl(stream: Stream, path) -> None:
+    """Write a stream as JSON Lines, one line per record in stream order."""
+    lines = [_lines(kind, stream.columns[kind]) for kind in KINDS]
+    with open(path, "w") as fh:
+        fh.writelines(next(lines[code]) for code in stream.kinds.tolist())

@@ -7,9 +7,11 @@ from scipy.linalg import logm
 from drs_inekf.liegroup import (
     GroupElement,
     _gamma_coeffs,
+    _left_jacobian_inv,
+    _tangent_cols,
     adjoint,
     compose,
-    from_embedded,
+    dot,
     gamma0_and_applied,
     hat,
     inverse,
@@ -17,8 +19,9 @@ from drs_inekf.liegroup import (
     sek3_exp,
     sek3_log,
 )
-from drs_inekf.models import GRAVITY, ImuStep, process_dynamics, state_transition
+from drs_inekf.models import GRAVITY, ImuStep, state_transition
 from drs_inekf.streams import (
+    KINDS,
     FkOrientation,
     FkPosition,
     SurfacePose,
@@ -30,6 +33,155 @@ from drs_inekf.streams import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# -- Lie-group, model and trajectory oracles ----------------------------------
+#
+# Helpers the package itself has no use for, kept here to state and check
+# its properties: the matrix embedding, the Lie algebra, the group-affine
+# dynamics and the analytic derivatives of the truth trajectory.
+
+def identity() -> GroupElement:
+    return GroupElement(np.eye(3), np.zeros((3, 3)))
+
+
+def group_element(rot, vel, pos, foot) -> GroupElement:
+    """The K = 3 estimator state from its rotation and three columns."""
+    return GroupElement(np.asarray(rot, dtype=float),
+                        np.stack([vel, pos, foot], axis=-1).astype(float))
+
+
+def embed(x: GroupElement) -> np.ndarray:
+    """(3+K) x (3+K) matrix embedding, over leading batch axes."""
+    n = 3 + x.k
+    m = np.zeros(x.rot.shape[:-2] + (n, n))
+    m[..., range(3, n), range(3, n)] = 1.0
+    m[..., :3, :3] = x.rot
+    m[..., :3, 3:] = x.cols
+    return m
+
+
+def from_embedded(m: np.ndarray) -> GroupElement:
+    return GroupElement(m[..., :3, :3].copy(), m[..., :3, 3:].copy())
+
+
+def is_close(a: GroupElement, b: GroupElement, tol: float = 1e-9) -> bool:
+    return (np.allclose(a.rot, b.rot, atol=tol)
+            and np.allclose(a.cols, b.cols, atol=tol))
+
+
+def algebra_hat(xi: np.ndarray) -> np.ndarray:
+    """Lie-algebra matrix of a tangent vector in the embedding."""
+    xi = np.asarray(xi, dtype=float)
+    k = (xi.shape[-1] - 3) // 3
+    m = np.zeros(xi.shape[:-1] + (3 + k, 3 + k))
+    m[..., :3, :3] = hat(xi[..., :3])
+    m[..., :3, 3:] = _tangent_cols(xi)
+    return m
+
+
+def so3_left_jacobian_inv(v: np.ndarray) -> np.ndarray:
+    """Inverse of the left Jacobian (the one sek3_log applies)."""
+    v = np.asarray(v, dtype=float)
+    return _left_jacobian_inv(v, np.sqrt(dot(v, v)))
+
+
+def process_dynamics(x: GroupElement, u: ImuStep) -> np.ndarray:
+    """Deterministic part of d/dt of the embedded state matrix."""
+    out = np.zeros((6, 6))
+    out[:3, :3] = x.rot @ hat(u.gyro)
+    out[:3, 3] = x.rot @ u.accel + GRAVITY
+    out[:3, 4] = x.vel
+    out[:3, 5] = u.contact_vel
+    return out
+
+
+def group_affine_residual(x1: GroupElement, x2: GroupElement, u: ImuStep,
+                          dynamics=process_dynamics) -> float:
+    """Frobenius norm of f(X1 X2) - f(X1) X2 - X1 f(X2) + X1 f(Id) X2.
+
+    Zero (to roundoff) iff the dynamics are group-affine. A different
+    `dynamics` callable can be passed to confirm the check has power.
+    """
+    m1, m2 = embed(x1), embed(x2)
+    lhs = dynamics(compose(x1, x2), u)
+    rhs = dynamics(x1, u) @ m2 + m1 @ dynamics(x2, u) - m1 @ dynamics(identity(), u) @ m2
+    return float(np.linalg.norm(lhs - rhs))
+
+
+def validate_noise(noise, tol: float = 1e-9) -> None:
+    """Raise ValueError unless every covariance of `noise` is symmetric PSD."""
+    for name in ("gyro_cov", "accel_cov", "contact_vel_cov",
+                 "fk_pos_cov", "surface_orient_cov", "jump_cov"):
+        m = getattr(noise, name)
+        if not np.allclose(m, m.T, atol=tol):
+            raise ValueError(f"{name} is not symmetric")
+        if np.min(np.linalg.eigvalsh(m)) < -tol:
+            raise ValueError(f"{name} is not positive semidefinite")
+
+
+def base_acc(truth, t):
+    """World acceleration of the base (analytic)."""
+    t = np.asarray(t, dtype=float)
+    (ax, wx, px), (ay, wy, py), (az, wz, pz) = truth._osc(t)
+    return np.stack([-ax * wx * wx * np.sin(wx * t + px),
+                     -ay * wy * wy * np.sin(wy * t + py),
+                     -az * wz * wz * np.sin(wz * t + pz)], axis=-1)
+
+
+def omega_body(truth, t):
+    """Body-frame angular velocity of the base (analytic)."""
+    t = np.asarray(t, dtype=float)
+    a, _ = truth._roll_pitch(t)
+    lean, w_sway, w_bob, ph = truth._lean, truth._w_sway, truth._w_bob, truth.phases
+    da = lean * w_sway * np.cos(w_sway * t + ph[3])
+    db = 0.5 * lean * w_bob * np.cos(w_bob * t + ph[4])
+    return np.stack([da, db * np.cos(a), -db * np.sin(a)], axis=-1)
+
+
+def surface_omega(truth, t):
+    """World angular velocity of the surface (analytic)."""
+    surf = truth.surf
+    out = np.zeros(np.shape(t) + (3,))
+    out[..., 1] = (surf.pitch_amplitude * surf.pitch_angular_freq
+                   * np.cos(surf.pitch_angular_freq * np.asarray(t, dtype=float)))
+    return out
+
+
+def foot_vel(truth, t, index: int):
+    """World velocity of a stance foot: omega_s x (d - pivot) + belt term."""
+    rs = truth.surface_rot(t)
+    arm = np.einsum("...ij,...j->...i", rs, truth._local(t, index))
+    belt = np.einsum("...ij,j->...i", rs, np.array([-truth.surf.belt_speed, 0.0, 0.0]))
+    return np.cross(surface_omega(truth, t), arm) + belt
+
+
+# -- streams -------------------------------------------------------------------
+
+def stream_records(stream):
+    """The records of a stream, in order (the view `StreamEstimator.fold` uses)."""
+    seen = [0] * len(KINDS)
+    records = []
+    for code in stream.kinds.tolist():
+        records.append(stream.record(code, seen[code]))
+        seen[code] += 1
+    return records
+
+
+def streams_equal(a, b) -> bool:
+    """Same record order and bitwise the same columns."""
+    return (np.array_equal(a.kinds, b.kinds) and a.columns.keys() == b.columns.keys()
+            and all(a.columns[kind].keys() == b.columns[kind].keys()
+                    and all(np.array_equal(col, b.columns[kind][name])
+                            for name, col in a.columns[kind].items())
+                    for kind in a.columns))
+
+
+def step_all(est, records):
+    """Route each record through `est.step`; the final state."""
+    for rec in records:
+        est.step(rec)
+    return est.state
 
 
 def random_element(rng, rot_scale: float = 1.0, col_scale: float = 1.0) -> GroupElement:
@@ -61,7 +213,7 @@ def so3_gammas(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def rk4_flow(x, u, h, substeps=10):
     """Integrate the embedded-matrix process ODE with constant input u."""
-    m = x.embed()
+    m = embed(x)
     hh = h / substeps
     for _ in range(substeps):
         k1 = process_dynamics(from_embedded(m), u)

@@ -25,14 +25,11 @@ from drs_inekf.filter import (
     Variant,
     apply_jump,
     error_vs_truth,
-    state_from_truth,
 )
-from drs_inekf.harness import TrialConfig, evaluate_gates, monte_carlo
+from drs_inekf.harness import TrialConfig, campaigns, evaluate_gates
 from drs_inekf.liegroup import (
     adjoint,
-    algebra_hat,
     compose,
-    identity,
     inverse,
     sek3_exp,
     sek3_log,
@@ -43,11 +40,9 @@ from drs_inekf.models import (
     ImuStep,
     NoiseParams,
     error_jacobian_A,
-    group_affine_residual,
     innovation,
     orientation_measurement,
     position_measurement,
-    process_dynamics,
 )
 from drs_inekf.sim import (
     GaitConfig,
@@ -59,10 +54,17 @@ from drs_inekf.sim import (
 from drs_inekf.streams import TruthSample
 
 from conftest import (
+    algebra_hat,
+    embed,
     fd_error_jacobian,
     fd_measurement_jacobian,
+    group_affine_residual,
+    identity,
+    is_close,
+    process_dynamics,
     random_element,
     random_imu,
+    stream_records,
 )
 
 JOBS = max(1, os.cpu_count() or 1)
@@ -82,8 +84,9 @@ def mc_results():
     static_surface = SurfaceConfig(pitch_amplitude=0.0)
     tcfg = TrialConfig(n_trials=100, master_seed=2024)
     started = time.time()
-    rocking, _ = monte_carlo(tcfg, gait, rocking_surface, noise, rates, jobs=JOBS)
-    static, _ = monte_carlo(tcfg, gait, static_surface, noise, rates, jobs=JOBS)
+    cfg = FilterConfig(noise=noise)
+    rocking, _ = campaigns(tcfg, gait, [rocking_surface], cfg, rates, jobs=JOBS)[0]
+    static, _ = campaigns(tcfg, gait, [static_surface], cfg, rates, jobs=JOBS)[0]
     wall = time.time() - started
     print(f"\n[info] Monte Carlo: 2 x {tcfg.n_trials} trials x "
           f"{gait.duration:.0f} s, jobs={JOBS}, wall {wall:.0f} s")
@@ -144,26 +147,26 @@ def test_criterion_3_lie_group_correctness(rng):
             so3_log(so3_exp(v)) - v)))
 
     worst_expm = max(
-        float(np.linalg.norm(sek3_exp(xi).embed() - expm(algebra_hat(xi))))
+        float(np.linalg.norm(embed(sek3_exp(xi)) - expm(algebra_hat(xi))))
         for xi in (rng.standard_normal(12) for _ in range(200)))
 
     worst_adjoint = 0.0
     for _ in range(200):
         x = random_element(rng)
         xi = rng.standard_normal(12)
-        lhs = x.embed() @ algebra_hat(xi) @ inverse(x).embed()
+        lhs = embed(x) @ algebra_hat(xi) @ embed(inverse(x))
         rhs = algebra_hat(adjoint(x) @ xi)
         worst_adjoint = max(worst_adjoint, float(np.linalg.norm(lhs - rhs)))
 
     worst_assoc = 0.0
     for _ in range(1000):
         a, b, c = (random_element(rng) for _ in range(3))
-        lhs = compose(compose(a, b), c).embed()
-        rhs = compose(a, compose(b, c)).embed()
+        lhs = embed(compose(compose(a, b), c))
+        rhs = embed(compose(a, compose(b, c)))
         worst_assoc = max(worst_assoc, float(np.linalg.norm(lhs - rhs)))
     x = random_element(rng)
-    ident_ok = (compose(x, identity()).is_close(x, tol=1e-15)
-                and compose(x, inverse(x)).is_close(identity(), tol=1e-12))
+    ident_ok = (is_close(compose(x, identity()), x, tol=1e-15)
+                and is_close(compose(x, inverse(x)), identity(), tol=1e-12))
 
     ok = (worst_roundtrip <= 1e-10 and worst_expm <= 1e-9
           and worst_adjoint <= 1e-11 and worst_assoc <= 1e-11 and ident_ok)
@@ -179,7 +182,7 @@ def test_criterion_3_lie_group_correctness(rng):
 
 
 def test_criterion_4_measurement_jacobians(rng):
-    noise = NoiseParams.zero()
+    noise = NoiseParams.from_scalars(0, 0, 0, 0, 0, 0)
     worst_orient = 0.0
     worst_pos = 0.0
     for _ in range(100):
@@ -241,10 +244,12 @@ def test_criterion_6_keystone_self_consistency():
     gait = GaitConfig()  # the default config: 30 s at 400 Hz IMU
     rates = Rates()
     truth = generate_truth(gait, SurfaceConfig(), seed=7)
-    records = synthesize_sensors(truth, NoiseParams.zero(), rates, seed=7)
+    records = stream_records(synthesize_sensors(
+        truth, NoiseParams.from_scalars(0, 0, 0, 0, 0, 0), rates, seed=7))
     first = next(r for r in records if isinstance(r, TruthSample))
-    est = StreamEstimator(state_from_truth(first, np.eye(12) * 1e-4),
-                          FilterConfig(noise=NoiseParams.from_scalars()))
+    start = State(first.element, np.eye(12) * 1e-4, first.t, first.stance)
+    est = StreamEstimator(start, FilterConfig(noise=NoiseParams.from_scalars()),
+                          (Variant.PROPOSED,))
     worst = np.zeros(12)
     worst_pos = worst_vel = 0.0
     for rec in records:

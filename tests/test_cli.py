@@ -60,6 +60,36 @@ BAD_VALUES = [
 ]
 
 
+def scaled_rot(d):
+    d["rot"] = [5.0 * x for x in d["rot"]]
+
+
+# One edit of the second record of a kind, and what the reader must say
+# about that line.
+BAD_RECORDS = [
+    ("nan-fk_pos-hp", "fk_pos", lambda d: d["hp"].__setitem__(0, float("nan")),
+     "field 'hp' must be a list of 3 finite numbers"),
+    ("nan-imu-t", "imu", lambda d: d.update(t=float("nan")),
+     "field 't' must be a finite number"),
+    ("bool-swap-t", "swap", lambda d: d.update(t=True),
+     "field 't' must be a finite number"),
+    ("scaled-fk_rot", "fk_rot", scaled_rot, "field 'rot' is not a rotation"),
+    ("scaled-surface", "surface", scaled_rot, "field 'rot' is not a rotation"),
+    ("scaled-truth-rot", "truth", scaled_rot, "field 'rot' is not a rotation"),
+    ("imu-without-dt", "imu", lambda d: d.pop("dt"), "missing field 'dt'"),
+]
+
+
+@pytest.fixture(scope="module")
+def sim_lines(tmp_path_factory):
+    """The lines of a 2.4 s stream (seed 3) and the config that made it."""
+    cfg = write_config(tmp_path_factory.mktemp("sim"), {"gait": {"duration": 2.4}})
+    stream = tmp_path_factory.mktemp("sim") / "s.jsonl"
+    assert main(["sim", "--config", cfg, "--seed", "3",
+                 "--out", str(stream)]) == EXIT_OK
+    return stream.read_text().splitlines(keepends=True)
+
+
 class TestSimCommand:
     def test_deterministic_output(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -208,6 +238,23 @@ class TestEstimateCommand:
         assert code == EXIT_DATA
         assert "imu gap at t=1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, edit, message",
+                             [case[1:] for case in BAD_RECORDS],
+                             ids=[case[0] for case in BAD_RECORDS])
+    def test_bad_value_exits_with_data_error(self, tmp_path, capsys, sim_lines,
+                                             kind, edit, message):
+        lines = list(sim_lines)
+        i = [j for j, line in enumerate(lines) if json.loads(line)["kind"] == kind][1]
+        record = json.loads(lines[i])
+        edit(record)
+        lines[i] = json.dumps(record) + "\n"
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("".join(lines))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert f"line {i + 1}: {message}" in capsys.readouterr().err
+
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"
         lines = [
@@ -258,6 +305,16 @@ class TestMonteCarloCommand:
         code = main(["montecarlo", "--config", cfg,
                      "--out", str(blocker / "mc")])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_config(self, tmp_path, capsys, jobs):
+        out = tmp_path / "mc"
+        code = main(["montecarlo", "--config", write_config(tmp_path, SMALL),
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: --jobs: must be >= 1, got {jobs}" in err
+        assert not out.exists()  # rejected before any work started
 
     def test_gate_failure_exits_four(self, tmp_path, capsys):
         # A static level surface cannot make yaw observable, so the

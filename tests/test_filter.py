@@ -20,8 +20,6 @@ from drs_inekf.liegroup import (
     GroupElement,
     adjoint,
     compose,
-    group_element,
-    identity,
     inverse,
     sek3_exp,
     sek3_log,
@@ -44,9 +42,18 @@ from drs_inekf.streams import (
     TruthSample,
 )
 
-from conftest import random_element, random_imu, rk4_flow
+from conftest import (
+    embed,
+    group_element,
+    identity,
+    random_element,
+    random_imu,
+    rk4_flow,
+    step_all,
+)
 
-ZERO = NoiseParams.zero()
+ZERO = NoiseParams.from_scalars(0, 0, 0, 0, 0, 0)
+PROPOSED = (Variant.PROPOSED,)
 
 
 def make_state(rng=None, cov_scale=1e-2):
@@ -86,7 +93,7 @@ class TestPropagate:
             u = random_imu(rng, t=k * 0.0025)
             s = propagate(s, u, ZERO)
             x_oracle = rk4_flow(x_oracle, u, u.dt, substeps=10)
-        assert np.linalg.norm(s.mean.embed() - x_oracle.embed()) < 1e-8
+        assert np.linalg.norm(embed(s.mean) - embed(x_oracle)) < 1e-8
 
     def test_rejects_bad_dt(self, rng):
         s = make_state(rng)
@@ -124,7 +131,7 @@ class TestUpdate:
         m = position_measurement(hp, xhat, NoiseParams.from_scalars())
         s = State(xhat, np.eye(12) * 0.1, 0.0)
         s2 = update(s, m, 1e-9)
-        assert np.linalg.norm(s2.mean.embed() - xhat.embed()) < 1e-12
+        assert np.linalg.norm(embed(s2.mean) - embed(xhat)) < 1e-12
         assert np.trace(s2.cov) < np.trace(s.cov)
 
     def test_scalar_slice_matches_textbook_gain(self):
@@ -158,7 +165,7 @@ class TestUpdate:
             delta = cov_oracle @ h.T @ np.linalg.inv(n_cov) @ z
             mean_oracle = compose(sek3_exp(delta), xhat)
             assert np.linalg.norm(s2.cov - cov_oracle) < 1e-9
-            assert np.linalg.norm(s2.mean.embed() - mean_oracle.embed()) < 1e-9
+            assert np.linalg.norm(embed(s2.mean) - embed(mean_oracle)) < 1e-9
 
     def test_huge_noise_leaves_mean_unchanged(self, rng):
         xhat = random_element(rng)
@@ -166,7 +173,7 @@ class TestUpdate:
         m = InvariantMeasurement(m.Y, m.b, m.H, np.eye(3) * 1e12)
         s = State(xhat, np.eye(12), 0.0)
         s2 = update(s, m, 1e-9)
-        assert np.linalg.norm(s2.mean.embed() - xhat.embed()) < 1e-6
+        assert np.linalg.norm(embed(s2.mean) - embed(xhat)) < 1e-6
 
     def test_degenerate_innovation_covariance_raises(self):
         m = InvariantMeasurement(np.zeros(6), np.zeros(6), np.zeros((3, 12)),
@@ -191,7 +198,7 @@ class TestApplyJump:
         s2 = apply_jump(s, JumpInput(np.zeros(3)), np.zeros((12, 12)))
         assert s2.stance_foot is StanceFoot.RIGHT
         assert np.array_equal(s2.cov, s.cov)
-        assert np.allclose(s2.mean.embed(), s.mean.embed(), atol=0.0)
+        assert np.allclose(embed(s2.mean), embed(s.mean), atol=0.0)
 
     def test_covariance_bit_identical_with_zero_noise(self, rng):
         s = make_state(rng)
@@ -256,7 +263,7 @@ class TestErrorVsTruth:
         est = random_element(rng)
         m = error_vs_truth(State(est, np.eye(12), 0.0), truth)
         rebuilt = compose(sek3_exp(m.xi), truth)
-        assert np.linalg.norm(rebuilt.embed() - est.embed()) < 1e-10
+        assert np.linalg.norm(embed(rebuilt) - embed(est)) < 1e-10
 
 
 def make_stream(rng, n_imu=40, kin_every=4):
@@ -279,19 +286,20 @@ def make_stream(rng, n_imu=40, kin_every=4):
 class TestStreamEstimator:
     def test_empty_stream_is_identity(self, rng):
         s = make_state(rng)
-        est = StreamEstimator(s, FilterConfig(noise=NoiseParams.from_scalars()))
-        assert est.run([]) is s
+        est = StreamEstimator(s, FilterConfig(noise=NoiseParams.from_scalars()),
+                              PROPOSED)
+        assert step_all(est, []) is s
 
     def test_propagation_only_equals_fold(self, rng):
         noise = NoiseParams.from_scalars()
         steps = [random_imu(rng, t=k * 0.0025) for k in range(100)]
         s = make_state(rng)
-        est = StreamEstimator(s, FilterConfig(noise=noise))
+        est = StreamEstimator(s, FilterConfig(noise=noise), PROPOSED)
         folded = s
         for u in steps:
             folded = propagate(folded, u, noise)
-        streamed = est.run(steps)
-        assert np.allclose(streamed.mean.embed(), folded.mean.embed(), atol=0.0)
+        streamed = step_all(est, steps)
+        assert np.allclose(embed(streamed.mean), embed(folded.mean), atol=0.0)
         assert np.array_equal(streamed.cov, folded.cov)
 
     def test_mixed_stream_equals_manual_sequencing(self, rng):
@@ -301,8 +309,8 @@ class TestStreamEstimator:
         s0 = make_state(rng)
 
         est = StreamEstimator(State(s0.mean, s0.cov.copy(), s0.t,
-                                    s0.stance_foot), cfg)
-        streamed = est.run(records)
+                                    s0.stance_foot), cfg, PROPOSED)
+        streamed = step_all(est, records)
 
         manual = State(s0.mean, s0.cov.copy(), s0.t, s0.stance_foot)
         surface = None
@@ -327,26 +335,29 @@ class TestStreamEstimator:
     def test_position_only_skips_orientation_updates(self, rng):
         records = make_stream(rng)
         s0 = make_state(rng)
-        base_cfg = FilterConfig(noise=NoiseParams.from_scalars(),
-                                variant=Variant.POSITION_ONLY)
-        est = StreamEstimator(State(s0.mean, s0.cov.copy(), 0.0), base_cfg)
+        base_cfg = FilterConfig(noise=NoiseParams.from_scalars())
+        position_only = (Variant.POSITION_ONLY,)
+        est = StreamEstimator(State(s0.mean, s0.cov.copy(), 0.0), base_cfg,
+                              position_only)
         with_orient = [r for r in records if not isinstance(r, FkOrientation)]
-        est2 = StreamEstimator(State(s0.mean, s0.cov.copy(), 0.0), base_cfg)
-        a = est.run(records)
-        b = est2.run(with_orient)
+        est2 = StreamEstimator(State(s0.mean, s0.cov.copy(), 0.0), base_cfg,
+                               position_only)
+        a = step_all(est, records)
+        b = step_all(est2, with_orient)
         assert np.array_equal(a.cov, b.cov)
-        assert np.allclose(a.mean.embed(), b.mean.embed(), atol=0.0)
+        assert np.allclose(embed(a.mean), embed(b.mean), atol=0.0)
 
     def test_out_of_order_raises(self, rng):
         est = StreamEstimator(make_state(rng),
-                              FilterConfig(noise=NoiseParams.from_scalars()))
+                              FilterConfig(noise=NoiseParams.from_scalars()), PROPOSED)
         est.step(random_imu(rng, t=0.0))
         with pytest.raises(FilterError, match="out-of-order"):
             est.step(FkPosition(-0.5, np.zeros(3)))
 
     def test_truth_records_pass_through(self, rng):
         s = make_state(rng)
-        est = StreamEstimator(s, FilterConfig(noise=NoiseParams.from_scalars()))
+        est = StreamEstimator(s, FilterConfig(noise=NoiseParams.from_scalars()),
+                              PROPOSED)
         out = est.step(TruthSample(0.0, random_element(rng), StanceFoot.LEFT))
         assert out is s
 
@@ -355,7 +366,7 @@ class TestStreamEstimator:
         cfg = FilterConfig(noise=noise,
                            update_schedule=UpdateSchedule.ON_CONTACT_ONLY)
         s0 = make_state(rng)
-        est = StreamEstimator(State(s0.mean, s0.cov.copy(), 0.0), cfg)
+        est = StreamEstimator(State(s0.mean, s0.cov.copy(), 0.0), cfg, PROPOSED)
         # first kinematic sample after init is used ...
         est.step(FkPosition(0.0, np.zeros(3)))
         cov_after_first = est.state.cov.copy()
@@ -383,7 +394,7 @@ class TestInvariantErrorPropagation:
             for u in steps:
                 sa = propagate(sa, u, ZERO)
                 sb = propagate(sb, u, ZERO)
-                errors.append(compose(sb.mean, inverse(sa.mean)).embed())
+                errors.append(embed(compose(sb.mean, inverse(sa.mean))))
             return errors
 
         ea = error_trajectory(random_element(rng))
@@ -409,7 +420,7 @@ class TestInvariantErrorPropagation:
             sa = propagate(sa, u, ZERO)
             sb = propagate(sb, u, ZERO)
         err = compose(sb.mean, inverse(sa.mean))
-        assert np.linalg.norm(err.embed() - g.embed()) < 1e-9
+        assert np.linalg.norm(embed(err) - embed(g)) < 1e-9
 
 
 class TestLongRunHygiene:
@@ -417,7 +428,7 @@ class TestLongRunHygiene:
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         cfg = FilterConfig(noise=noise)
         s = make_state(rng, cov_scale=0.05)
-        est = StreamEstimator(s, cfg)
+        est = StreamEstimator(s, cfg, PROPOSED)
         surf = so3_exp(np.array([0.0, 0.05, 0.0]))
         est.step(SurfacePose(0.0, surf))
         n_steps = 100_000

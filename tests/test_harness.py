@@ -9,7 +9,6 @@ from drs_inekf.harness import (
     campaigns,
     evaluate_gates,
     initial_covariance,
-    monte_carlo,
     nees,
     percentile_bands,
     run_trial,
@@ -20,11 +19,22 @@ from drs_inekf.harness import (
 from drs_inekf.liegroup import compose, sek3_exp
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from drs_inekf.streams import TRUTH
+from drs_inekf.streams import TRUTH, Stream
 
-from conftest import oracle_metric_rows
+from conftest import oracle_metric_rows, stream_records
 
 SHORT_GAIT = GaitConfig(duration=2.4)
+ZERO = NoiseParams.from_scalars(0, 0, 0, 0, 0, 0)
+
+
+def offset(seed, tcfg):
+    """The initial-error offset a trial with this seed starts from."""
+    return sample_initial_error(np.random.default_rng(seed), tcfg)
+
+
+def one_campaign(tcfg, surface, noise, jobs=1):
+    return campaigns(tcfg, SHORT_GAIT, [surface], FilterConfig(noise=noise), Rates(),
+                     jobs=jobs)[0]
 
 
 def short_stream(seed=1, noise=None, surface=None):
@@ -91,46 +101,50 @@ class TestRunTrial:
         records = short_stream()
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         tcfg = TrialConfig(n_trials=1)
-        configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
-        a = run_trial(records, tcfg, configs, trial_seed=77)
-        b = run_trial(records, tcfg, configs, trial_seed=77)
+        cfg = FilterConfig(noise=noise)
+        a = run_trial(records, tcfg, cfg, tcfg.variants, offset(77, tcfg))
+        b = run_trial(records, tcfg, cfg, tcfg.variants, offset(77, tcfg))
         for v in tcfg.variants:
             assert np.array_equal(a.series[v].values, b.series[v].values)
-        c = run_trial(records, tcfg, configs, trial_seed=78)
+        c = run_trial(records, tcfg, cfg, tcfg.variants, offset(78, tcfg))
         assert not np.array_equal(a.series[Variant.PROPOSED].values,
                                   c.series[Variant.PROPOSED].values)
 
     def test_zero_initial_error_zero_noise_stays_keystone_small(self):
-        records = short_stream(noise=NoiseParams.zero())
+        records = short_stream(noise=ZERO)
         tcfg = TrialConfig(n_trials=1, yaw_range_deg=0.0,
                            roll_pitch_range_deg=0.0, vel_range=0.0,
                            pos_range=0.0, foot_range=0.0)
         # nonzero assumed noise, noiseless data, exact start
         noise = NoiseParams.from_scalars()
-        configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
-        result = run_trial(records, tcfg, configs, trial_seed=5)
+        result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
+                           offset(5, tcfg))
         for v in tcfg.variants:
             series = result.series[v]
             for name in ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err"):
-                assert np.max(series.column(name)) < 1e-5
+                assert np.max(series.values[:, METRIC_NAMES.index(name)]) < 1e-5
 
     def test_metrics_timestamped_on_truth_grid(self):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
-        result = run_trial(records, tcfg, configs, trial_seed=1)
+        result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
+                           offset(1, tcfg))
         t = result.series[Variant.PROPOSED].t
         assert t[0] == 0.0
         assert np.allclose(np.diff(t), 0.01, atol=1e-12)
 
     def test_stream_without_truth_rejected(self):
-        records = [r for r in short_stream() if type(r).__name__ != "TruthSample"]
+        stream = short_stream()
+        truth = stream.columns["truth"]
+        no_truth = {name: col[:0] for name, col in truth.items()}
+        records = Stream(stream.kinds[stream.kinds != TRUTH],
+                         {**stream.columns, "truth": no_truth})
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams.from_scalars()
-        configs = {Variant.PROPOSED: FilterConfig(noise=noise)}
         with pytest.raises(ValueError, match="truth"):
-            run_trial(records, tcfg, configs, trial_seed=1)
+            run_trial(records, tcfg, FilterConfig(noise=noise), (Variant.PROPOSED,),
+                      offset(1, tcfg))
 
 
 class TestAggregation:
@@ -138,8 +152,8 @@ class TestAggregation:
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
-        result = run_trial(records, tcfg, configs, trial_seed=3)
+        result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
+                           offset(3, tcfg))
         report = aggregate([result])
         for v in tcfg.variants:
             for j, name in enumerate(METRIC_NAMES):
@@ -173,8 +187,8 @@ class TestAggregation:
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        configs = {v: FilterConfig(noise=noise, variant=v) for v in tcfg.variants}
-        results = [run_trial(records, tcfg, configs, trial_seed=s, trial_index=i)
+        cfg = FilterConfig(noise=noise)
+        results = [run_trial(records, tcfg, cfg, tcfg.variants, offset(s, tcfg), i)
                    for i, s in enumerate((1, 2, 3, 4, 5))]
         fwd = aggregate(results)
         rev = aggregate(results[::-1])
@@ -198,15 +212,15 @@ class TestYawConvergenceReferenceRun:
 
         gait = GaitConfig(duration=12.0)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        records = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 21),
-                                     noise, Rates(), 21)
+        records = stream_records(synthesize_sensors(
+            generate_truth(gait, SurfaceConfig(), 21), noise, Rates(), 21))
         first = next(r for r in records if isinstance(r, TruthSample))
         xi0 = np.zeros(12)
         xi0[2] = np.radians(30.0)
         mean0 = compose(sek3_exp(xi0), first.element)
         est = StreamEstimator(
             State(mean0, initial_covariance(TrialConfig()), first.t, first.stance),
-            FilterConfig(noise=noise, variant=Variant.PROPOSED))
+            FilterConfig(noise=noise), (Variant.PROPOSED,))
         last = None
         for rec in records:
             est.step(rec)
@@ -226,14 +240,13 @@ class TestLockstepEngine:
                                                    SurfaceConfig(), 4),
                                     noise, Rates(), 4)
         tcfg = TrialConfig(n_trials=1)
-        configs = {v: FilterConfig(noise=noise, variant=v, update_schedule=schedule)
-                   for v in tcfg.variants}
-        result = run_trial(stream, tcfg, configs, trial_seed=13)
-        xi0 = sample_initial_error(np.random.default_rng(13), tcfg)
+        cfg = FilterConfig(noise=noise, update_schedule=schedule)
+        xi0 = offset(13, tcfg)
+        result = run_trial(stream, tcfg, cfg, tcfg.variants, xi0)
         mean0 = compose(sek3_exp(xi0), stream.record(TRUTH, 0).element)
-        for variant, cfg in configs.items():
+        for variant in tcfg.variants:
             want = oracle_metric_rows(
-                stream, mean0, initial_covariance(tcfg), noise,
+                stream_records(stream), mean0, initial_covariance(tcfg), noise,
                 variant is Variant.PROPOSED,
                 schedule is UpdateSchedule.ON_CONTACT_ONLY, cfg.epsilon)
             got = result.series[variant].values
@@ -249,11 +262,9 @@ class TestMonteCarlo:
         # must be bitwise the same.
         tcfg = TrialConfig(n_trials=3, master_seed=9)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        serial, serial_results = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(),
-                                             noise, Rates(), jobs=1)
+        serial, serial_results = one_campaign(tcfg, SurfaceConfig(), noise, jobs=1)
         for jobs in (2, 3):
-            parallel, results = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(),
-                                            noise, Rates(), jobs=jobs)
+            parallel, results = one_campaign(tcfg, SurfaceConfig(), noise, jobs=jobs)
             for v in serial.bands:
                 for name in METRIC_NAMES:
                     assert np.array_equal(serial.bands[v][name],
@@ -268,9 +279,10 @@ class TestMonteCarlo:
         tcfg = TrialConfig(n_trials=2, master_seed=4)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
         surfaces = [SurfaceConfig(), SurfaceConfig(pitch_amplitude=0.0)]
-        together = campaigns(tcfg, SHORT_GAIT, surfaces, noise, Rates())
+        together = campaigns(tcfg, SHORT_GAIT, surfaces, FilterConfig(noise=noise),
+                             Rates())
         for surface, (_, results) in zip(surfaces, together):
-            _, apart = monte_carlo(tcfg, SHORT_GAIT, surface, noise, Rates())
+            _, apart = one_campaign(tcfg, surface, noise)
             for a, b in zip(results, apart):
                 for v in tcfg.variants:
                     assert np.array_equal(a.series[v].values, b.series[v].values)
@@ -278,9 +290,8 @@ class TestMonteCarlo:
     def test_gate_evaluation_structure(self):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        rocking, _ = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise, Rates())
-        static, _ = monte_carlo(tcfg, SHORT_GAIT,
-                                SurfaceConfig(pitch_amplitude=0.0), noise, Rates())
+        rocking, _ = one_campaign(tcfg, SurfaceConfig(), noise)
+        static, _ = one_campaign(tcfg, SurfaceConfig(pitch_amplitude=0.0), noise)
         gates = evaluate_gates(rocking, static)
         names = [g.name for g in gates]
         assert any("yaw-observability" in n for n in names)
@@ -290,8 +301,7 @@ class TestMonteCarlo:
     def test_csv_outputs(self, tmp_path):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
-        report, results = monte_carlo(tcfg, SHORT_GAIT, SurfaceConfig(), noise,
-                                      Rates())
+        report, results = one_campaign(tcfg, SurfaceConfig(), noise)
         agg = tmp_path / "aggregate.csv"
         write_aggregate_csv(agg, report)
         header = agg.read_text().splitlines()[0]

@@ -8,11 +8,9 @@ from drs_inekf import liegroup as lg
 from drs_inekf.liegroup import (
     GroupElement,
     adjoint,
-    algebra_hat,
     compose,
     gamma0_and_applied,
     hat,
-    identity,
     inverse,
     project_to_rotation,
     rotation_defect,
@@ -20,12 +18,20 @@ from drs_inekf.liegroup import (
     sek3_log,
     so3_exp,
     so3_left_jacobian,
-    so3_left_jacobian_inv,
     so3_log,
     vee,
 )
 
-from conftest import random_element, so3_gammas
+import conftest
+from conftest import (
+    algebra_hat,
+    embed,
+    identity,
+    is_close,
+    random_element,
+    so3_gammas,
+    so3_left_jacobian_inv,
+)
 
 
 class TestHat:
@@ -148,7 +154,7 @@ class TestSo3:
 class TestSek3:
     def test_exp_zero(self):
         x = sek3_exp(np.zeros(12))
-        assert x.is_close(identity(), tol=1e-15)
+        assert is_close(x, identity(), tol=1e-15)
 
     def test_zero_rotation_block_passes_columns_verbatim(self, rng):
         xi = np.zeros(12)
@@ -161,7 +167,7 @@ class TestSek3:
         for _ in range(300):
             xi = rng.standard_normal(12)
             dense = expm(algebra_hat(xi))
-            assert np.linalg.norm(sek3_exp(xi).embed() - dense) < 1e-9
+            assert np.linalg.norm(embed(sek3_exp(xi)) - dense) < 1e-9
 
     def test_log_roundtrip(self, rng):
         for _ in range(500):
@@ -173,15 +179,15 @@ class TestSek3:
         for _ in range(200):
             x1 = random_element(rng)
             x2 = random_element(rng)
-            dense = x1.embed() @ x2.embed()
-            assert np.linalg.norm(compose(x1, x2).embed() - dense) < 1e-12
-            assert np.linalg.norm(inverse(x1).embed()
-                                  - np.linalg.inv(x1.embed())) < 1e-12
+            dense = embed(x1) @ embed(x2)
+            assert np.linalg.norm(embed(compose(x1, x2)) - dense) < 1e-12
+            assert np.linalg.norm(embed(inverse(x1))
+                                  - np.linalg.inv(embed(x1))) < 1e-12
 
     def test_compose_with_inverse_is_identity(self, rng):
         x = random_element(rng)
-        assert compose(x, inverse(x)).is_close(identity(), tol=1e-12)
-        assert inverse(identity()).is_close(identity(), tol=1e-15)
+        assert is_close(compose(x, inverse(x)), identity(), tol=1e-12)
+        assert is_close(inverse(identity()), identity(), tol=1e-15)
 
     def test_inverse_structure(self, rng):
         x = random_element(rng)
@@ -194,10 +200,10 @@ class TestSek3:
             a, b, c = (random_element(rng) for _ in range(3))
             lhs = compose(compose(a, b), c)
             rhs = compose(a, compose(b, c))
-            assert np.linalg.norm(lhs.embed() - rhs.embed()) < 1e-11
+            assert np.linalg.norm(embed(lhs) - embed(rhs)) < 1e-11
         a = random_element(rng)
-        assert compose(a, identity()).is_close(a, tol=1e-15)
-        assert compose(identity(), a).is_close(a, tol=1e-15)
+        assert is_close(compose(a, identity()), a, tol=1e-15)
+        assert is_close(compose(identity(), a), a, tol=1e-15)
 
 
 class TestAdjoint:
@@ -216,7 +222,7 @@ class TestAdjoint:
         for _ in range(200):
             x = random_element(rng)
             xi = rng.standard_normal(12)
-            lhs = x.embed() @ algebra_hat(xi) @ inverse(x).embed()
+            lhs = embed(x) @ algebra_hat(xi) @ embed(inverse(x))
             rhs = algebra_hat(adjoint(x) @ xi)
             assert np.linalg.norm(lhs - rhs) < 1e-11
 
@@ -272,7 +278,8 @@ class TestBatched:
         v = angle_cases(rng)
         xi = np.concatenate([v, rng.standard_normal((len(v), 9))], axis=1)
         u = rng.standard_normal(v.shape)
-        fn = getattr(lg, name)
+        # algebra_hat and so3_left_jacobian_inv are test oracles.
+        fn = getattr(lg, name, None) or getattr(conftest, name)
         args = {"sek3_exp": (xi,), "algebra_hat": (xi,),
                 "gamma0_and_applied": (v, u)}.get(name, (v,))
         for shape in ((len(v),), (3, len(v) // 3)):
@@ -294,7 +301,7 @@ class TestBatched:
     def test_element_functions(self, rng, name):
         v = angle_cases(rng)
         x = GroupElement(so3_exp(v), rng.standard_normal((len(v), 3, 3)))
-        fn = (lambda e: e.embed()) if name == "embed" else getattr(lg, name)
+        fn = embed if name == "embed" else getattr(lg, name)
         for shape in ((len(v),), (3, len(v) // 3)):
             xs = GroupElement(x.rot.reshape(shape + (3, 3)),
                               x.cols.reshape(shape + (3, 3)))

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from drs_inekf.filter import FilterConfig, StreamEstimator, Variant, error_vs_truth, state_from_truth
+from drs_inekf.filter import (
+    FilterConfig,
+    State,
+    StreamEstimator,
+    Variant,
+    error_vs_truth,
+)
 from drs_inekf.liegroup import hat, rotation_defect, so3_exp
 from drs_inekf.models import ImuStep, NoiseParams
 from drs_inekf.sim import (
@@ -20,14 +26,24 @@ from drs_inekf.streams import (
     SurfacePose,
     SwapEvent,
     TruthSample,
-    record_to_dict,
 )
+
+from conftest import (
+    base_acc,
+    foot_vel,
+    omega_body,
+    stream_records,
+    streams_equal,
+    surface_omega,
+)
+
+ZERO = NoiseParams.from_scalars(0, 0, 0, 0, 0, 0)
 
 
 def surface_state(t, cfg):
     """(R_s, omega_s) of the surface at time t, from the truth trajectory."""
     truth = TruthTrajectory(GaitConfig(), cfg)
-    return truth.surface_rot(t), truth.surface_omega(t)
+    return truth.surface_rot(t), surface_omega(truth, t)
 
 
 class TestSurfaceState:
@@ -76,7 +92,7 @@ class TestTruthTrajectory:
         for _ in range(100):
             t = rng.uniform(0.0, 29.0)
             fd = (truth.base_vel(t + h) - truth.base_vel(t - h)) / (2 * h)
-            assert np.linalg.norm(fd - truth.base_acc(t)) < 1e-5
+            assert np.linalg.norm(fd - base_acc(truth, t)) < 1e-5
 
     def test_base_rotation_is_orthonormal_with_fixed_heading(self, rng):
         truth = generate_truth(GaitConfig(), SurfaceConfig(), seed=4)
@@ -95,22 +111,22 @@ class TestTruthTrajectory:
             fd = (truth.base_rot(t + h) - truth.base_rot(t - h)) / (2 * h)
             omega_world = fd @ r0.T
             body = r0.T @ omega_world @ r0
-            assert np.allclose(body, hat(truth.omega_body(t)), atol=1e-5)
+            assert np.allclose(body, hat(omega_body(truth, t)), atol=1e-5)
 
     def test_foot_velocity_matches_rigid_surface_motion(self, rng):
         truth = generate_truth(GaitConfig(), SurfaceConfig(belt_speed=0.1), seed=6)
         h = 1e-6
         for _ in range(200):
             t = rng.uniform(0.1, 29.9)
-            idx = truth.stance_index(t)
+            idx = int(t // truth.gait.step_period)
             fd = (truth.foot_pos(t + h, idx) - truth.foot_pos(t - h, idx)) / (2 * h)
-            analytic = truth.foot_vel(t, idx)
+            analytic = foot_vel(truth, t, idx)
             assert np.linalg.norm(fd - analytic) < 1e-6
             # omega x arm + belt decomposition
             arm = truth.foot_pos(t, idx) - truth.surf.pivot_vec
             belt = truth.surface_rot(t) @ np.array([-0.1, 0.0, 0.0])
             assert np.allclose(analytic,
-                               np.cross(truth.surface_omega(t), arm) + belt,
+                               np.cross(surface_omega(truth, t), arm) + belt,
                                atol=1e-12)
 
     def test_stance_foot_rigid_on_surface(self, rng):
@@ -135,7 +151,8 @@ class TestTruthTrajectory:
 
     def test_swap_times_grid(self):
         truth = generate_truth(GaitConfig(duration=3.0), SurfaceConfig(), 0)
-        assert np.allclose(truth.swap_times(), [0.6, 1.2, 1.8, 2.4])
+        stream = synthesize_sensors(truth, ZERO, Rates(), 0)
+        assert np.allclose(stream.columns["swap"]["t"], [0.6, 1.2, 1.8, 2.4])
 
 
 class TestSynthesizeSensors:
@@ -145,14 +162,14 @@ class TestSynthesizeSensors:
         a = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
         b = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
         c = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 10)
-        assert [record_to_dict(r) for r in a] == [record_to_dict(r) for r in b]
-        assert [record_to_dict(r) for r in a] != [record_to_dict(r) for r in c]
+        assert streams_equal(a, b)
+        assert not streams_equal(a, c)
 
     def test_static_robot_on_level_surface_imu(self):
         gait = GaitConfig(duration=0.6, sway_amplitude=0.0, bob_amplitude=0.0,
                           surge_amplitude=0.0, lean_amplitude_deg=0.0)
         truth = TruthTrajectory(gait, SurfaceConfig(pitch_amplitude=0.0))
-        records = synthesize_sensors(truth, NoiseParams.zero(), Rates(), 0)
+        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 0))
         imu = [r for r in records if isinstance(r, ImuStep)]
         for u in imu:
             assert np.allclose(u.gyro, 0.0, atol=1e-12)
@@ -160,18 +177,17 @@ class TestSynthesizeSensors:
             assert np.allclose(u.contact_vel, 0.0, atol=1e-12)
 
     def test_swaps_accompanied_by_truth(self):
-        records = synthesize_sensors(generate_truth(GaitConfig(duration=2.4),
-                                                    SurfaceConfig(), 2),
-                                     NoiseParams.zero(), Rates(), 2)
+        truth = generate_truth(GaitConfig(duration=2.4), SurfaceConfig(), 2)
+        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 2))
         swap_times = [r.t for r in records if isinstance(r, SwapEvent)]
         truth_times = {r.t for r in records if isinstance(r, TruthSample)}
         assert swap_times == [0.6, 1.2, 1.8]
         assert all(t in truth_times for t in swap_times)
 
     def test_per_kind_timestamps_strictly_increase(self):
-        records = synthesize_sensors(generate_truth(GaitConfig(duration=1.8),
-                                                    SurfaceConfig(), 2),
-                                     NoiseParams.from_scalars(), Rates(), 2)
+        records = stream_records(synthesize_sensors(
+            generate_truth(GaitConfig(duration=1.8), SurfaceConfig(), 2),
+            NoiseParams.from_scalars(), Rates(), 2))
         last = {}
         for rec in records:
             kind = type(rec).__name__
@@ -183,15 +199,15 @@ class TestSynthesizeSensors:
         with pytest.raises(ValueError, match="imu ticks"):
             synthesize_sensors(generate_truth(GaitConfig(step_period=0.1234),
                                               SurfaceConfig(), 0),
-                               NoiseParams.zero(), Rates(), 0)
+                               ZERO, Rates(), 0)
         with pytest.raises(ValueError, match="kinematics grid"):
             synthesize_sensors(generate_truth(GaitConfig(step_period=0.0175),
                                               SurfaceConfig(), 0),
-                               NoiseParams.zero(), Rates(imu_hz=400, kin_hz=100), 0)
+                               ZERO, Rates(imu_hz=400, kin_hz=100), 0)
 
     def test_noiseless_fk_consistency(self):
         truth = generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 3)
-        records = synthesize_sensors(truth, NoiseParams.zero(), Rates(), 3)
+        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 3))
         latest_truth = None
         latest_surface = None
         for rec in records:
@@ -212,10 +228,12 @@ class TestKeystone:
         # Abbreviated version of the acceptance keystone: 6 s instead of 30.
         gait = GaitConfig(duration=6.0)
         truth = generate_truth(gait, SurfaceConfig(), seed=11)
-        records = synthesize_sensors(truth, NoiseParams.zero(), Rates(), seed=11)
+        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), seed=11))
         first = next(r for r in records if isinstance(r, TruthSample))
-        est = StreamEstimator(state_from_truth(first, np.eye(12) * 1e-4),
-                              FilterConfig(noise=NoiseParams.from_scalars()))
+        start = State(first.element, np.eye(12) * 1e-4, first.t, first.stance)
+        est = StreamEstimator(start,
+                              FilterConfig(noise=NoiseParams.from_scalars()),
+                              (Variant.PROPOSED,))
         worst = 0.0
         terminal = None
         for rec in records:
@@ -231,11 +249,12 @@ class TestKeystone:
     def test_position_only_variant_also_consistent(self):
         gait = GaitConfig(duration=3.0)
         truth = generate_truth(gait, SurfaceConfig(), seed=12)
-        records = synthesize_sensors(truth, NoiseParams.zero(), Rates(), seed=12)
+        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), seed=12))
         first = next(r for r in records if isinstance(r, TruthSample))
-        est = StreamEstimator(state_from_truth(first, np.eye(12) * 1e-4),
-                              FilterConfig(noise=NoiseParams.from_scalars(),
-                                           variant=Variant.POSITION_ONLY))
+        start = State(first.element, np.eye(12) * 1e-4, first.t, first.stance)
+        est = StreamEstimator(start,
+                              FilterConfig(noise=NoiseParams.from_scalars()),
+                              (Variant.POSITION_ONLY,))
         for rec in records:
             est.step(rec)
             if isinstance(rec, TruthSample):

@@ -3,63 +3,111 @@ import json
 import numpy as np
 import pytest
 
-from drs_inekf.liegroup import group_element, so3_exp
-from drs_inekf.models import ImuStep
-from drs_inekf.streams import (
-    FkOrientation,
-    FkPosition,
-    StanceFoot,
-    StreamFormatError,
-    SurfacePose,
-    SwapEvent,
-    TruthSample,
-    read_jsonl,
-    record_from_dict,
-    record_to_dict,
-    write_jsonl,
+from drs_inekf.liegroup import so3_exp
+from drs_inekf.models import NoiseParams
+from drs_inekf.sim import (
+    GaitConfig,
+    Rates,
+    SurfaceConfig,
+    generate_truth,
+    synthesize_sensors,
 )
+from drs_inekf import streams
+from drs_inekf.streams import KINDS, StreamFormatError, read_jsonl, write_jsonl
+
+from conftest import streams_equal
 
 
 def sample_records(rng):
-    rot = so3_exp(rng.standard_normal(3))
-    element = group_element(rot, rng.standard_normal(3), rng.standard_normal(3),
-                            rng.standard_normal(3))
+    """File records of every kind with random values, as json.dumps takes them."""
+    rot = so3_exp(rng.standard_normal(3)).reshape(-1).tolist()
+
+    def vec():
+        return rng.standard_normal(3).tolist()
+
+    def imu(t):
+        return {"kind": "imu", "t": t, "dt": 0.0025, "gyro": vec(), "accel": vec(),
+                "contact_vel": vec()}
+
     return [
-        TruthSample(0.0, element, StanceFoot.LEFT),
-        SurfacePose(0.0, rot),
-        FkOrientation(0.0, rot),
-        FkPosition(0.0, rng.standard_normal(3)),
-        ImuStep(0.0, 0.0025, rng.standard_normal(3), rng.standard_normal(3),
-                rng.standard_normal(3)),
-        SwapEvent(0.6, rng.standard_normal(3)),
-        ImuStep(0.0025, 0.0025, rng.standard_normal(3), rng.standard_normal(3),
-                rng.standard_normal(3)),
+        {"kind": "truth", "t": 0.0, "rot": rot, "vel": vec(), "pos": vec(),
+         "foot": vec(), "stance": "left"},
+        {"kind": "surface", "t": 0.0, "rot": rot},
+        {"kind": "fk_rot", "t": 0.0, "rot": rot},
+        {"kind": "fk_pos", "t": 0.0, "hp": vec()},
+        imu(0.0),
+        {"kind": "swap", "t": 0.6, "h_d": vec()},
+        imu(0.0025),
     ]
 
 
+def write_records(path, records):
+    path.write_text("".join(json.dumps(d) + "\n" for d in records))
+    return path
+
+
 class TestRoundtrip:
-    def test_dict_roundtrip_preserves_values(self, rng):
-        for rec in sample_records(rng):
-            back = record_from_dict(record_to_dict(rec))
-            assert type(back) is type(rec)
-            assert back.t == rec.t
+    def test_dict_roundtrip_preserves_values(self, rng, tmp_path):
+        # Each record alone in a one-line file reads back with its kind,
+        # time and values, and is written back as the same line.
+        for d in sample_records(rng):
+            path = write_records(tmp_path / "one.jsonl", [d])
+            stream = read_jsonl(path)
+            assert stream.kinds.tolist() == [KINDS.index(d["kind"])]
+            assert stream.columns[d["kind"]]["t"].tolist() == [d["t"]]
+            write_jsonl(stream, tmp_path / "back.jsonl")
+            assert (tmp_path / "back.jsonl").read_text() == path.read_text()
 
     def test_file_roundtrip_is_exact(self, rng, tmp_path):
         records = sample_records(rng)
-        path = tmp_path / "stream.jsonl"
-        write_jsonl(records, path)
+        path = write_records(tmp_path / "stream.jsonl", records)
         back = read_jsonl(path)
         assert len(back) == len(records)
-        imu_in = [r for r in records if isinstance(r, ImuStep)]
-        imu_out = [r for r in back if isinstance(r, ImuStep)]
-        for a, b in zip(imu_in, imu_out):
-            # JSON float serialization round-trips doubles exactly
-            assert np.array_equal(a.gyro, b.gyro)
-            assert np.array_equal(a.accel, b.accel)
-        truth_in = records[0]
-        truth_out = back[0]
-        assert np.array_equal(truth_in.element.rot, truth_out.element.rot)
-        assert truth_out.stance is StanceFoot.LEFT
+        imu_in = [d for d in records if d["kind"] == "imu"]
+        imu_out = back.columns["imu"]
+        # JSON float serialization round-trips doubles exactly
+        assert np.array_equal(imu_out["gyro"], [d["gyro"] for d in imu_in])
+        assert np.array_equal(imu_out["accel"], [d["accel"] for d in imu_in])
+        truth = back.columns["truth"]
+        assert np.array_equal(truth["rot"].reshape(-1), records[0]["rot"])
+        assert np.array_equal(truth["vel"][0], records[0]["vel"])
+        assert truth["stance"].tolist() == [0]
+        write_jsonl(back, tmp_path / "again.jsonl")
+        assert (tmp_path / "again.jsonl").read_text() == path.read_text()
+
+    def test_sim_stream_round_trips_byte_exact(self, tmp_path):
+        # 1.2 s at the default rates holds every record kind, a swap too.
+        stream = synthesize_sensors(
+            generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 5),
+            NoiseParams.from_scalars(), Rates(), 5)
+        assert all(len(stream.columns[kind]["t"]) for kind in KINDS)
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_jsonl(stream, first)
+        back = read_jsonl(first)
+        assert streams_equal(back, stream)
+        write_jsonl(back, second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+    def test_blocks_join_and_keep_line_numbers(self, tmp_path, monkeypatch):
+        # The reader converts records to arrays a block at a time. With tiny
+        # blocks a stream still reads back exactly, and a bad value in a
+        # later block names its own line.
+        monkeypatch.setattr(streams, "_BLOCK", 7)
+        stream = synthesize_sensors(
+            generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 6),
+            NoiseParams.from_scalars(), Rates(), 6)
+        path = tmp_path / "s.jsonl"
+        write_jsonl(stream, path)
+        assert streams_equal(read_jsonl(path), stream)
+        lines = path.read_text().splitlines(keepends=True)
+        i = max(j for j, line in enumerate(lines) if json.loads(line)["kind"] == "imu")
+        record = json.loads(lines[i])
+        record["gyro"][1] = float("inf")
+        lines[i] = json.dumps(record) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(StreamFormatError, match=f"line {i + 1}: field 'gyro'"):
+            read_jsonl(path)
 
 
 class TestErrors:
@@ -87,17 +135,21 @@ class TestErrors:
             fh.write('{"kind": "surface", "t": 0.01, "rot": [1,0,0,0,1,0,0,0,1]}\n')
         assert len(read_jsonl(path)) == 2
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(StreamFormatError, match="unknown record kind"):
-            record_from_dict({"kind": "nope", "t": 0.0})
+    def test_unknown_kind_rejected(self, tmp_path):
+        path = write_records(tmp_path / "bad.jsonl", [{"kind": "nope", "t": 0.0}])
+        with pytest.raises(StreamFormatError, match="line 1: unknown record kind"):
+            read_jsonl(path)
 
-    def test_wrong_vector_length_rejected(self):
-        with pytest.raises(StreamFormatError, match="hp"):
-            record_from_dict({"kind": "fk_pos", "t": 0.0, "hp": [1.0, 2.0]})
+    def test_wrong_vector_length_rejected(self, tmp_path):
+        path = write_records(tmp_path / "bad.jsonl",
+                             [{"kind": "fk_pos", "t": 0.0, "hp": [1.0, 2.0]}])
+        with pytest.raises(StreamFormatError, match="line 1: .*hp"):
+            read_jsonl(path)
 
-    def test_bad_stance_rejected(self):
+    def test_bad_stance_rejected(self, tmp_path):
         d = {"kind": "truth", "t": 0.0, "rot": [1, 0, 0, 0, 1, 0, 0, 0, 1],
              "vel": [0, 0, 0], "pos": [0, 0, 0], "foot": [0, 0, 0],
              "stance": "hopping"}
-        with pytest.raises(StreamFormatError, match="stance"):
-            record_from_dict(d)
+        path = write_records(tmp_path / "bad.jsonl", [d])
+        with pytest.raises(StreamFormatError, match="line 1: .*stance"):
+            read_jsonl(path)
