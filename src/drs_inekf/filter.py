@@ -3,9 +3,13 @@
 The mean lives on SE_3(3); the 12x12 covariance is expressed in
 right-invariant error coordinates xi = log(X_true @ X_hat^-1) with block
 order (xi_R, xi_v, xi_p, xi_d). Propagation uses closed-form zero-order-hold
-integration of the strapdown equations; the covariance transition matrix is
-constant, which is the point of the invariant construction. Corrections are
-applied by left multiplication: X_hat+ = exp(K z) X_hat.
+integration of the strapdown equations. The covariance transition
+Phi(tau) = exp(A tau) has a constant A, the point of the invariant
+construction, so Phi(a) Phi(b) = Phi(a + b) and a run of IMU intervals
+(starts t_i, lengths dt_i, T in all, ending at t_end; Ad_i the adjoint of
+the mean at t_i) takes one covariance step: cov+ = Phi(T) cov Phi(T)^T +
+sum_i Phi(t_end - t_i) Ad_i Qc dt_i Ad_i^T Phi(t_end - t_i)^T. Corrections
+are applied by left multiplication: X_hat+ = exp(K z) X_hat.
 
 The proposed estimator fuses the foot-position kinematic measurement and
 the surface-normal orientation measurement; the position-only baseline
@@ -55,6 +59,7 @@ from .models import (
 from .streams import (
     IMU,
     KINDS,
+    MAX_IMU_DT,
     TIME_TOL,
     TRUTH,
     FkOrientation,
@@ -67,9 +72,9 @@ from .streams import (
     TruthSample,
 )
 
-MAX_IMU_DT = 0.1
 _ORTHO_TOL = 1e-9
 _TERMS_BLOCK = 512  # IMU intervals whose integration terms are computed together
+_IMU_INPUTS = ("t", "dt", "gyro", "accel", "contact_vel")  # ImuStep fields
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 _EYE12 = np.eye(12)
@@ -163,37 +168,40 @@ def imu_terms(t, dt, gyro, accel, contact_vel):
 
 
 def propagate(s: State, u: ImuStep, noise: NoiseParams,
-              phi: np.ndarray | None = None,
-              qc: np.ndarray | None = None) -> State:
-    """Advance mean and covariance over u.dt with zero-order-hold inputs.
+              phi: np.ndarray | None = None) -> State:
+    """Advance mean and covariance over u, one interval or a run of them.
 
-    Mean integration is exact for constant inputs (`imu_terms`, taken from
-    u.terms when they were computed ahead); the covariance step is
-    cov+ = Phi (cov + Ad Qc Ad^T dt) Phi^T, the process noise mapped into
-    invariant coordinates through the adjoint Ad of the mean.
+    The mean takes one exact zero-order-hold step per interval (`imu_terms`,
+    or u.terms computed ahead), re-projected when it drifts off rotations.
+    The covariance takes one: cov+ = Phi(T) cov Phi(T)^T + sum_i G_i Qc dt_i
+    G_i^T, G_i = Phi(t_end - t_i) Ad_i maps interval i's process noise into
+    invariant coordinates (Ad_i: adjoint of the mean at its start t_i).
+    phi, when given, holds Phi(t_end - t_i) per interval.
     """
-    dt = u.dt
-    body, shift, offset = u.terms or imu_terms(u.t, dt, u.gyro, u.accel,
-                                               u.contact_vel)
-    rotated = s.mean.rot @ body
-    rot_new = rotated[..., :3]
-    # Every member is within tolerance when no entry of R^T R - I exceeds
-    # a third of it (the Frobenius norm is at most 3 times that).
-    defect = _T(rot_new) @ rot_new - _EYE3
-    if np.abs(defect).max() > _ORTHO_TOL / 3.0:
-        drifted = rotation_defect(rot_new) > _ORTHO_TOL
-        rot_new = np.where(drifted[..., None, None], project_to_rotation(rot_new),
-                           rot_new)
-    cols = rotated[..., 3:] + s.mean.cols @ shift + offset
-
-    if phi is None:
-        phi = state_transition(dt)
-    if qc is None:
-        qc = noise.process_cov()
-    ad = adjoint(s.mean)
-    cov = _symmetrize(phi @ (s.cov + ad @ (qc * dt) @ _T(ad)) @ phi.T)
-
-    return State(GroupElement(rot_new, cols), cov, s.t + dt, s.stance_foot)
+    run = [np.asarray(getattr(u, name), dtype=float) for name in _IMU_INPUTS]
+    if not run[1].ndim:  # a single interval is a run of one
+        run = [x[None] for x in run]
+    dt = run[1]
+    body, shift, offset = u.terms or imu_terms(*run)
+    rot, cols, clock = s.mean.rot, s.mean.cols, s.t
+    starts = GroupElement(*(np.empty(dt.shape + x.shape) for x in (rot, cols)))
+    for i, h in enumerate(dt.tolist()):
+        starts.rot[i], starts.cols[i] = rot, cols
+        rotated = rot @ body[i]
+        rot = rotated[..., :3]
+        # Every member is within tolerance when no entry of R^T R - I
+        # exceeds a third of it (the Frobenius norm is at most 3 times that).
+        if np.abs(_T(rot) @ rot - _EYE3).max() > _ORTHO_TOL / 3.0:
+            drifted = rotation_defect(rot) > _ORTHO_TOL
+            rot = np.where(drifted[..., None, None], project_to_rotation(rot), rot)
+        cols = rotated[..., 3:] + cols @ shift[i] + offset[i]
+        clock += h
+    phi = state_transition(np.cumsum(dt[::-1])[::-1]) if phi is None else phi
+    lead = dt.shape + (1,) * (s.cov.ndim - 2)
+    g = phi.reshape(lead + (12, 12)) @ adjoint(starts)
+    noise_cov = (g @ (noise.process_cov() * dt.reshape(lead + (1, 1))) @ _T(g)).sum(0)
+    cov = _symmetrize(phi[0] @ s.cov @ phi[0].T + noise_cov)
+    return State(GroupElement(rot, cols), cov, clock, s.stance_foot)
 
 
 def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
@@ -237,13 +245,9 @@ def _on_rows(s: State, rows: slice, step) -> State:
         return step(s)
     part = step(State(GroupElement(s.mean.rot[rows], s.mean.cols[rows]),
                       s.cov[rows], s.t, s.stance_foot))
-
-    def merged(full, new):
-        return np.concatenate([full[:rows.start], new, full[rows.stop:]])
-
-    return State(GroupElement(merged(s.mean.rot, part.mean.rot),
-                              merged(s.mean.cols, part.mean.cols)),
-                 merged(s.cov, part.cov), part.t, part.stance_foot)
+    rot, cols, cov = s.mean.rot.copy(), s.mean.cols.copy(), s.cov.copy()
+    rot[rows], cols[rows], cov[rows] = part.mean.rot, part.mean.cols, part.cov
+    return State(GroupElement(rot, cols), cov, part.t, part.stance_foot)
 
 
 @dataclass
@@ -297,8 +301,7 @@ class StreamEstimator:
         self.state = initial
         self.cfg = cfg
         self.surface_rot: np.ndarray | None = None
-        self._phi_cache: dict[float, np.ndarray] = {}
-        self._qc = cfg.noise.process_cov()
+        self._phi_cache: dict[bytes, np.ndarray] = {}  # run dt -> Phi(t_end - t_i)
         self._contact_fresh = True
         # Members that take orientation updates: all, none, or one row.
         self._orient_rows = None
@@ -308,28 +311,29 @@ class StreamEstimator:
             row = variants.index(Variant.PROPOSED)
             self._orient_rows = slice(row, row + 1)
 
-    def _phi(self, dt: float) -> np.ndarray:
-        phi = self._phi_cache.get(dt)
-        if phi is None:
-            phi = state_transition(dt)
-            self._phi_cache[dt] = phi
-        return phi
+    def _phi(self, dt) -> np.ndarray:
+        dt = np.atleast_1d(dt)
+        key = dt.tobytes()
+        if key not in self._phi_cache:
+            self._phi_cache[key] = state_transition(np.cumsum(dt[::-1])[::-1])
+        return self._phi_cache[key]
 
     def _updates_enabled(self) -> bool:
         if self.cfg.update_schedule is UpdateSchedule.EVERY_STEP:
             return True
         return self._contact_fresh
 
-    def step(self, event: StreamRecord) -> State:
-        """Route one stream record; returns the (possibly unchanged) state."""
-        if event.t < self.state.t - TIME_TOL:
-            raise FilterError(
-                f"out-of-order record at t={event.t} (filter at t={self.state.t})")
+    def _check_time(self, t: float) -> None:
+        if t < self.state.t - TIME_TOL:
+            raise FilterError(f"out-of-order record at t={t} (filter at t={self.state.t})")
 
+    def step(self, event: StreamRecord) -> State:
+        """Route one record or IMU run; returns the (possibly unchanged) state."""
+        self._check_time(event.t if np.isscalar(event.t) else event.t[0])
         noise, epsilon = self.cfg.noise, self.cfg.epsilon
         if isinstance(event, ImuStep):
             self.state = propagate(self.state, event, noise,
-                                   phi=self._phi(event.dt), qc=self._qc)
+                                   phi=self._phi(event.dt))
         elif isinstance(event, SurfacePose):
             self.surface_rot = event.rot
         elif isinstance(event, FkOrientation):
@@ -353,27 +357,31 @@ class StreamEstimator:
         return self.state
 
     def fold(self, stream: Stream):
-        """Route every record of a columnar stream through `step`, in order.
+        """Route a columnar stream through `step`, each IMU run at once.
 
-        A generator: yields each truth sample right after routing it, while
-        the state is the estimate at that time. The IMU integration terms,
-        which depend on the inputs only, are computed ahead along the time
-        axis, _TERMS_BLOCK intervals at a time for every stream of a stack.
+        A generator: yields the index of each truth sample (not routed)
+        while the state is the estimate at its time. A run of consecutive
+        IMU records is one ImuStep of at most _TERMS_BLOCK intervals, whose
+        integration terms are computed ahead _TERMS_BLOCK intervals at once.
         """
-        imu, seen = stream.columns["imu"], [0] * len(KINDS)
-        for code in stream.kinds.tolist():
-            k = seen[code]
-            seen[code] += 1
-            if code == IMU:
-                j = k % _TERMS_BLOCK
-                if j == 0:
-                    ticks = slice(k, k + _TERMS_BLOCK)
-                    terms = imu_terms(*(imu[name][ticks] for name in (
-                        "t", "dt", "gyro", "accel", "contact_vel")))
-                rec = stream.record(code, k, terms=tuple(x[j] for x in terms))
-            else:
-                rec = stream.record(code, k)
-            self.step(rec)
-            if code == TRUTH:
-                yield rec
-
+        imu, kinds = stream.columns["imu"], stream.kinds
+        edges = np.flatnonzero(np.diff(kinds, prepend=-1, append=-1))  # kind runs
+        seen, end = [0] * len(KINDS), 0  # end: first interval without terms
+        for first, stop in zip(map(int, edges[:-1]), map(int, edges[1:])):
+            code = int(kinds[first])
+            k, seen[code] = seen[code], seen[code] + stop - first
+            if code != IMU:
+                for i in range(k, seen[code]):
+                    if code == TRUTH:
+                        self._check_time(stream.columns["truth"]["t"][i])
+                        yield i
+                    else:
+                        self.step(stream.record(code, i))
+                continue
+            for a in range(k, seen[code], _TERMS_BLOCK):
+                b = min(a + _TERMS_BLOCK, seen[code])
+                if b > end:
+                    start, end = a, a + _TERMS_BLOCK
+                    terms = imu_terms(*(imu[name][start:end] for name in _IMU_INPUTS))
+                self.step(ImuStep(*(imu[name][a:b] for name in _IMU_INPUTS),
+                                  terms=tuple(x[a - start:b - start] for x in terms)))

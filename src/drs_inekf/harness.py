@@ -29,6 +29,7 @@ METRIC_NAMES = ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err", "nees"
 # Metrics gated by the convergence checks; yaw is handled separately by
 # the observability dichotomy.
 CONVERGENCE_METRICS = ("roll_err", "pitch_err", "vel_err")
+_TRUTH_BLOCK = 64  # truth samples whose metrics are evaluated together
 
 
 @dataclass(frozen=True)
@@ -118,9 +119,10 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
     variant, the trial axis only for xi0 of shape (n, 12). So one variant of
     one such trial runs unbatched, as small numpy operations run fastest.
     Truth precedes the updates at its timestamp, so each metric row holds
-    the prior error there.
+    the prior error there; metrics are evaluated _TRUTH_BLOCK samples at once.
     """
-    t = stream.columns["truth"]["t"]
+    truth = stream.columns["truth"]
+    t = truth["t"]
     if not len(t):
         raise StreamFormatError("stream contains no truth records")
     first = stream.record(TRUTH, 0)
@@ -131,17 +133,25 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
                      np.broadcast_to(mean0.cols, batch + (3, 3)).copy()),
         np.broadcast_to(initial_covariance(tcfg), batch + (12, 12)).copy(),
         first.t, first.stance), cfg, variants)
-    rows = np.empty(batch + (len(t), len(METRIC_NAMES)))
-    for i, sample in enumerate(est.fold(stream)):
-        m = error_vs_truth(est.state, sample.element)
-        row = rows[..., i, :]
-        row[..., 0] = m.pos_err
-        row[..., 1] = m.vel_err
-        np.abs(m.roll_deg, out=row[..., 2])
-        np.abs(m.pitch_deg, out=row[..., 3])
-        np.abs(m.yaw_deg, out=row[..., 4])
-        row[..., 5] = nees(m.xi, est.state.cov, cfg.epsilon)
-    rows = rows.reshape((len(variants), len(indices)) + rows.shape[-2:])
+    rows = np.empty((len(t),) + batch + (len(METRIC_NAMES),))
+    rot, cols, cov = (np.empty((_TRUTH_BLOCK,) + batch + shape)
+                      for shape in ((3, 3), (3, 3), (12, 12)))
+    # Truth gets an axis for each batch axis before the stream's.
+    expand = (slice(None),) + (None,) * (len(batch) - truth["rot"].ndim + 3)
+    for i in est.fold(stream):
+        j = i % _TRUTH_BLOCK
+        rot[j], cols[j], cov[j] = est.state.mean.rot, est.state.mean.cols, est.state.cov
+        if j + 1 < _TRUTH_BLOCK and i + 1 < len(t):
+            continue
+        ticks, n = slice(i - j, i + 1), j + 1
+        m = error_vs_truth(State(GroupElement(rot[:n], cols[:n]), cov[:n], 0.0),
+                           GroupElement(truth["rot"][ticks][expand], np.stack(
+                               [truth[k][ticks] for k in ("vel", "pos", "foot")],
+                               axis=-1)[expand]))
+        rows[ticks] = np.stack([m.pos_err, m.vel_err, np.abs(m.roll_deg),
+                                np.abs(m.pitch_deg), np.abs(m.yaw_deg),
+                                nees(m.xi, cov[:n], cfg.epsilon)], axis=-1)
+    rows = np.moveaxis(rows, 0, -2).reshape((len(variants), len(indices), len(t), -1))
     return [TrialResult(index, {v: MetricSeries(t, rows[i, j])
                                 for i, v in enumerate(variants)})
             for j, index in enumerate(indices)]

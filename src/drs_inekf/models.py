@@ -42,13 +42,13 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 @dataclass(frozen=True)
 class ImuStep:
-    """Inputs for one propagation interval [t, t + dt].
+    """Inputs for one propagation interval [t, t + dt], or for a run of n.
 
     gyro/accel are body-frame raw IMU data; contact_vel is the world-frame
     linear velocity of the foot-surface contact area. The arrays may carry
-    leading stream axes (one interval of several streams in lockstep).
-    terms, when given, are the interval's integration terms computed
-    ahead, which depend on the inputs only (see `filter.imu_terms`).
+    leading stream axes (one interval of several streams in lockstep), after
+    a run axis of length n (t and dt then have shape (n,)). terms, when
+    given, are the integration terms computed ahead (`filter.imu_terms`).
     """
 
     t: float
@@ -204,7 +204,9 @@ def error_jacobian_A(contact_vel: np.ndarray | None = None) -> np.ndarray:
     Independent of the linearization state: gravity couples xi_R into xi_v
     and xi_v integrates into xi_p. A nonzero world-frame contact velocity
     additionally couples xi_R into xi_d (hat(contact_vel) block); the
-    filter's covariance propagation uses the constant input-free form.
+    filter's covariance propagation uses the constant input-free form: a run
+    of IMU intervals takes one step as Phi(a) Phi(b) = Phi(a + b). With the
+    input-dependent block, a run must multiply per-interval Phi instead.
     """
     a = np.zeros((12, 12))
     a[XI_V, XI_R] = hat(GRAVITY)
@@ -214,10 +216,11 @@ def error_jacobian_A(contact_vel: np.ndarray | None = None) -> np.ndarray:
     return a
 
 
-def state_transition(dt: float, a: np.ndarray | None = None) -> np.ndarray:
-    """Discrete transition exp(A dt); exact since A is nilpotent (A^3 = 0)."""
+def state_transition(dt, a: np.ndarray | None = None) -> np.ndarray:
+    """exp(A dt), exact as A^3 = 0; per entry of dt on leading axes."""
     if a is None:
         a = error_jacobian_A()
+    dt = np.asarray(dt, dtype=float)[..., None, None]
     return np.eye(12) + a * dt + 0.5 * (a @ a) * dt * dt
 
 

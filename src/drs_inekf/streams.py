@@ -9,11 +9,11 @@ One record per line, `{"kind": ..., "t": ...}` plus the kind's fields, all
 required: finite JSON numbers (not true or false), and rotations as 9
 row-major reals with |R^T R - I|_F <= ROT_TOL and det R > 0. Records of
 the same kind carry strictly increasing timestamps; the file order is the
-processing order expected by the filter. At equal timestamps the simulator
-writes swap, truth, surface, fk_rot, fk_pos, imu: truth follows the swap,
-so a jump and its evaluation sample pair up, and precedes the kinematic
-updates, so the errors recorded at a truth sample are prior errors. IMU
-intervals must tile time: each starts where the previous one ends.
+processing order expected by the filter. At equal timestamps, records go
+swap, truth, surface, fk_rot, fk_pos, imu: truth follows the swap, so a
+jump and its evaluation sample pair up, and precedes the kinematic updates,
+so the errors at a truth sample are prior errors. IMU intervals tile time
+(each starts where the previous one ends) with dt in (0, MAX_IMU_DT].
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .models import ImuStep
 TIME_TOL = 1e-9
 # Largest |R^T R - I|_F of a rotation read from a stream file.
 ROT_TOL = 1e-6
+MAX_IMU_DT = 0.1  # longest IMU interval, in seconds
 
 
 class StanceFoot(Enum):
@@ -46,10 +47,10 @@ class StanceFoot(Enum):
 
 
 class StreamFormatError(ValueError):
-    """Malformed or out-of-order stream data; carries the offending line."""
+    """Bad stream data; names its line (from a Stream: its `record` index)."""
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    def __init__(self, message: str, line: int | None = None, record=None):
+        self.line, self.record = line, record
         super().__init__(message if line is None else f"line {line}: {message}")
 
 
@@ -134,33 +135,47 @@ class Stream:
     IMU `dt` and the truth `stance` (an index into STANCES) are 1-D; value
     columns (`gyro`, `hp`, `rot`, ...) may carry a stream axis next, when
     `stack` has put several streams with the same layout side by side.
-    Building one checks that the IMU intervals tile time.
+    Building one checks the order at equal times and the IMU intervals.
     """
 
     kinds: np.ndarray
     columns: dict
 
     def __post_init__(self):
-        imu = self.columns["imu"]
-        t, end = imu["t"], imu["t"] + imu["dt"]
-        gaps = np.flatnonzero(np.abs(end[:-1] - t[1:]) > TIME_TOL)
-        if len(gaps):
-            i = gaps[0]
+        times, imu = np.empty(len(self.kinds)), self.columns["imu"]
+        for code, kind in enumerate(KINDS):
+            times[self.kinds == code] = self.columns[kind]["t"]
+        back = np.flatnonzero(np.diff(self.kinds) < 0)  # kind goes back in KINDS
+        swapped = back[np.abs(times[back + 1] - times[back]) <= TIME_TOL] + 1
+        t, dt, at = imu["t"], imu["dt"], np.flatnonzero(self.kinds == IMU)
+        bad_dt = ~((dt > 0.0) & (dt <= MAX_IMU_DT))
+        gap = np.abs(t[:-1] + dt[:-1] - t[1:]) > TIME_TOL
+        if len(swapped):
+            i = int(swapped[0])
             raise StreamFormatError(
-                f"imu gap at t={end[i]:.9g}: the imu interval from "
+                f"{KINDS[self.kinds[i]]} record at t={times[i]:.9g} after "
+                f"{KINDS[self.kinds[i - 1]]} at that time", record=i)
+        if np.any(bad_dt):
+            i = int(np.argmax(bad_dt))
+            raise StreamFormatError(f"imu record at t={t[i]:.9g}: dt {dt[i]:.9g} "
+                                    f"outside (0, {MAX_IMU_DT}]", record=at[i])
+        if np.any(gap):
+            i = int(np.argmax(gap))
+            raise StreamFormatError(
+                f"imu gap at t={t[i] + dt[i]:.9g}: the imu interval from "
                 f"t={t[i]:.9g} ends there, the next imu record starts at "
-                f"t={t[i + 1]:.9g}")
+                f"t={t[i + 1]:.9g}", record=at[i + 1])
 
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def record(self, code: int, k: int, **extra) -> StreamRecord:
-        """Record `k` of kind `code` (extra fields go to an ImuStep)."""
+    def record(self, code: int, k: int) -> StreamRecord:
+        """Record `k` of kind `code`."""
         c = self.columns[KINDS[code]]
         t = float(c["t"][k])
         if code == IMU:
             return ImuStep(t, float(c["dt"][k]), c["gyro"][k], c["accel"][k],
-                           c["contact_vel"][k], **extra)
+                           c["contact_vel"][k])
         if code == TRUTH:
             element = GroupElement(c["rot"][k], np.stack(
                 [c["vel"][k], c["pos"][k], c["foot"][k]], axis=-1))
@@ -260,12 +275,12 @@ def _columns(kind: str, blocks: list, lines) -> dict:
 def read_jsonl(path) -> Stream:
     """Parse a stream file into columns.
 
-    Every field is checked (see the module docstring); a StreamFormatError
-    names the line of a bad record. Records are converted to arrays
-    _BLOCK at a time, so few parsed values are held at once.
+    Every field and the record order are checked (see the module docstring);
+    a StreamFormatError names the line of a bad record. Records are converted
+    to arrays _BLOCK at a time, so few parsed values are held at once.
     """
     decode = _DECODER.decode
-    kinds = array("b")
+    kinds, record_lines = array("b"), array("l")
     lines = {kind: array("l") for kind in KINDS}  # the line of each record
     pending = {kind: [[] for _ in fields] for kind, fields in _FIELDS.items()}
     blocks = {kind: [] for kind in KINDS}
@@ -296,12 +311,16 @@ def read_jsonl(path) -> Stream:
                 values.append(value)
             kinds.append(KINDS.index(kind))
             lines[kind].append(line_no)
+            record_lines.append(line_no)
             if len(fields[0]) == _BLOCK:
                 convert(kind)
     for kind in KINDS:
         convert(kind)
-    return Stream(np.array(kinds, dtype=np.int8),
-                  {kind: _columns(kind, blocks[kind], lines[kind]) for kind in KINDS})
+    columns = {kind: _columns(kind, blocks.pop(kind), lines[kind]) for kind in KINDS}
+    try:
+        return Stream(np.array(kinds, dtype=np.int8), columns)
+    except StreamFormatError as exc:
+        raise StreamFormatError(str(exc), record_lines[exc.record]) from None
 
 
 def _lines(kind: str, columns: dict):

@@ -255,6 +255,38 @@ class TestEstimateCommand:
         assert code == EXIT_DATA
         assert f"line {i + 1}: {message}" in capsys.readouterr().err
 
+    def test_last_imu_dt_out_of_range_reports_line(self, tmp_path, capsys,
+                                                   sim_lines):
+        # A dt of 0.5 on the last imu record leaves no gap to report; the
+        # dt itself is named with its line and stream time.
+        lines = list(sim_lines)
+        i = max(j for j, line in enumerate(lines) if json.loads(line)["kind"] == "imu")
+        record = json.loads(lines[i])
+        record["dt"] = 0.5
+        lines[i] = json.dumps(record) + "\n"
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("".join(lines))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert (f"line {i + 1}: imu record at t={record['t']:.9g}: "
+                "dt 0.5 outside (0, 0.1]") in capsys.readouterr().err
+
+    def test_equal_time_kind_order_reports_line(self, tmp_path, capsys, sim_lines):
+        # Records at equal timestamps go swap, truth, surface, fk_rot,
+        # fk_pos, imu: a surface record before the truth sample at t = 0
+        # is rejected at the truth sample's line.
+        lines = list(sim_lines)
+        assert [json.loads(line)["kind"] for line in lines[:2]] == ["truth", "surface"]
+        lines[0], lines[1] = lines[1], lines[0]
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("".join(lines))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert ("line 2: truth record at t=0 after surface at that time"
+                in capsys.readouterr().err)
+
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"
         lines = [

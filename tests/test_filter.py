@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from drs_inekf import filter as filter_module
 from drs_inekf.filter import (
     FilterConfig,
     FilterError,
@@ -21,6 +22,7 @@ from drs_inekf.liegroup import (
     adjoint,
     compose,
     inverse,
+    project_to_rotation,
     sek3_exp,
     sek3_log,
     so3_exp,
@@ -33,10 +35,13 @@ from drs_inekf.models import (
     orientation_measurement,
     position_measurement,
 )
+from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from drs_inekf.streams import (
+    IMU,
     FkOrientation,
     FkPosition,
     StanceFoot,
+    Stream,
     SurfacePose,
     SwapEvent,
     TruthSample,
@@ -122,6 +127,73 @@ def simple_measurement(z_target):
     h = np.zeros((3, 12))
     h[:, 3:6] = np.eye(3)
     return InvariantMeasurement(y, np.zeros(6), h, np.eye(3))
+
+
+def imu_run(steps):
+    """One ImuStep holding consecutive intervals, on a leading run axis."""
+    return ImuStep(*(np.array([getattr(u, name) for u in steps])
+                     for name in ("t", "dt", "gyro", "accel", "contact_vel")))
+
+
+def rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def assert_states_close(got, want, tol=1e-12):
+    assert rel_err(got.mean.rot, want.mean.rot) <= tol
+    assert rel_err(got.mean.cols, want.mean.cols) <= tol
+    assert rel_err(got.cov, want.cov) <= tol
+    assert got.t == want.t
+
+
+class TestPropagateRun:
+    """A run of n intervals in one call equals n one-interval calls."""
+
+    def one_by_one(self, s, steps, noise):
+        for u in steps:
+            s = propagate(s, u, noise)
+        return s
+
+    def test_unequal_intervals(self, rng):
+        noise = NoiseParams.from_scalars()
+        s, t, steps = make_state(rng), 0.0, []
+        for dt in (0.0025, 0.001, 0.004, 0.0025, 0.0137):
+            steps.append(random_imu(rng, t=t, dt=dt))
+            t += dt
+        assert_states_close(propagate(s, imu_run(steps), noise),
+                            self.one_by_one(s, steps, noise))
+
+    def test_run_that_reprojects_the_rotation(self, rng, monkeypatch):
+        calls = []
+
+        def counted(rot):
+            calls.append(1)
+            return project_to_rotation(rot)
+
+        monkeypatch.setattr(filter_module, "project_to_rotation", counted)
+        noise = NoiseParams.from_scalars()
+        s = make_state(rng)
+        drifted = GroupElement(s.mean.rot * (1.0 + 1e-8), s.mean.cols)
+        s = State(drifted, s.cov, 0.0)
+        steps = [random_imu(rng, t=k * 0.0025) for k in range(4)]
+        run = propagate(s, imu_run(steps), noise)
+        assert calls
+        assert_states_close(run, self.one_by_one(s, steps, noise))
+
+    def test_batched_state(self, rng):
+        # Batch axes (variant, stream) = (2, 3); the inputs carry the stream axis.
+        noise = NoiseParams.from_scalars()
+        means = [random_element(rng) for _ in range(6)]
+        rot = np.array([m.rot for m in means]).reshape(2, 3, 3, 3)
+        cols = np.array([m.cols for m in means]).reshape(2, 3, 3, 3)
+        cov = np.array([np.eye(12) * c for c in rng.uniform(0.01, 0.1, 6)])
+        s = State(GroupElement(rot, cols), cov.reshape(2, 3, 12, 12), 0.0)
+        steps = [ImuStep(k * 0.0025, 0.0025, rng.standard_normal((3, 3)),
+                         rng.standard_normal((3, 3)) * 3.0,
+                         rng.standard_normal((3, 3)) * 0.3) for k in range(6)]
+        run = propagate(s, imu_run(steps), noise)
+        assert run.cov.shape == (2, 3, 12, 12)
+        assert_states_close(run, self.one_by_one(s, steps, noise))
 
 
 class TestUpdate:
@@ -360,6 +432,30 @@ class TestStreamEstimator:
                               PROPOSED)
         out = est.step(TruthSample(0.0, random_element(rng), StanceFoot.LEFT))
         assert out is s
+
+    def test_imu_only_stream_longer_than_terms_block(self, rng):
+        # 1300 intervals in one run of imu records: folded in runs of at
+        # most _TERMS_BLOCK, against one interval per step.
+        noise = NoiseParams.from_scalars()
+        n = 1300
+        assert n > 2 * filter_module._TERMS_BLOCK
+        stream = synthesize_sensors(generate_truth(GaitConfig(duration=1.2),
+                                                   SurfaceConfig(), 2), noise, Rates(), 2)
+        imu = {name: np.resize(col, (n,) + col.shape[1:])
+               for name, col in stream.columns["imu"].items()}
+        imu["t"] = np.arange(n) * 0.0025
+        imu["dt"] = np.full(n, 0.0025)
+        only = Stream(np.full(n, IMU, dtype=np.int8),
+                      {**{kind: {name: col[:0] for name, col in c.items()}
+                          for kind, c in stream.columns.items()}, "imu": imu})
+        cfg = FilterConfig(noise=noise)
+        s0 = make_state(rng)
+        est = StreamEstimator(s0, cfg, PROPOSED)
+        assert list(est.fold(only)) == []
+        steps = [ImuStep(imu["t"][k], imu["dt"][k], imu["gyro"][k], imu["accel"][k],
+                         imu["contact_vel"][k]) for k in range(n)]
+        assert_states_close(est.state, step_all(StreamEstimator(s0, cfg, PROPOSED),
+                                                steps))
 
     def test_on_contact_only_schedule(self, rng):
         noise = NoiseParams.from_scalars()

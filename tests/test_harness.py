@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from drs_inekf import filter as filter_module
+from drs_inekf import harness
 from drs_inekf.filter import FilterConfig, UpdateSchedule, Variant
 from drs_inekf.harness import (
     METRIC_NAMES,
@@ -12,6 +14,7 @@ from drs_inekf.harness import (
     nees,
     percentile_bands,
     run_trial,
+    run_trials,
     sample_initial_error,
     write_aggregate_csv,
     write_trial_csv,
@@ -133,6 +136,39 @@ class TestRunTrial:
         t = result.series[Variant.PROPOSED].t
         assert t[0] == 0.0
         assert np.allclose(np.diff(t), 0.01, atol=1e-12)
+
+    def test_series_independent_of_truth_block(self, monkeypatch):
+        # Metrics are evaluated _TRUTH_BLOCK truth samples at a time: blocks
+        # of 1 and 7 samples and the default give bitwise the same series
+        # (241 samples: full blocks and a partial one), for a batch of two
+        # stacked trials and both variants.
+        tcfg = TrialConfig(n_trials=2)
+        cfg = FilterConfig(noise=NoiseParams.from_scalars(jump_pos_var=1e-6))
+        stream = Stream.stack((short_stream(seed) for seed in (1, 2)), 2)
+        xi0 = np.array([offset(3, tcfg), offset(4, tcfg)])
+        want = run_trials(stream, tcfg, cfg, tcfg.variants, xi0, [0, 1])
+        for block in (1, 7):
+            monkeypatch.setattr(harness, "_TRUTH_BLOCK", block)
+            got = run_trials(stream, tcfg, cfg, tcfg.variants, xi0, [0, 1])
+            for a, b in zip(got, want):
+                for v in tcfg.variants:
+                    assert np.array_equal(a.series[v].values, b.series[v].values)
+
+    def test_imu_runs_across_terms_blocks(self, monkeypatch):
+        # With integration terms computed 3 intervals at a time, each run of
+        # 4 imu records crosses a block boundary and is longer than a block,
+        # so it is propagated as runs of 3 and 1. That changes only the
+        # rounding of the covariance step: 1e-10 relative per metric, the
+        # bound of the lockstep engine against the scalar oracle.
+        tcfg = TrialConfig(n_trials=1)
+        cfg = FilterConfig(noise=NoiseParams.from_scalars(jump_pos_var=1e-6))
+        stream = short_stream()
+        want = run_trial(stream, tcfg, cfg, tcfg.variants, offset(5, tcfg))
+        monkeypatch.setattr(filter_module, "_TERMS_BLOCK", 3)
+        got = run_trial(stream, tcfg, cfg, tcfg.variants, offset(5, tcfg))
+        for v in tcfg.variants:
+            a, b = got.series[v].values, want.series[v].values
+            assert np.all(np.abs(a - b).max(axis=0) <= 1e-10 * np.abs(b).max(axis=0))
 
     def test_stream_without_truth_rejected(self):
         stream = short_stream()

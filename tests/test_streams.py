@@ -13,7 +13,7 @@ from drs_inekf.sim import (
     synthesize_sensors,
 )
 from drs_inekf import streams
-from drs_inekf.streams import KINDS, StreamFormatError, read_jsonl, write_jsonl
+from drs_inekf.streams import IMU, KINDS, StreamFormatError, read_jsonl, write_jsonl
 
 from conftest import streams_equal
 
@@ -134,6 +134,20 @@ class TestErrors:
             fh.write('{"kind": "fk_pos", "t": 0.02, "hp": [0, 0, 0]}\n')
             fh.write('{"kind": "surface", "t": 0.01, "rot": [1,0,0,0,1,0,0,0,1]}\n')
         assert len(read_jsonl(path)) == 2
+
+    def test_imu_dt_checked_when_stream_is_built(self):
+        # The last imu interval leaves no gap, so only the dt check sees it.
+        stream = synthesize_sensors(
+            generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 5),
+            NoiseParams.from_scalars(), Rates(), 5)
+        imu = dict(stream.columns["imu"])
+        for dt in (0.5, 0.0):
+            imu["dt"] = imu["dt"].copy()
+            imu["dt"][-1] = dt
+            with pytest.raises(StreamFormatError,
+                               match=rf"imu record at t=1.1975: dt {dt:g} outside") as err:
+                streams.Stream(stream.kinds, {**stream.columns, "imu": imu})
+            assert err.value.record == np.flatnonzero(stream.kinds == IMU)[-1]
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = write_records(tmp_path / "bad.jsonl", [{"kind": "nope", "t": 0.0}])
