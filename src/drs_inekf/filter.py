@@ -16,11 +16,12 @@ the surface-normal orientation measurement; the position-only baseline
 skips the latter.
 
 Every function works on a batch of members at once: a State's mean and
-covariance may carry leading axes (one member per slice), the members
-share the clock and the stance foot, and a record's arrays broadcast
-against them. Since neither the transition matrix nor the tick grid
-depends on the estimate, the trials and variants of a campaign advance in
-lockstep (`StreamEstimator.fold`); an unbatched State is the batch of one.
+covariance may carry leading axes (one member per slice), and a record's
+arrays broadcast against them. Since neither the transition matrix nor the
+tick grid depends on the estimate, the trials and variants of a campaign
+advance in lockstep (`StreamEstimator.fold`); an unbatched State is the
+batch of one. The filter takes its streams as checked (`Stream`); of
+their times it uses only the record order and each IMU interval's dt.
 """
 
 from __future__ import annotations
@@ -59,17 +60,12 @@ from .models import (
 from .streams import (
     IMU,
     KINDS,
-    MAX_IMU_DT,
-    TIME_TOL,
     TRUTH,
     FkOrientation,
     FkPosition,
-    StanceFoot,
     Stream,
     StreamRecord,
     SurfacePose,
-    SwapEvent,
-    TruthSample,
 )
 
 _ORTHO_TOL = 1e-9
@@ -82,7 +78,7 @@ _EYE12.setflags(write=False)
 
 
 class FilterError(RuntimeError):
-    """Hard estimator failure (bad inputs, degenerate update, time order)."""
+    """Numerically degenerate update (singular innovation covariance)."""
 
 
 class Variant(Enum):
@@ -106,32 +102,23 @@ class FilterConfig:
 
 
 @dataclass(frozen=True)
-class JumpInput:
-    """Support-foot swap: new-foot position relative to old, in the base frame."""
-
-    h_d: np.ndarray
-
-
-@dataclass(frozen=True)
 class State:
     """Filter estimate: SE_3(3) mean plus right-invariant error covariance.
 
     mean.rot/mean.cols (..., 3, 3) and cov (..., 12, 12) share their
-    leading batch axes, one member per slice; t and stance_foot are common.
+    leading batch axes, one member per slice.
     """
 
     mean: GroupElement
     cov: np.ndarray
-    t: float
-    stance_foot: StanceFoot = StanceFoot.LEFT
 
 
 def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + _T(m))
 
 
-def imu_terms(t, dt, gyro, accel, contact_vel):
-    """Checked integration terms of one IMU interval or of a run of them.
+def imu_terms(dt, gyro, accel, contact_vel):
+    """Integration terms of one IMU interval or of a run of them.
 
     The propagated mean is R+ = R Gamma_0 and, as columns,
     [v+, p+, d+] = R C + [v, p, d] M + W: with Gamma_m = Gamma_m(gyro dt),
@@ -139,18 +126,9 @@ def imu_terms(t, dt, gyro, accel, contact_vel):
     gives R @ body = [R+ | R C], M = [[1, dt, 0], [0, 1, 0], [0, 0, 1]]
     adds v dt to p, and W = [g dt, g dt^2 / 2, contact_vel dt]. Returns
     (body, M, W). These depend on the inputs only, so a stream's can be
-    computed ahead for many intervals at once (time axis first). Raises
-    FilterError for the first interval whose dt is outside (0, MAX_IMU_DT]
-    or whose inputs are not finite.
+    computed ahead for many intervals at once (time axis first).
     """
     dt = np.asarray(dt, dtype=float)
-    bad_dt = ~((dt > 0.0) & (dt <= MAX_IMU_DT))
-    if np.count_nonzero(bad_dt):
-        raise FilterError(f"imu step dt {dt[bad_dt][0]} outside (0, {MAX_IMU_DT}]")
-    finite = np.isfinite(gyro) & np.isfinite(accel) & np.isfinite(contact_vel)
-    bad = ~finite.reshape(dt.shape + (-1,)).all(axis=-1)
-    if np.count_nonzero(bad):
-        raise FilterError(f"non-finite imu input at t={np.asarray(t)[bad][0]}")
     col = dt.reshape(dt.shape + (1,) * (np.ndim(gyro) - dt.ndim))
     g0, g1a, g2a = gamma0_and_applied(gyro * col, accel)
     body = np.zeros(g0.shape[:-1] + (6,))
@@ -178,14 +156,14 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams,
     invariant coordinates (Ad_i: adjoint of the mean at its start t_i).
     phi, when given, holds Phi(t_end - t_i) per interval.
     """
-    run = [np.asarray(getattr(u, name), dtype=float) for name in _IMU_INPUTS]
-    if not run[1].ndim:  # a single interval is a run of one
+    run = [np.asarray(getattr(u, name), dtype=float) for name in _IMU_INPUTS[1:]]
+    if not run[0].ndim:  # a single interval is a run of one
         run = [x[None] for x in run]
-    dt = run[1]
+    dt = run[0]
     body, shift, offset = u.terms or imu_terms(*run)
-    rot, cols, clock = s.mean.rot, s.mean.cols, s.t
+    rot, cols = s.mean.rot, s.mean.cols
     starts = GroupElement(*(np.empty(dt.shape + x.shape) for x in (rot, cols)))
-    for i, h in enumerate(dt.tolist()):
+    for i in range(len(dt)):
         starts.rot[i], starts.cols[i] = rot, cols
         rotated = rot @ body[i]
         rot = rotated[..., :3]
@@ -195,13 +173,12 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams,
             drifted = rotation_defect(rot) > _ORTHO_TOL
             rot = np.where(drifted[..., None, None], project_to_rotation(rot), rot)
         cols = rotated[..., 3:] + cols @ shift[i] + offset[i]
-        clock += h
     phi = state_transition(np.cumsum(dt[::-1])[::-1]) if phi is None else phi
     lead = dt.shape + (1,) * (s.cov.ndim - 2)
     g = phi.reshape(lead + (12, 12)) @ adjoint(starts)
     noise_cov = (g @ (noise.process_cov() * dt.reshape(lead + (1, 1))) @ _T(g)).sum(0)
     cov = _symmetrize(phi[0] @ s.cov @ phi[0].T + noise_cov)
-    return State(GroupElement(rot, cols), cov, clock, s.stance_foot)
+    return State(GroupElement(rot, cols), cov)
 
 
 def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
@@ -218,36 +195,36 @@ def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
     mean = compose(sek3_exp(_mv(gain, z)), s.mean)
     ikh = _EYE12 - gain @ m.H
     cov = _symmetrize(ikh @ s.cov @ _T(ikh) + gain @ m.N @ _T(gain))
-    return State(mean, cov, s.t, s.stance_foot)
+    return State(mean, cov)
 
 
-def apply_jump(s: State, j: JumpInput, q_jump: np.ndarray | None = None) -> State:
+def apply_jump(s: State, h_d: np.ndarray, q_jump: np.ndarray | None = None) -> State:
     """Support-foot swap: d+ = d + R h_d; everything else is continuous.
 
-    The jump map has identity Jacobian in right-invariant coordinates, so
-    with zero jump noise the covariance is untouched (bit-identical);
-    otherwise the tangent-space jump covariance is added through the
-    adjoint of the post-jump mean.
+    h_d is the new-foot position relative to the old, in the base frame. The
+    jump map has identity Jacobian in right-invariant coordinates, so with
+    zero jump noise the covariance is untouched (bit-identical); otherwise
+    the tangent-space jump covariance is added through the adjoint of the
+    post-jump mean.
     """
     cols = s.mean.cols.copy()
-    cols[..., 2] = s.mean.foot + _mv(s.mean.rot, j.h_d)
+    cols[..., 2] = s.mean.foot + _mv(s.mean.rot, h_d)
     mean = GroupElement(s.mean.rot, cols)
     cov = s.cov
     if q_jump is not None and np.any(q_jump):
         ad = adjoint(mean)
         cov = _symmetrize(cov + ad @ q_jump @ _T(ad))
-    return State(mean, cov, s.t, s.stance_foot.other())
+    return State(mean, cov)
 
 
 def _on_rows(s: State, rows: slice, step) -> State:
     """`step` applied to the members at `rows` of the state's first axis."""
     if rows == slice(None):
         return step(s)
-    part = step(State(GroupElement(s.mean.rot[rows], s.mean.cols[rows]),
-                      s.cov[rows], s.t, s.stance_foot))
+    part = step(State(GroupElement(s.mean.rot[rows], s.mean.cols[rows]), s.cov[rows]))
     rot, cols, cov = s.mean.rot.copy(), s.mean.cols.copy(), s.cov.copy()
     rot[rows], cols[rows], cov[rows] = part.mean.rot, part.mean.cols, part.cov
-    return State(GroupElement(rot, cols), cov, part.t, part.stance_foot)
+    return State(GroupElement(rot, cols), cov)
 
 
 @dataclass
@@ -319,17 +296,11 @@ class StreamEstimator:
         return self._phi_cache[key]
 
     def _updates_enabled(self) -> bool:
-        if self.cfg.update_schedule is UpdateSchedule.EVERY_STEP:
-            return True
-        return self._contact_fresh
-
-    def _check_time(self, t: float) -> None:
-        if t < self.state.t - TIME_TOL:
-            raise FilterError(f"out-of-order record at t={t} (filter at t={self.state.t})")
+        return (self.cfg.update_schedule is UpdateSchedule.EVERY_STEP
+                or self._contact_fresh)
 
     def step(self, event: StreamRecord) -> State:
         """Route one record or IMU run; returns the (possibly unchanged) state."""
-        self._check_time(event.t if np.isscalar(event.t) else event.t[0])
         noise, epsilon = self.cfg.noise, self.cfg.epsilon
         if isinstance(event, ImuStep):
             self.state = propagate(self.state, event, noise,
@@ -347,13 +318,9 @@ class StreamEstimator:
                 m = position_measurement(event.hp, self.state.mean, noise)
                 self.state = update(self.state, m, epsilon)
             self._contact_fresh = False
-        elif isinstance(event, SwapEvent):
-            self.state = apply_jump(self.state, JumpInput(event.h_d), noise.jump_cov)
+        else:  # a SwapEvent
+            self.state = apply_jump(self.state, event.h_d, noise.jump_cov)
             self._contact_fresh = True
-        elif isinstance(event, TruthSample):
-            pass  # evaluation-only record
-        else:
-            raise FilterError(f"unknown stream record {type(event)!r}")
         return self.state
 
     def fold(self, stream: Stream):
@@ -370,18 +337,17 @@ class StreamEstimator:
         for first, stop in zip(map(int, edges[:-1]), map(int, edges[1:])):
             code = int(kinds[first])
             k, seen[code] = seen[code], seen[code] + stop - first
+            if code == TRUTH:
+                yield from range(k, seen[code])
+                continue
             if code != IMU:
                 for i in range(k, seen[code]):
-                    if code == TRUTH:
-                        self._check_time(stream.columns["truth"]["t"][i])
-                        yield i
-                    else:
-                        self.step(stream.record(code, i))
+                    self.step(stream.record(code, i))
                 continue
             for a in range(k, seen[code], _TERMS_BLOCK):
                 b = min(a + _TERMS_BLOCK, seen[code])
                 if b > end:
                     start, end = a, a + _TERMS_BLOCK
-                    terms = imu_terms(*(imu[name][start:end] for name in _IMU_INPUTS))
+                    terms = imu_terms(*(imu[name][start:end] for name in _IMU_INPUTS[1:]))
                 self.step(ImuStep(*(imu[name][a:b] for name in _IMU_INPUTS),
                                   terms=tuple(x[a - start:b - start] for x in terms)))

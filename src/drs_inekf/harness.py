@@ -22,7 +22,7 @@ from .liegroup import XI_D, XI_P, XI_V, GroupElement, compose, sek3_exp
 from .liegroup import dot as _dot
 from .models import check_fields, param
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from .streams import TRUTH, Stream, StreamFormatError
+from .streams import Stream, StreamFormatError
 
 METRIC_NAMES = ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err", "nees")
 
@@ -125,14 +125,14 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
     t = truth["t"]
     if not len(t):
         raise StreamFormatError("stream contains no truth records")
-    first = stream.record(TRUTH, 0)
-    mean0 = compose(sek3_exp(xi0), first.element)
+    mean0 = compose(sek3_exp(xi0), GroupElement(truth["rot"][0], np.stack(
+        [truth[k][0] for k in ("vel", "pos", "foot")], axis=-1)))
     batch = ((len(variants),) if len(variants) > 1 else ()) + xi0.shape[:-1]
     est = StreamEstimator(State(
         GroupElement(np.broadcast_to(mean0.rot, batch + (3, 3)).copy(),
                      np.broadcast_to(mean0.cols, batch + (3, 3)).copy()),
-        np.broadcast_to(initial_covariance(tcfg), batch + (12, 12)).copy(),
-        first.t, first.stance), cfg, variants)
+        np.broadcast_to(initial_covariance(tcfg), batch + (12, 12)).copy()),
+        cfg, variants)
     rows = np.empty((len(t),) + batch + (len(METRIC_NAMES),))
     rot, cols, cov = (np.empty((_TRUTH_BLOCK,) + batch + shape)
                       for shape in ((3, 3), (3, 3), (12, 12)))
@@ -144,7 +144,7 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
         if j + 1 < _TRUTH_BLOCK and i + 1 < len(t):
             continue
         ticks, n = slice(i - j, i + 1), j + 1
-        m = error_vs_truth(State(GroupElement(rot[:n], cols[:n]), cov[:n], 0.0),
+        m = error_vs_truth(State(GroupElement(rot[:n], cols[:n]), cov[:n]),
                            GroupElement(truth["rot"][ticks][expand], np.stack(
                                [truth[k][ticks] for k in ("vel", "pos", "foot")],
                                axis=-1)[expand]))

@@ -207,6 +207,14 @@ def error_jacobian_A(contact_vel: np.ndarray | None = None) -> np.ndarray:
     filter's covariance propagation uses the constant input-free form: a run
     of IMU intervals takes one step as Phi(a) Phi(b) = Phi(a + b). With the
     input-dependent block, a run must multiply per-interval Phi instead.
+
+    The input-free form is also the consistent one. With the hat(contact_vel)
+    block linearised at the noisy measured input, per-interval Phi made the
+    filter grossly overconfident where yaw is unobservable (rocking
+    position-only, static proposed and position-only): final-5 s mean NEES
+    47-50 against 12.7 without the block, for 12 dof (50 trials x 30 s,
+    master seed 7). Linearising at the noisy input gives spurious yaw
+    information (Huang, Mourikis & Roumeliotis, IJRR 2010).
     """
     a = np.zeros((12, 12))
     a[XI_V, XI_R] = hat(GRAVITY)
@@ -216,10 +224,9 @@ def error_jacobian_A(contact_vel: np.ndarray | None = None) -> np.ndarray:
     return a
 
 
-def state_transition(dt, a: np.ndarray | None = None) -> np.ndarray:
+def state_transition(dt) -> np.ndarray:
     """exp(A dt), exact as A^3 = 0; per entry of dt on leading axes."""
-    if a is None:
-        a = error_jacobian_A()
+    a = error_jacobian_A()
     dt = np.asarray(dt, dtype=float)[..., None, None]
     return np.eye(12) + a * dt + 0.5 * (a @ a) * dt * dt
 

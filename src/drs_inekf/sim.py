@@ -218,8 +218,13 @@ def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
     filter's discrete propagation between ticks (plus seeded noise), which
     makes the noiseless stream self-consistent end to end. Kinematic and
     surface records are emitted on the kinematics grid; swaps land on grid
-    ticks and are accompanied by a truth sample.
+    ticks and are accompanied by a truth sample. The Stream is built, and so
+    checked, once the intermediates are freed, off the peak of memory.
     """
+    return Stream(*_sensor_columns(truth, noise, rates, seed))
+
+
+def _sensor_columns(truth, noise, rates, seed) -> tuple:
     gait, surf = truth.gait, truth.surf
     dt = 1.0 / rates.imu_hz
     n_imu = int(round(gait.duration * rates.imu_hz))
@@ -299,4 +304,4 @@ def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
                 "gyro": gyro + gyro_n, "accel": accel + accel_n,
                 "contact_vel": contact_vel + cvel_n},
     }
-    return Stream(kinds, columns)
+    return kinds, columns

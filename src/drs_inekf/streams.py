@@ -2,18 +2,24 @@
 
 A `Stream` holds a sensor stream as one array per field of each record
 kind, plus the merged record order: the simulator builds one, the JSON
-Lines reader and writer convert one, the estimator folds one. The record
-classes (`ImuStep`, `FkPosition`, ...) only serve `StreamEstimator.step`.
+Lines reader and writer convert one, the estimator folds one. Building a
+`Stream` is the one place that decides a stream is valid, however it was
+made; a bad record is named by its index, which `read_jsonl` turns into
+its line. The record classes (`ImuStep`, `FkPosition`, ...) only serve
+`StreamEstimator.step`.
 
 One record per line, `{"kind": ..., "t": ...}` plus the kind's fields, all
-required: finite JSON numbers (not true or false), and rotations as 9
-row-major reals with |R^T R - I|_F <= ROT_TOL and det R > 0. Records of
-the same kind carry strictly increasing timestamps; the file order is the
-processing order expected by the filter. At equal timestamps, records go
-swap, truth, surface, fk_rot, fk_pos, imu: truth follows the swap, so a
-jump and its evaluation sample pair up, and precedes the kinematic updates,
-so the errors at a truth sample are prior errors. IMU intervals tile time
-(each starts where the previous one ends) with dt in (0, MAX_IMU_DT].
+required: JSON numbers (not true or false), and rotations as 9 row-major
+reals. A valid stream has finite values, rotations with |R^T R - I|_F <=
+ROT_TOL and det R > 0, and strictly increasing timestamps within each
+kind; the record order is the processing order of the filter. At equal
+timestamps, records go swap, truth, surface, fk_rot, fk_pos, imu: truth
+follows the swap, so a jump and its evaluation sample pair up, and
+precedes the kinematic updates, so the errors at a truth sample are prior
+errors. IMU intervals tile time (each starts where the previous one ends)
+with dt in (0, MAX_IMU_DT]. The stream clock starts at the first truth
+sample and adds each imu dt in record order; no record is more than
+TIME_TOL before it. A stream with no truth has no clock.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from .models import ImuStep
 
 # Timestamps closer than this are equal (IMU interval ends, record order).
 TIME_TOL = 1e-9
-# Largest |R^T R - I|_F of a rotation read from a stream file.
+# Largest |R^T R - I|_F of a rotation in a stream.
 ROT_TOL = 1e-6
 MAX_IMU_DT = 0.1  # longest IMU interval, in seconds
 
@@ -41,9 +47,6 @@ MAX_IMU_DT = 0.1  # longest IMU interval, in seconds
 class StanceFoot(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-    def other(self) -> "StanceFoot":
-        return StanceFoot.RIGHT if self is StanceFoot.LEFT else StanceFoot.LEFT
 
 
 class StreamFormatError(ValueError):
@@ -87,7 +90,7 @@ class SwapEvent:
 
 
 @dataclass(frozen=True)
-class TruthSample:
+class TruthSample:  # the truth record class, by which bench/tracing.py names the kind
     """Ground-truth state for evaluation."""
 
     t: float
@@ -95,8 +98,7 @@ class TruthSample:
     stance: StanceFoot
 
 
-StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose,
-                     SwapEvent, TruthSample]
+StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose, SwapEvent]
 
 
 # Record kind names; a kind's code is its index here.
@@ -120,7 +122,7 @@ _FIELDS = {
 _PAIRS = {SWAP: (SwapEvent, "h_d"), SURFACE: (SurfacePose, "rot"),
           FK_ROT: (FkOrientation, "rot"), FK_POS: (FkPosition, "hp")}
 _STANCE_CODE = {s.value: code for code, s in enumerate(STANCES)}
-# JSON integers are read as floats; NaN and Infinity are rejected as non-finite.
+# JSON integers are read as floats; NaN and Infinity too, which Stream rejects.
 _DECODER = json.JSONDecoder(parse_int=float)
 _BLOCK = 4096  # records of a kind parsed before they are converted to arrays
 
@@ -135,53 +137,61 @@ class Stream:
     IMU `dt` and the truth `stance` (an index into STANCES) are 1-D; value
     columns (`gyro`, `hp`, `rot`, ...) may carry a stream axis next, when
     `stack` has put several streams with the same layout side by side.
-    Building one checks the order at equal times and the IMU intervals.
+    Building one checks every rule of the module docstring, one column at a
+    time, and names the first bad record by its index.
     """
 
     kinds: np.ndarray
     columns: dict
 
     def __post_init__(self):
-        times, imu = np.empty(len(self.kinds)), self.columns["imu"]
+        times, kinds = np.empty(len(self.kinds)), self.kinds
         for code, kind in enumerate(KINDS):
-            times[self.kinds == code] = self.columns[kind]["t"]
-        back = np.flatnonzero(np.diff(self.kinds) < 0)  # kind goes back in KINDS
-        swapped = back[np.abs(times[back + 1] - times[back]) <= TIME_TOL] + 1
-        t, dt, at = imu["t"], imu["dt"], np.flatnonzero(self.kinds == IMU)
-        bad_dt = ~((dt > 0.0) & (dt <= MAX_IMU_DT))
-        gap = np.abs(t[:-1] + dt[:-1] - t[1:]) > TIME_TOL
-        if len(swapped):
-            i = int(swapped[0])
-            raise StreamFormatError(
-                f"{KINDS[self.kinds[i]]} record at t={times[i]:.9g} after "
-                f"{KINDS[self.kinds[i - 1]]} at that time", record=i)
-        if np.any(bad_dt):
-            i = int(np.argmax(bad_dt))
-            raise StreamFormatError(f"imu record at t={t[i]:.9g}: dt {dt[i]:.9g} "
-                                    f"outside (0, {MAX_IMU_DT}]", record=at[i])
-        if np.any(gap):
-            i = int(np.argmax(gap))
-            raise StreamFormatError(
-                f"imu gap at t={t[i] + dt[i]:.9g}: the imu interval from "
-                f"t={t[i]:.9g} ends there, the next imu record starts at "
-                f"t={t[i + 1]:.9g}", record=at[i + 1])
+            c, at = self.columns[kind], np.flatnonzero(kinds == code)
+            times[at] = c["t"]
+            for name, col in c.items():
+                if name != "stance":
+                    _first_bad(_each(np.isfinite(col)), at, lambda i: (
+                        f"field {name!r} must be {_what(_FIELDS[kind][name])}, "
+                        f"got {col[i].tolist()}"), "record")
+            if "rot" in c:
+                defect, det = rotation_defect(c["rot"]), np.linalg.det(c["rot"])
+                _first_bad(_each((defect <= ROT_TOL) & (det > 0.0)), at, lambda i: (
+                    f"field 'rot' is not a rotation: |R^T R - I|_F = "
+                    f"{np.max(defect[i]):.3g} (at most {ROT_TOL:g}), "
+                    f"det = {np.min(det[i]):.3g}"), "record")
+            _first_bad(np.diff(c["t"], prepend=-np.inf) > 0.0, at,
+                       lambda i: f"non-increasing timestamp for kind {kind!r}", "record")
+        # A kind that goes back in KINDS at an equal time.
+        _first_bad((np.diff(kinds) >= 0) | (np.abs(np.diff(times)) > TIME_TOL),
+                   range(1, len(kinds)), lambda i: (
+                       f"{KINDS[kinds[i + 1]]} record at t={times[i + 1]:.9g} "
+                       f"after {KINDS[kinds[i]]} at that time"), "record")
+        imu, is_imu = self.columns["imu"], kinds == IMU
+        t, dt, at = imu["t"], imu["dt"], np.flatnonzero(is_imu)
+        _first_bad((dt > 0.0) & (dt <= MAX_IMU_DT), at, lambda i: (
+            f"imu record at t={t[i]:.9g}: dt {dt[i]:.9g} outside (0, {MAX_IMU_DT}]"),
+            "record")
+        _first_bad(np.abs(t[:-1] + dt[:-1] - t[1:]) <= TIME_TOL, at[1:], lambda i: (
+            f"imu gap at t={t[i] + dt[i]:.9g}: the imu interval from t={t[i]:.9g} "
+            f"ends there, the next imu record starts at t={t[i + 1]:.9g}"), "record")
+        start = self.columns["truth"]["t"][:1]
+        if len(start):
+            # cumsum adds in record order (not pairwise), as a running clock does.
+            clock = np.cumsum(np.concatenate([start, dt]))[np.cumsum(is_imu) - is_imu]
+            _first_bad(times >= clock - TIME_TOL, range(len(kinds)), lambda i: (
+                f"out-of-order {KINDS[kinds[i]]} record at t={times[i]:.9g}: the "
+                f"stream clock (first truth time plus the imu dt before it) is at "
+                f"t={clock[i]:.9g}"), "record")
 
     def __len__(self) -> int:
         return len(self.kinds)
 
     def record(self, code: int, k: int) -> StreamRecord:
-        """Record `k` of kind `code`."""
+        """Record `k` of kind `code`: swap, surface, fk_rot or fk_pos."""
         c = self.columns[KINDS[code]]
-        t = float(c["t"][k])
-        if code == IMU:
-            return ImuStep(t, float(c["dt"][k]), c["gyro"][k], c["accel"][k],
-                           c["contact_vel"][k])
-        if code == TRUTH:
-            element = GroupElement(c["rot"][k], np.stack(
-                [c["vel"][k], c["pos"][k], c["foot"][k]], axis=-1))
-            return TruthSample(t, element, STANCES[c["stance"][k]])
         cls, name = _PAIRS[code]
-        return cls(t, c[name][k])
+        return cls(float(c["t"][k]), c[name][k])
 
     @classmethod
     def stack(cls, streams: Iterable[Stream], count: int) -> Stream:
@@ -212,36 +222,40 @@ class Stream:
         return cls(first.kinds, columns)
 
 
-def _first_bad(ok, lines, message) -> None:
-    """StreamFormatError for the first False of `ok`, naming its line."""
+def _first_bad(ok, at, message, key="line") -> None:
+    """StreamFormatError for the first False of `ok`, naming its entry of
+    `at` as its line (or as its `key`, such as "record")."""
     bad = np.flatnonzero(~np.asarray(ok, dtype=bool))
     if len(bad):
-        raise StreamFormatError(message(bad[0]), lines[bad[0]])
+        raise StreamFormatError(message(bad[0]), **{key: int(at[bad[0]])})
+
+
+def _each(ok: np.ndarray) -> np.ndarray:
+    """Per record (first axis): whether `ok` holds for all its entries."""
+    return ok.all(axis=tuple(range(1, ok.ndim)))
+
+
+def _what(shape: tuple) -> str:
+    return f"a list of {math.prod(shape)} finite numbers" if shape else "a finite number"
 
 
 def _numbers(values: list, shape: tuple, lines, name: str) -> np.ndarray:
     """One field of every record of a kind, as an array (len(values),) + shape.
 
-    Each value must be a finite JSON number (not true or false), or for a
-    shape a list of math.prod(shape) of them; types are checked record by
-    record only to find the line of a bad one.
+    Each value must be a JSON number (not true or false), or for a shape a
+    list of math.prod(shape) of them; types are checked record by record
+    only to find the line of a bad one.
     """
     n = math.prod(shape)
-    what = f"a list of {n} finite numbers" if shape else "a finite number"
-
-    def message(i):
-        return f"field {name!r} must be {what}, got {values[i]!r}"
-
     ok = not shape or (set(map(type, values)) <= {list}
                        and set(map(len, values)) <= {n})
     flat = list(chain.from_iterable(values)) if shape and ok else values
     if not (ok and set(map(type, flat)) <= {float}):
         _first_bad([(type(v) is list and len(v) == n
                      and all(type(x) is float for x in v)) if shape
-                    else type(v) is float for v in values], lines, message)
-    out = np.array(flat, dtype=float).reshape((len(values),) + shape)
-    _first_bad(np.isfinite(out.reshape(len(values), n)).all(axis=1), lines, message)
-    return out
+                    else type(v) is float for v in values], lines,
+                   lambda i: f"field {name!r} must be {_what(shape)}, got {values[i]!r}")
+    return np.array(flat, dtype=float).reshape((len(values),) + shape)
 
 
 def _block(kind: str, fields: list, lines) -> dict:
@@ -258,36 +272,25 @@ def _block(kind: str, fields: list, lines) -> dict:
     return block
 
 
-def _columns(kind: str, blocks: list, lines) -> dict:
-    """The checked columns of a kind, joined from its blocks."""
-    columns = {name: np.concatenate([block[name] for block in blocks])
-               for name in _FIELDS[kind]}
-    if "rot" in columns:
-        defect, det = rotation_defect(columns["rot"]), np.linalg.det(columns["rot"])
-        _first_bad((defect <= ROT_TOL) & (det > 0.0), lines, lambda i: (
-            f"field 'rot' is not a rotation: |R^T R - I|_F = {defect[i]:.3g} "
-            f"(at most {ROT_TOL:g}), det = {det[i]:.3g}"))
-    _first_bad(np.diff(columns["t"], prepend=-np.inf) > 0.0, lines,
-               lambda i: f"non-increasing timestamp for kind {kind!r}")
-    return columns
-
-
 def read_jsonl(path) -> Stream:
     """Parse a stream file into columns.
 
-    Every field and the record order are checked (see the module docstring);
-    a StreamFormatError names the line of a bad record. Records are converted
-    to arrays _BLOCK at a time, so few parsed values are held at once.
+    Each record's JSON, kind, fields, their types and shapes and the stance
+    are parsed here, and the values and the record order are checked by
+    building the Stream; a StreamFormatError names the line of a bad record.
+    Records are converted to arrays _BLOCK at a time, so few parsed values
+    are held at once; a kind's blocks are dropped as its columns are joined.
     """
     decode = _DECODER.decode
     kinds, record_lines = array("b"), array("l")
     lines = {kind: array("l") for kind in KINDS}  # the line of each record
     pending = {kind: [[] for _ in fields] for kind, fields in _FIELDS.items()}
-    blocks = {kind: [] for kind in KINDS}
+    blocks = {kind: {name: [] for name in fields} for kind, fields in _FIELDS.items()}
 
     def convert(kind):
         fields, n = pending[kind], len(pending[kind][0])
-        blocks[kind].append(_block(kind, fields, lines[kind][len(lines[kind]) - n:]))
+        for name, col in _block(kind, fields, lines[kind][len(lines[kind]) - n:]).items():
+            blocks[kind][name].append(col)
         pending[kind] = [[] for _ in fields]
 
     with open(path) as fh:
@@ -316,7 +319,8 @@ def read_jsonl(path) -> Stream:
                 convert(kind)
     for kind in KINDS:
         convert(kind)
-    columns = {kind: _columns(kind, blocks.pop(kind), lines[kind]) for kind in KINDS}
+    columns = {kind: {name: np.concatenate(parts)
+                      for name, parts in blocks.pop(kind).items()} for kind in KINDS}
     try:
         return Stream(np.array(kinds, dtype=np.int8), columns)
     except StreamFormatError as exc:
@@ -326,7 +330,7 @@ def read_jsonl(path) -> Stream:
 def _lines(kind: str, columns: dict):
     """The file line of every record of a kind, as json.dumps writes it.
 
-    The values are checked first; the lines are made as they are taken.
+    The lines are made as they are taken.
     """
     parts, numbers = [f'{{"kind": "{kind}"'], []
     for name, shape in _FIELDS[kind].items():
@@ -338,8 +342,6 @@ def _lines(kind: str, columns: dict):
         parts.append(f'"{name}": {value}')
         numbers.append(columns[name].reshape(len(columns["t"]), n))
     numbers = np.concatenate(numbers, axis=1)
-    if not np.all(np.isfinite(numbers)):
-        raise ValueError(f"non-finite {kind} value: JSON has no such number")
     template = ", ".join(parts) + "}\n"
     if kind != "truth":
         return (template % tuple(row.tolist()) for row in numbers)

@@ -21,7 +21,10 @@ from drs_inekf.liegroup import (
 )
 from drs_inekf.models import GRAVITY, ImuStep, state_transition
 from drs_inekf.streams import (
+    IMU,
     KINDS,
+    STANCES,
+    TRUTH,
     FkOrientation,
     FkPosition,
     SurfacePose,
@@ -159,11 +162,27 @@ def foot_vel(truth, t, index: int):
 # -- streams -------------------------------------------------------------------
 
 def stream_records(stream):
-    """The records of a stream, in order (the view `StreamEstimator.fold` uses)."""
+    """The records of a stream, in order, as record objects.
+
+    A truth sample becomes a TruthSample, for the oracles, and each imu
+    record an ImuStep of one interval; the other kinds are the records
+    `StreamEstimator.fold` routes.
+    """
     seen = [0] * len(KINDS)
     records = []
+    truth, imu = stream.columns["truth"], stream.columns["imu"]
     for code in stream.kinds.tolist():
-        records.append(stream.record(code, seen[code]))
+        k = seen[code]
+        if code == TRUTH:
+            records.append(TruthSample(
+                float(truth["t"][k]), group_element(truth["rot"][k], truth["vel"][k],
+                                                    truth["pos"][k], truth["foot"][k]),
+                STANCES[truth["stance"][k]]))
+        elif code == IMU:
+            records.append(ImuStep(float(imu["t"][k]), float(imu["dt"][k]),
+                                   imu["gyro"][k], imu["accel"][k], imu["contact_vel"][k]))
+        else:
+            records.append(stream.record(code, k))
         seen[code] += 1
     return records
 
@@ -178,9 +197,10 @@ def streams_equal(a, b) -> bool:
 
 
 def step_all(est, records):
-    """Route each record through `est.step`; the final state."""
+    """Route each record but the truth samples through `est.step`; the final state."""
     for rec in records:
-        est.step(rec)
+        if not isinstance(rec, TruthSample):
+            est.step(rec)
     return est.state
 
 

@@ -287,6 +287,21 @@ class TestEstimateCommand:
         assert ("line 2: truth record at t=0 after surface at that time"
                 in capsys.readouterr().err)
 
+    def test_record_before_the_clock_reports_line(self, tmp_path, capsys, sim_lines):
+        # The first fk_pos record moved past two imu records: the imu
+        # intervals before it put the stream clock 5 ms after its time.
+        lines = list(sim_lines)
+        kinds = [json.loads(line)["kind"] for line in lines]
+        i, j = kinds.index("fk_pos"), kinds.index("imu")
+        lines.insert(j + 1, lines.pop(i))  # to line j + 2
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("".join(lines))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert (f"stream error: line {j + 2}: out-of-order fk_pos record at t=0: "
+                in capsys.readouterr().err)
+
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"
         lines = [

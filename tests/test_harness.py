@@ -22,7 +22,7 @@ from drs_inekf.harness import (
 from drs_inekf.liegroup import compose, sek3_exp
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from drs_inekf.streams import TRUTH, Stream
+from drs_inekf.streams import TRUTH, Stream, TruthSample
 
 from conftest import oracle_metric_rows, stream_records
 
@@ -244,7 +244,6 @@ class TestYawConvergenceReferenceRun:
 
         from drs_inekf.filter import State, StreamEstimator, error_vs_truth
         from drs_inekf.liegroup import compose, sek3_exp
-        from drs_inekf.streams import TruthSample
 
         gait = GaitConfig(duration=12.0)
         noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
@@ -255,12 +254,13 @@ class TestYawConvergenceReferenceRun:
         xi0[2] = np.radians(30.0)
         mean0 = compose(sek3_exp(xi0), first.element)
         est = StreamEstimator(
-            State(mean0, initial_covariance(TrialConfig()), first.t, first.stance),
+            State(mean0, initial_covariance(TrialConfig())),
             FilterConfig(noise=noise), (Variant.PROPOSED,))
         last = None
         for rec in records:
-            est.step(rec)
-            if isinstance(rec, TruthSample):
+            if not isinstance(rec, TruthSample):
+                est.step(rec)
+            else:
                 last = rec
         final_yaw = abs(error_vs_truth(est.state, last.element).yaw_deg)
         assert final_yaw <= 3.0, final_yaw
@@ -279,10 +279,12 @@ class TestLockstepEngine:
         cfg = FilterConfig(noise=noise, update_schedule=schedule)
         xi0 = offset(13, tcfg)
         result = run_trial(stream, tcfg, cfg, tcfg.variants, xi0)
-        mean0 = compose(sek3_exp(xi0), stream.record(TRUTH, 0).element)
+        records = stream_records(stream)
+        first = next(r for r in records if isinstance(r, TruthSample))
+        mean0 = compose(sek3_exp(xi0), first.element)
         for variant in tcfg.variants:
             want = oracle_metric_rows(
-                stream_records(stream), mean0, initial_covariance(tcfg), noise,
+                records, mean0, initial_covariance(tcfg), noise,
                 variant is Variant.PROPOSED,
                 schedule is UpdateSchedule.ON_CONTACT_ONLY, cfg.epsilon)
             got = result.series[variant].values

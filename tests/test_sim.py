@@ -230,15 +230,16 @@ class TestKeystone:
         truth = generate_truth(gait, SurfaceConfig(), seed=11)
         records = stream_records(synthesize_sensors(truth, ZERO, Rates(), seed=11))
         first = next(r for r in records if isinstance(r, TruthSample))
-        start = State(first.element, np.eye(12) * 1e-4, first.t, first.stance)
+        start = State(first.element, np.eye(12) * 1e-4)
         est = StreamEstimator(start,
                               FilterConfig(noise=NoiseParams.from_scalars()),
                               (Variant.PROPOSED,))
         worst = 0.0
         terminal = None
         for rec in records:
-            est.step(rec)
-            if isinstance(rec, TruthSample):
+            if not isinstance(rec, TruthSample):
+                est.step(rec)
+            else:
                 m = error_vs_truth(est.state, rec.element)
                 worst = max(worst, float(np.max(np.abs(m.xi))))
                 terminal = m
@@ -251,12 +252,13 @@ class TestKeystone:
         truth = generate_truth(gait, SurfaceConfig(), seed=12)
         records = stream_records(synthesize_sensors(truth, ZERO, Rates(), seed=12))
         first = next(r for r in records if isinstance(r, TruthSample))
-        start = State(first.element, np.eye(12) * 1e-4, first.t, first.stance)
+        start = State(first.element, np.eye(12) * 1e-4)
         est = StreamEstimator(start,
                               FilterConfig(noise=NoiseParams.from_scalars()),
                               (Variant.POSITION_ONLY,))
         for rec in records:
-            est.step(rec)
-            if isinstance(rec, TruthSample):
+            if not isinstance(rec, TruthSample):
+                est.step(rec)
+            else:
                 m = error_vs_truth(est.state, rec.element)
                 assert np.max(np.abs(m.xi)) < 1e-5

@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from drs_inekf.harness import TrialConfig, run_trial
+from drs_inekf.filter import FilterConfig, Variant
 from drs_inekf.liegroup import so3_exp
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import (
@@ -13,7 +17,14 @@ from drs_inekf.sim import (
     synthesize_sensors,
 )
 from drs_inekf import streams
-from drs_inekf.streams import IMU, KINDS, StreamFormatError, read_jsonl, write_jsonl
+from drs_inekf.streams import (
+    IMU,
+    KINDS,
+    Stream,
+    StreamFormatError,
+    read_jsonl,
+    write_jsonl,
+)
 
 from conftest import streams_equal
 
@@ -44,6 +55,28 @@ def sample_records(rng):
 def write_records(path, records):
     path.write_text("".join(json.dumps(d) + "\n" for d in records))
     return path
+
+
+def sim_stream(seed=5, duration=1.2):
+    """A short simulated stream; 1.2 s at the default rates holds every kind."""
+    return synthesize_sensors(generate_truth(GaitConfig(duration=duration),
+                                             SurfaceConfig(), seed),
+                              NoiseParams.from_scalars(), Rates(), seed)
+
+
+SHORT = sim_stream()
+
+
+def with_column(stream, kind, name, edit, k):
+    """The columns of a stream with record k of a kind's column edited in a copy."""
+    col = stream.columns[kind][name].copy()
+    col[k] = edit(col[k])
+    return {**stream.columns, kind: {**stream.columns[kind], name: col}}
+
+
+def record_index(stream, kind, k):
+    """The stream index of record k of a kind."""
+    return int(np.flatnonzero(stream.kinds == KINDS.index(kind))[k])
 
 
 class TestRoundtrip:
@@ -167,3 +200,193 @@ class TestErrors:
         path = write_records(tmp_path / "bad.jsonl", [d])
         with pytest.raises(StreamFormatError, match="line 1: .*stance"):
             read_jsonl(path)
+
+
+class TestStreamChecks:
+    """Building a Stream checks it, however it was made, naming the record."""
+
+    def test_rejects_bad_dt(self):
+        for dt in (0.0, -0.01, 0.2):
+            columns = with_column(SHORT, "imu", "dt", lambda _: dt, 0)
+            with pytest.raises(StreamFormatError, match=rf"dt {dt:g} outside") as err:
+                Stream(SHORT.kinds, columns)
+            assert err.value.record == record_index(SHORT, "imu", 0)
+
+    def test_rejects_non_finite_input(self):
+        columns = with_column(SHORT, "imu", "gyro", lambda g: [np.nan, 0.0, 0.0], 0)
+        with pytest.raises(StreamFormatError, match="field 'gyro' must be") as err:
+            Stream(SHORT.kinds, columns)
+        assert err.value.record == record_index(SHORT, "imu", 0)
+
+    def test_out_of_order_raises(self):
+        # The first fk_pos record, 0.5 s before the clock (the first truth time).
+        columns = with_column(SHORT, "fk_pos", "t", lambda _: -0.5, 0)
+        with pytest.raises(StreamFormatError, match="out-of-order fk_pos") as err:
+            Stream(SHORT.kinds, columns)
+        assert err.value.record == record_index(SHORT, "fk_pos", 0)
+
+    @pytest.mark.parametrize("kind, name, edit, k, message", [
+        ("surface", "rot", lambda r: 2.0 * r, 3, "field 'rot' is not a rotation"),
+        ("fk_rot", "rot", lambda r: 2.0 * r, 3, "field 'rot' is not a rotation"),
+        ("fk_pos", "hp", lambda v: [v[0], np.nan, v[2]], -1, "field 'hp' must be"),
+        ("swap", "h_d", lambda v: [np.nan, v[1], v[2]], 0, "field 'h_d' must be"),
+        ("truth", "pos", lambda v: [v[0], v[1], np.nan], 7, "field 'pos' must be"),
+    ], ids=["scaled-surface", "scaled-fk_rot", "nan-last-fk_pos", "nan-swap", "nan-truth"])
+    def test_corruptions_that_ran_through_run_trial(self, kind, name, edit, k,
+                                                    message):
+        # Each of these once ran through run_trial without an error, or failed
+        # in the filter or the metrics without naming the record.
+        columns = with_column(SHORT, kind, name, edit, k)
+        n = len(SHORT.columns[kind]["t"])
+        with pytest.raises(StreamFormatError, match=message) as err:
+            run_trial(Stream(SHORT.kinds, columns), TrialConfig(n_trials=1),
+                      FilterConfig(noise=NoiseParams.from_scalars()),
+                      (Variant.PROPOSED,), np.zeros(12))
+        assert err.value.record == record_index(SHORT, kind, k % n)
+
+    def test_reflection_rejected(self):
+        # -R has R^T R = I exactly; only its determinant, -1, gives it away.
+        columns = with_column(SHORT, "fk_rot", "rot", lambda r: -r, 5)
+        with pytest.raises(StreamFormatError, match="not a rotation: .* det = -1") as err:
+            Stream(SHORT.kinds, columns)
+        assert err.value.record == record_index(SHORT, "fk_rot", 5)
+
+    def test_stacked_stream_names_the_record(self):
+        # A bad value of one stream of a stack is found on its stream axis.
+        stacked = Stream.stack([SHORT, sim_stream(seed=6)], 2)
+        columns = with_column(stacked, "imu", "accel",
+                              lambda a: np.where([[False] * 3, [False, True, False]],
+                                                 np.inf, a), 9)
+        with pytest.raises(StreamFormatError, match="field 'accel'") as err:
+            Stream(stacked.kinds, columns)
+        assert err.value.record == record_index(SHORT, "imu", 9)
+
+    def test_stream_without_truth_has_no_clock(self):
+        # With no truth sample there is no clock, so nothing is out of order.
+        truth = {name: col[:0] for name, col in SHORT.columns["truth"].items()}
+        kinds = SHORT.kinds[SHORT.kinds != KINDS.index("truth")]
+        columns = with_column(SHORT, "fk_pos", "t", lambda _: -0.5, 0)
+        assert len(Stream(kinds, {**columns, "truth": truth})) == len(kinds)
+
+
+# -- property tests: any single corruption of a short stream is named ------------
+
+_FLOAT_COLUMNS = [(kind, name) for kind in KINDS for name in SHORT.columns[kind]
+                  if name != "stance"]
+
+
+def _moves(kinds):
+    """(p, j, run) for each record p that is not imu and is followed, after
+    the other records at its time, by a run of at least two imu records:
+    j is the first of them and run their number."""
+    imu = (kinds == IMU).tolist() + [False]
+    out = []
+    for p in np.flatnonzero(kinds != IMU).tolist():
+        j = next((i for i in range(p, len(kinds)) if imu[i]), None)
+        run = 0 if j is None else imu[j:].index(False)
+        if run >= 2:
+            out.append((p, j, run))
+    return out
+
+
+_MOVES = _moves(SHORT.kinds)
+
+
+@st.composite
+def corruptions(draw):
+    """One corruption of SHORT as (edits, move, record, message).
+
+    `edits` lists (kind, k, field, value): record k of the kind gets the
+    value for that field. `move` is None or (p, q): the record at stream
+    index p moves to index q. `record` is the stream index the error must
+    name and `message` a pattern of its text.
+    """
+    what = draw(st.sampled_from(["non-finite", "scaled-rotation", "repeated-time",
+                                 "reversed-time", "before-clock"]))
+    if what == "before-clock":
+        # Moved past m >= 2 of the imu records after it: its time is then
+        # m imu intervals behind the clock. It passes no record of its kind.
+        p, j, run = draw(st.sampled_from(_MOVES))
+        q = j + draw(st.integers(2, run)) - 1
+        return [], (p, q), q, f"out-of-order {KINDS[SHORT.kinds[p]]} record"
+    if what == "non-finite":
+        kind, name = draw(st.sampled_from(_FLOAT_COLUMNS))
+    elif what == "scaled-rotation":
+        kind, name = draw(st.sampled_from(["truth", "surface", "fk_rot"])), "rot"
+    else:
+        kind, name = draw(st.sampled_from(
+            [kind for kind in KINDS if len(SHORT.columns[kind]["t"]) > 1])), "t"
+    col = SHORT.columns[kind][name]
+    k = draw(st.integers(1 if name == "t" and what != "non-finite" else 0, len(col) - 1))
+    record = record_index(SHORT, kind, k)
+    if what == "non-finite":
+        value = np.array(col[k])
+        value.reshape(-1)[draw(st.integers(0, value.size - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        return [(kind, k, name, value)], None, record, f"field '{name}' must be"
+    if what == "scaled-rotation":
+        scale = draw(st.one_of(st.floats(-2.0, 0.99), st.floats(1.01, 2.0)))
+        return ([(kind, k, name, scale * col[k])], None, record,
+                "field 'rot' is not a rotation")
+    edits = [(kind, k, "t", col[k - 1])]
+    if what == "reversed-time":
+        edits.append((kind, k - 1, "t", col[k]))
+    return edits, None, record, "non-increasing timestamp"
+
+
+def _moved(seq, move):
+    if move is None:
+        return seq
+    p, q = move
+    return np.insert(np.delete(seq, p), q, seq[p])
+
+
+def corrupt_stream(edits, move) -> Stream:
+    columns = {kind: dict(c) for kind, c in SHORT.columns.items()}
+    for kind, k, name, value in edits:
+        col = columns[kind][name] = columns[kind][name].copy()
+        col[k] = value
+    return Stream(_moved(SHORT.kinds, move), columns)
+
+
+def corrupt_file(path, edits, move):
+    """SHORT as write_jsonl writes it, then each edit made to its line."""
+    write_jsonl(SHORT, path)
+    lines = path.read_text().splitlines(keepends=True)
+    for kind, k, name, value in edits:
+        i = record_index(SHORT, kind, k)
+        record = json.loads(lines[i])
+        record[name] = np.reshape(value, -1).tolist() if np.ndim(value) else float(value)
+        lines[i] = json.dumps(record) + "\n"
+    path.write_text("".join(_moved(np.array(lines, dtype=object), move)))
+    return path
+
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestCorruptionProperties:
+    @PROPERTY
+    @given(corruptions())
+    def test_stream_names_the_record(self, case):
+        edits, move, record, message = case
+        with pytest.raises(StreamFormatError, match=message) as err:
+            corrupt_stream(edits, move)
+        assert err.value.record == record
+
+    @settings(PROPERTY, max_examples=25)
+    @given(corruptions())
+    def test_file_names_the_line(self, tmp_path_factory, case):
+        edits, move, record, message = case
+        path = corrupt_file(tmp_path_factory.mktemp("corrupt") / "s.jsonl", edits, move)
+        with pytest.raises(StreamFormatError, match=rf"^line {record + 1}: {message}"):
+            read_jsonl(path)
+
+    @settings(PROPERTY, max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.6, 1.2, 2.4]))
+    def test_write_of_read_back_is_byte_exact(self, tmp_path_factory, seed, duration):
+        path = tmp_path_factory.mktemp("roundtrip")
+        write_jsonl(sim_stream(seed, duration), path / "first.jsonl")
+        write_jsonl(read_jsonl(path / "first.jsonl"), path / "second.jsonl")
+        assert (path / "second.jsonl").read_bytes() == (path / "first.jsonl").read_bytes()
