@@ -2,14 +2,13 @@
 
 The mean lives on SE_3(3); the 12x12 covariance is expressed in
 right-invariant error coordinates xi = log(X_true @ X_hat^-1) with block
-order (xi_R, xi_v, xi_p, xi_d). Propagation uses closed-form zero-order-hold
-integration of the strapdown equations. The covariance transition
-Phi(tau) = exp(A tau) has a constant A, the point of the invariant
-construction, so Phi(a) Phi(b) = Phi(a + b) and a run of IMU intervals
-(starts t_i, lengths dt_i, T in all, ending at t_end; Ad_i the adjoint of
-the mean at t_i) takes one covariance step: cov+ = Phi(T) cov Phi(T)^T +
-sum_i Phi(t_end - t_i) Ad_i Qc dt_i Ad_i^T Phi(t_end - t_i)^T. Corrections
-are applied by left multiplication: X_hat+ = exp(K z) X_hat.
+order (xi_R, xi_v, xi_p, xi_d). The process is group-affine and its error
+dynamics A are constant, so a run of IMU intervals takes one closed-form
+step: the intervals' zero-order-hold strapdown maps compose ahead, from the
+inputs alone (`imu_terms`), Phi(a) Phi(b) = Phi(a + b) for Phi(tau) = exp(A
+tau), and with isotropic noise densities the run's noise term needs no
+adjoint (`propagate`). Corrections are applied by left multiplication:
+X_hat+ = exp(K z) X_hat.
 
 The proposed estimator fuses the foot-position kinematic measurement and
 the surface-normal orientation measurement; the position-only baseline
@@ -36,6 +35,7 @@ from .liegroup import (
     adjoint,
     compose,
     gamma0_and_applied,
+    hat,
     inverse,
     project_to_rotation,
     rotation_defect,
@@ -99,6 +99,10 @@ class FilterConfig:
 
     def __post_init__(self):
         check_fields(self)
+        for name in ("gyro_cov", "accel_cov", "contact_vel_cov"):
+            if not np.array_equal(m := getattr(self.noise, name), m[0, 0] * _EYE3):
+                raise ValueError(f"noise.{name}: must be isotropic (a variance "
+                                 f"times I), got {np.asarray(m).tolist()}")
 
 
 @dataclass(frozen=True)
@@ -117,68 +121,115 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + _T(m))
 
 
-def imu_terms(dt, gyro, accel, contact_vel):
-    """Integration terms of one IMU interval or of a run of them.
+def _shift(x: np.ndarray, s) -> np.ndarray:
+    """x M(s) in place, per group [v, p, d] of x's columns (s per first index)."""
+    groups = x.reshape(x.shape[:-1] + (-1, 3))  # a view: in place
+    groups[..., 1] += s.reshape(s.shape + (1,) * (groups.ndim - 2)) * groups[..., 0]
+    return x
 
-    The propagated mean is R+ = R Gamma_0 and, as columns,
-    [v+, p+, d+] = R C + [v, p, d] M + W: with Gamma_m = Gamma_m(gyro dt),
-    body (..., 3, 6) = [Gamma_0 | Gamma_1 accel dt, Gamma_2 accel dt^2, 0]
-    gives R @ body = [R+ | R C], M = [[1, dt, 0], [0, 1, 0], [0, 0, 1]]
-    adds v dt to p, and W = [g dt, g dt^2 / 2, contact_vel dt]. Returns
-    (body, M, W). These depend on the inputs only, so a stream's can be
-    computed ahead for many intervals at once (time axis first).
+
+# [e_v, e_d] at tau = 0 and d/dtau: sum_i dt_i e e^T = sum_m _STILL[m] sum_i dt_i tau_i^m.
+_E0, _E1 = np.zeros((2, 2, 12, 3))
+_E0[0, 3:6] = _E0[1, 9:] = _E1[0, 6:9] = _EYE3
+_STILL = np.moveaxis([_E0 @ _T(_E0), _E0 @ _T(_E1) + _E1 @ _T(_E0), _E1 @ _T(_E1)], 1, -1)
+
+
+def imu_terms(dt, gyro, accel, contact_vel, first=None):
+    """Integration terms of runs of IMU intervals, composed ahead.
+
+    Interval k maps the mean (R, cols = [v, p, d]) to (R G, R C + cols M +
+    W): G = Gamma_0(gyro dt), C = [Gamma_1 accel dt, Gamma_2 accel dt^2, 0],
+    M = M(dt) adds v dt to p, W = [g dt, g dt^2 / 2, contact_vel dt]; maps
+    compose as (G_a G_b, G_a C_b + C_a M_b, W_a M_b + W_b). Runs (time axis
+    first) start at interval 0 and the true entries of `first`. Per interval:
+    its run's map up to its end ([G | C], W, M(tau)); for the noise
+    (`propagate`), the map up to its start drifted with zero input to the
+    run's end (C, W). A run's last interval also holds Phi(T) and `still`,
+    the run's sums of e_v e_v^T dt and e_d e_d^T dt (last axis).
     """
     dt = np.asarray(dt, dtype=float)
+    n = len(dt)
     col = dt.reshape(dt.shape + (1,) * (np.ndim(gyro) - dt.ndim))
     g0, g1a, g2a = gamma0_and_applied(gyro * col, accel)
-    body = np.zeros(g0.shape[:-1] + (6,))
-    body[..., :3] = g0
-    body[..., 3] = g1a * col
-    body[..., 4] = g2a * col * col
-    shift = np.zeros(dt.shape + (3, 3))
-    shift[..., [0, 1, 2], [0, 1, 2]] = 1.0
-    shift[..., 0, 1] = dt
-    offset = np.empty(np.shape(contact_vel) + (3,))
-    offset[..., 0] = GRAVITY * col
-    offset[..., 1] = 0.5 * GRAVITY * col * col
-    offset[..., 2] = contact_vel * col
-    return body, shift, offset
+    maps, tau = np.zeros(g0.shape[:-1] + (9,)), dt.copy()  # [G | C | W], its time
+    maps[..., :3] = g0
+    maps[..., 3] = g1a * col
+    maps[..., 4] = g2a * col * col
+    maps[..., 6] = GRAVITY * col
+    maps[..., 7] = 0.5 * GRAVITY * col * col
+    maps[..., 8] = contact_vel * col
+    # Segmented inclusive scan: after the pass with hop h, each interval
+    # holds the composition of the last 2h intervals of its run up to it.
+    first = np.zeros(n, bool) if first is None else np.array(first, bool)
+    first[0] = True
+    starts = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    pos = np.arange(n) - starts[run]
+    hop, last = 1, pos.max()
+    while hop <= last:  # a: the earlier map; then b, composed in place
+        k = np.flatnonzero(pos >= hop)
+        a, b = maps[k - hop], maps[k]
+        gb = a[..., :3] @ b[..., :6]
+        _shift(a[..., 3:], tau[k])
+        a[..., 3:6] += gb[..., 3:]
+        a[..., :3], a[..., 6:] = gb[..., :3], a[..., 6:] + b[..., 6:]
+        maps[k], tau[k], hop = a, tau[k - hop] + tau[k], 2 * hop
+    # The map up to each interval's start, then the drift to its run's end.
+    ends = np.append(starts[1:], n) - 1
+    rest = tau[ends][run] - tau + dt
+    later = np.flatnonzero(~first)
+    carried = np.zeros(maps.shape[:-1] + (6,))
+    carried[later] = maps[later - 1, ..., 3:]
+    _shift(carried, rest)
+    carried[..., 3] += GRAVITY * rest.reshape(col.shape)
+    carried[..., 4] += 0.5 * GRAVITY * (rest * rest).reshape(col.shape)
+    phi, still = np.zeros((n, 12, 12)), np.zeros((n, 12, 12, 2))  # at run ends only
+    phi[ends] = state_transition(tau[ends])
+    moments = np.add.reduceat(dt[:, None] * rest[:, None] ** [0, 1, 2], starts)
+    still[ends] = np.tensordot(moments, _STILL, 1)
+    shift = _EYE3 + tau[:, None, None] * np.outer(_EYE3[0], _EYE3[1])
+    return (maps[..., :6], maps[..., 6:], shift, phi, carried[..., :3], carried[..., 3:],
+            still)
 
 
-def propagate(s: State, u: ImuStep, noise: NoiseParams,
-              phi: np.ndarray | None = None) -> State:
+def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
     """Advance mean and covariance over u, one interval or a run of them.
 
-    The mean takes one exact zero-order-hold step per interval (`imu_terms`,
-    or u.terms computed ahead), re-projected when it drifts off rotations.
-    The covariance takes one: cov+ = Phi(T) cov Phi(T)^T + sum_i G_i Qc dt_i
-    G_i^T, G_i = Phi(t_end - t_i) Ad_i maps interval i's process noise into
-    invariant coordinates (Ad_i: adjoint of the mean at its start t_i).
-    phi, when given, holds Phi(t_end - t_i) per interval.
+    One closed-form step (`imu_terms`, or u.terms computed ahead) from the
+    start (R0, cols0), its rotation re-projected if it drifted: the mean
+    moves to (R0 G, R0 C + cols0 M(T) + W), the covariance to Phi(T) cov
+    Phi(T)^T + sum_i Phi(tau_i) Ad_i Qc Ad_i^T Phi(tau_i)^T dt_i, Ad_i at
+    interval i's start, tau_i from there to the run's end. With Qc =
+    diag(sg^2 I, sa^2 I, 0, sc^2 I), R sg^2 I R^T = sg^2 I: term i is sg^2
+    Z_i Z_i^T + E_i diag(sa^2 I, sc^2 I) E_i^T, Z_i = [I; hat(v + g tau_i);
+    hat(p + tau_i v + g tau_i^2 / 2); hat(d)] at the mean's columns there,
+    E_i = [e_v | e_d] = [0, 0; I, 0; tau_i I, 0; 0, I]: no adjoint.
     """
-    run = [np.asarray(getattr(u, name), dtype=float) for name in _IMU_INPUTS[1:]]
-    if not run[0].ndim:  # a single interval is a run of one
-        run = [x[None] for x in run]
-    dt = run[0]
-    body, shift, offset = u.terms or imu_terms(*run)
+    lift = (None,) * (1 - np.ndim(u.dt))  # a single interval is a run of one
+    body, offset, shift, phi, carried_c, carried_w, still = u.terms or imu_terms(*(
+        np.asarray(getattr(u, name), dtype=float)[lift] for name in _IMU_INPUTS[1:]))
+    dt = np.atleast_1d(u.dt)
     rot, cols = s.mean.rot, s.mean.cols
-    starts = GroupElement(*(np.empty(dt.shape + x.shape) for x in (rot, cols)))
-    for i in range(len(dt)):
-        starts.rot[i], starts.cols[i] = rot, cols
-        rotated = rot @ body[i]
-        rot = rotated[..., :3]
-        # Every member is within tolerance when no entry of R^T R - I
-        # exceeds a third of it (the Frobenius norm is at most 3 times that).
-        if np.abs(_T(rot) @ rot - _EYE3).max() > _ORTHO_TOL / 3.0:
-            drifted = rotation_defect(rot) > _ORTHO_TOL
-            rot = np.where(drifted[..., None, None], project_to_rotation(rot), rot)
-        cols = rotated[..., 3:] + cols @ shift[i] + offset[i]
-    phi = state_transition(np.cumsum(dt[::-1])[::-1]) if phi is None else phi
-    lead = dt.shape + (1,) * (s.cov.ndim - 2)
-    g = phi.reshape(lead + (12, 12)) @ adjoint(starts)
-    noise_cov = (g @ (noise.process_cov() * dt.reshape(lead + (1, 1))) @ _T(g)).sum(0)
-    cov = _symmetrize(phi[0] @ s.cov @ phi[0].T + noise_cov)
-    return State(GroupElement(rot, cols), cov)
+    # Every member is within tolerance when no entry of R^T R - I exceeds
+    # a third of it (the Frobenius norm is at most 3 times that).
+    if np.abs(_T(rot) @ rot - _EYE3).max() > _ORTHO_TOL / 3.0:
+        drifted = rotation_defect(rot) > _ORTHO_TOL
+        rot = np.where(drifted[..., None, None], project_to_rotation(rot), rot)
+    moved = cols @ shift[-1]
+    rotated = rot @ body[-1]
+    mean = GroupElement(rotated[..., :3], rotated[..., 3:] + moved + offset[-1])
+    # The Z_i arguments, time first: the inputs' axes are the state's last.
+    lead = carried_c.shape[:1] + (1,) * (rot.ndim + 1 - carried_c.ndim)
+    args = (rot @ carried_c.reshape(lead + carried_c.shape[1:])
+            + carried_w.reshape(lead + carried_w.shape[1:]) + moved)
+    z = np.empty(args.shape[:-2] + (12, 3))
+    z[..., :3, :] = _EYE3
+    z[..., 3:, :] = hat(_T(args)).reshape(args.shape[:-2] + (9, 3))
+    weight = (noise.gyro_cov[0, 0] * dt).reshape(dt.shape + (1,) * (z.ndim - 1))
+    still_cov = still[-1] @ (noise.accel_cov[0, 0], noise.contact_vel_cov[0, 0])
+    noise_cov = ((z * weight) @ _T(z)).sum(0) + still_cov
+    cov = _symmetrize(phi[-1] @ s.cov @ _T(phi[-1]) + noise_cov)
+    return State(mean, cov)
 
 
 def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
@@ -278,7 +329,6 @@ class StreamEstimator:
         self.state = initial
         self.cfg = cfg
         self.surface_rot: np.ndarray | None = None
-        self._phi_cache: dict[bytes, np.ndarray] = {}  # run dt -> Phi(t_end - t_i)
         self._contact_fresh = True
         # Members that take orientation updates: all, none, or one row.
         self._orient_rows = None
@@ -288,13 +338,6 @@ class StreamEstimator:
             row = variants.index(Variant.PROPOSED)
             self._orient_rows = slice(row, row + 1)
 
-    def _phi(self, dt) -> np.ndarray:
-        dt = np.atleast_1d(dt)
-        key = dt.tobytes()
-        if key not in self._phi_cache:
-            self._phi_cache[key] = state_transition(np.cumsum(dt[::-1])[::-1])
-        return self._phi_cache[key]
-
     def _updates_enabled(self) -> bool:
         return (self.cfg.update_schedule is UpdateSchedule.EVERY_STEP
                 or self._contact_fresh)
@@ -303,8 +346,7 @@ class StreamEstimator:
         """Route one record or IMU run; returns the (possibly unchanged) state."""
         noise, epsilon = self.cfg.noise, self.cfg.epsilon
         if isinstance(event, ImuStep):
-            self.state = propagate(self.state, event, noise,
-                                   phi=self._phi(event.dt))
+            self.state = propagate(self.state, event, noise)
         elif isinstance(event, SurfacePose):
             self.surface_rot = event.rot
         elif isinstance(event, FkOrientation):
@@ -332,6 +374,7 @@ class StreamEstimator:
         integration terms are computed ahead _TERMS_BLOCK intervals at once.
         """
         imu, kinds = stream.columns["imu"], stream.kinds
+        opens = np.diff(kinds == IMU, prepend=False)[kinds == IMU]  # starts a run
         edges = np.flatnonzero(np.diff(kinds, prepend=-1, append=-1))  # kind runs
         seen, end = [0] * len(KINDS), 0  # end: first interval without terms
         for first, stop in zip(map(int, edges[:-1]), map(int, edges[1:])):
@@ -348,6 +391,7 @@ class StreamEstimator:
                 b = min(a + _TERMS_BLOCK, seen[code])
                 if b > end:
                     start, end = a, a + _TERMS_BLOCK
-                    terms = imu_terms(*(imu[name][start:end] for name in _IMU_INPUTS[1:]))
+                    terms = imu_terms(*(imu[name][start:end] for name in _IMU_INPUTS[1:]),
+                                      opens[start:end])
                 self.step(ImuStep(*(imu[name][a:b] for name in _IMU_INPUTS),
                                   terms=tuple(x[a - start:b - start] for x in terms)))

@@ -145,10 +145,11 @@ class NoiseParams:
     """Noise model of the filter.
 
     gyro/accel/contact_vel covariances are continuous-time white-noise
-    densities ((unit)^2/Hz); fk_pos and surface_orient covariances are
-    per-sample measurement covariances; jump_cov is the tangent-space
-    covariance added at support-foot swaps (zero reproduces the exact
-    no-jump covariance behaviour).
+    densities ((unit)^2/Hz), isotropic (a variance times I, as `FilterConfig`
+    checks: the filter's propagation needs it); fk_pos and surface_orient
+    covariances are per-sample measurement covariances; jump_cov is the
+    tangent-space covariance added at support-foot swaps (zero reproduces
+    the exact no-jump covariance behaviour).
     """
 
     gyro_cov: np.ndarray
@@ -167,14 +168,6 @@ class NoiseParams:
         return cls(_diag3(s.gyro_density), _diag3(s.accel_density),
                    _diag3(s.contact_vel_density), _diag3(s.fk_pos_var),
                    _diag3(s.surface_orient_var), jump)
-
-    def process_cov(self) -> np.ndarray:
-        """12x12 continuous density of the process noise (position rows zero)."""
-        qc = np.zeros((12, 12))
-        qc[XI_R, XI_R] = self.gyro_cov
-        qc[XI_V, XI_V] = self.accel_cov
-        qc[XI_D, XI_D] = self.contact_vel_cov
-        return qc
 
 
 @dataclass(frozen=True)

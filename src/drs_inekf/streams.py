@@ -154,8 +154,9 @@ class Stream:
                     _first_bad(_each(np.isfinite(col)), at, lambda i: (
                         f"field {name!r} must be {_what(_FIELDS[kind][name])}, "
                         f"got {col[i].tolist()}"), "record")
-            if "rot" in c:
-                defect, det = rotation_defect(c["rot"]), np.linalg.det(c["rot"])
+            if "rot" in c:  # det R as the triple product of its rows
+                defect, rows = rotation_defect(c["rot"]), np.moveaxis(c["rot"], -2, 0)
+                det = np.einsum("...i,...i->...", rows[0], np.cross(rows[1], rows[2]))
                 _first_bad(_each((defect <= ROT_TOL) & (det > 0.0)), at, lambda i: (
                     f"field 'rot' is not a rotation: |R^T R - I|_F = "
                     f"{np.max(defect[i]):.3g} (at most {ROT_TOL:g}), "
@@ -198,7 +199,7 @@ class Stream:
         """`count` streams with one record layout, side by side on a stream axis.
 
         Each stream's values are copied in as it arrives, so a generator
-        of streams never has them all in memory at once.
+        of streams never has them all in memory at once. Not checked again.
         """
         columns = None
         for i, stream in enumerate(streams):
@@ -219,7 +220,9 @@ class Stream:
                         columns[kind][name][:, i] = col
         if columns is None or i + 1 != count:
             raise ValueError(f"expected {count} streams to stack")
-        return cls(first.kinds, columns)
+        stacked = cls.__new__(cls)
+        stacked.__dict__.update(kinds=first.kinds, columns=columns)
+        return stacked
 
 
 def _first_bad(ok, at, message, key="line") -> None:

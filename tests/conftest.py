@@ -5,6 +5,9 @@ import pytest
 from scipy.linalg import logm
 
 from drs_inekf.liegroup import (
+    XI_D,
+    XI_R,
+    XI_V,
     GroupElement,
     _gamma_coeffs,
     _left_jacobian_inv,
@@ -288,6 +291,15 @@ def _sym(m):
     return 0.5 * (m + m.T)
 
 
+def process_cov(noise) -> np.ndarray:
+    """12x12 continuous density Qc of the process noise (position rows zero)."""
+    qc = np.zeros((12, 12))
+    qc[XI_R, XI_R] = noise.gyro_cov
+    qc[XI_V, XI_V] = noise.accel_cov
+    qc[XI_D, XI_D] = noise.contact_vel_cov
+    return qc
+
+
 def oracle_propagate(mean, cov, u, noise):
     dt = u.dt
     rot = mean.rot
@@ -304,8 +316,26 @@ def oracle_propagate(mean, cov, u, noise):
     cols[:, 2] = old[:, 2] + u.contact_vel * dt
     phi = state_transition(dt)
     m = phi @ adjoint(mean)
-    cov = _sym(phi @ cov @ phi.T + (m @ noise.process_cov() @ m.T) * dt)
+    cov = _sym(phi @ cov @ phi.T + (m @ process_cov(noise) @ m.T) * dt)
     return GroupElement(rot_new, cols), cov
+
+
+def oracle_run(mean, cov, steps, noise):
+    """Mean and covariance after a run of one-interval ImuSteps, generically.
+
+    The means are stepped by oracle_propagate, tick by tick; the covariance
+    takes the one step Phi(T) cov Phi(T)^T + sum_i Phi(tau_i) Ad_i Qc
+    Ad_i^T Phi(tau_i)^T dt_i, with Ad_i the adjoint of the mean at interval
+    i's start and tau_i the time from there to the run's end.
+    """
+    tau = np.cumsum([u.dt for u in steps][::-1])[::-1]
+    phi = state_transition(tau[0])
+    out = phi @ cov @ phi.T
+    for u, t in zip(steps, tau):
+        g = state_transition(t) @ adjoint(mean)
+        out = out + (g @ process_cov(noise) @ g.T) * u.dt
+        mean, _ = oracle_propagate(mean, cov, u, noise)
+    return mean, _sym(out)
 
 
 def oracle_update(mean, cov, y, b, h, n, epsilon):

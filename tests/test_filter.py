@@ -1,4 +1,7 @@
 import math
+import pickle
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,7 +39,10 @@ from drs_inekf.models import (
 )
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from drs_inekf.streams import (
+    _FIELDS,
     IMU,
+    KINDS,
+    TIME_TOL,
     FkOrientation,
     FkPosition,
     Stream,
@@ -48,6 +54,8 @@ from conftest import (
     embed,
     group_element,
     identity,
+    oracle_propagate,
+    oracle_run,
     random_element,
     random_imu,
     rk4_flow,
@@ -175,6 +183,96 @@ class TestPropagateRun:
         run = propagate(s, imu_run(steps), noise)
         assert run.cov.shape == (2, 3, 12, 12)
         assert_states_close(run, self.one_by_one(s, steps, noise))
+
+
+def imu_only_stream(dt, gyro, accel, contact_vel):
+    """A stream of imu records only, from t = 0; values may carry a stream axis."""
+    columns = {kind: {name: np.zeros((0,) + shape) for name, shape in fields.items()}
+               for kind, fields in _FIELDS.items()}
+    columns["imu"] = {"t": np.concatenate([[0.0], np.cumsum(dt)[:-1]]), "dt": dt,
+                      "gyro": gyro, "accel": accel, "contact_vel": contact_vel}
+    return Stream(np.full(len(dt), IMU, dtype=np.int8), columns)
+
+
+class TestClosedFormRun:
+    """A run's closed-form step against the generic per-interval forms.
+
+    The state has batch axes (2, 3), the inputs the stream axis of length 3
+    and unequal dt. Row 0 starts from a zero covariance, so its covariance
+    is the noise term alone; row 1 from a random one.
+    """
+
+    def batch(self, rng, n):
+        dt = rng.uniform(0.001, 0.006, n)
+        inputs = [rng.standard_normal((n, 3, 3)) * scale for scale in (1.0, 3.0, 0.3)]
+        members = [[random_element(rng) for _ in range(3)] for _ in range(2)]
+        a = rng.standard_normal((3, 12, 12))
+        cov = np.stack([np.zeros((3, 12, 12)), a @ a.transpose(0, 2, 1) / 12.0])
+        s = State(GroupElement(np.array([[m.rot for m in row] for row in members]),
+                               np.array([[m.cols for m in row] for row in members])), cov)
+        return s, dt, inputs, members
+
+    @staticmethod
+    def member_steps(dt, inputs, j):
+        t = np.concatenate([[0.0], np.cumsum(dt)[:-1]])
+        return [ImuStep(t[k], dt[k], *(x[k, j] for x in inputs)) for k in range(len(dt))]
+
+    @pytest.mark.parametrize("n", [1, 4, 600])
+    def test_matches_generic_oracle(self, rng, n, monkeypatch):
+        # One propagate call, and the fold of an imu-only stream: its one
+        # run of 600 records is folded as runs of _TERMS_BLOCK and the rest.
+        noise = NoiseParams.from_scalars()
+        s, dt, inputs, members = self.batch(rng, n)
+        stepped = propagate(s, ImuStep(np.zeros(n), dt, *inputs), noise)
+        calls = []
+        monkeypatch.setattr(filter_module, "propagate",
+                            lambda *args: calls.append(1) or propagate(*args))
+        est = StreamEstimator(s, FilterConfig(noise=noise),
+                              (Variant.PROPOSED, Variant.POSITION_ONLY))
+        assert list(est.fold(imu_only_stream(dt, *inputs))) == []
+        assert len(calls) == -(-n // filter_module._TERMS_BLOCK)
+        for i, j in np.ndindex(2, 3):
+            mean, cov = oracle_run(members[i][j], s.cov[i, j],
+                                   self.member_steps(dt, inputs, j), noise)
+            for got in (stepped, est.state):
+                assert rel_err(got.cov[i, j], cov) <= 1e-12
+                assert rel_err(got.mean.rot[i, j], mean.rot) <= 1e-12
+                assert rel_err(got.mean.cols[i, j], mean.cols) <= 1e-12
+
+    def test_mean_tick_by_tick(self, rng):
+        # Each prefix of a run of 40 intervals, composed in one step, gives
+        # the mean that oracle_propagate reaches tick by tick.
+        noise = NoiseParams.from_scalars()
+        s, dt, inputs, members = self.batch(rng, 40)
+        for i, j in np.ndindex(2, 3):
+            mean = members[i][j]
+            for k, u in enumerate(self.member_steps(dt, inputs, j), start=1):
+                mean, _ = oracle_propagate(mean, np.eye(12), u, noise)
+                got = propagate(s, ImuStep(np.zeros(k), dt[:k], *(x[:k] for x in inputs)),
+                                noise).mean
+                assert rel_err(got.rot[i, j], mean.rot) <= 1e-12
+                assert rel_err(got.cols[i, j], mean.cols) <= 1e-12
+
+    def test_forms_no_adjoint(self, rng, monkeypatch):
+        def refused(x):
+            raise AssertionError("adjoint called")
+
+        monkeypatch.setattr(filter_module, "adjoint", refused)
+        s, dt, inputs, _ = self.batch(rng, 4)
+        propagate(s, ImuStep(np.zeros(4), dt, *inputs), NoiseParams.from_scalars())
+
+
+class TestFilterConfig:
+    @pytest.mark.parametrize("name", ["gyro_cov", "accel_cov", "contact_vel_cov"])
+    def test_rejects_anisotropic_process_noise(self, name):
+        # The closed-form propagation needs each density to be a variance
+        # times I; the measurement and jump covariances may be anything.
+        noise = NoiseParams.from_scalars()
+        bad = replace(noise, **{name: np.diag([1.0, 2.0, 3.0]) * 1e-4})
+        with pytest.raises(ValueError, match=f"noise.{name}: must be isotropic"):
+            FilterConfig(noise=bad)
+        FilterConfig(noise=replace(noise, **{name: 2e-4 * np.eye(3)},
+                                   fk_pos_cov=np.diag([1.0, 2.0, 3.0]) * 1e-4))
 
 
 class TestUpdate:
@@ -420,6 +518,41 @@ class TestStreamEstimator:
                          imu["contact_vel"][k]) for k in range(n)]
         assert_states_close(est.state, step_all(StreamEstimator(s0, cfg, PROPOSED),
                                                 steps))
+
+    def test_jittered_dt_holds_no_per_run_state(self, rng):
+        # The imu and surface records of a 30 s stream (3,000 runs of imu
+        # records, as in the whole stream; the updates are left out to keep
+        # the traced folds short), with the imu dt jittered by under
+        # TIME_TOL / 5 so that no two runs have the same dt: each interval
+        # still ends within TIME_TOL / 10 of where the next one starts, and
+        # the clock drifts by at most that. The estimator keeps nothing per
+        # run: it pickles to the same size as after the stream with
+        # unjittered dt, and its peak memory is within 1 MB of that one's.
+        noise = NoiseParams.from_scalars()
+        full = synthesize_sensors(generate_truth(GaitConfig(duration=30.0),
+                                                 SurfaceConfig(), 3), noise, Rates(), 3)
+        kept = ("imu", "surface")
+        stream = Stream(full.kinds[np.isin(full.kinds, [KINDS.index(k) for k in kept])],
+                        {kind: c if kind in kept else {name: col[:0] for name, col in c.items()}
+                         for kind, c in full.columns.items()})
+        imu = stream.columns["imu"]
+        jitter = TIME_TOL / 10 * np.diff(rng.uniform(size=len(imu["dt"]) + 1))
+        jittered = Stream(stream.kinds, {**stream.columns,
+                                         "imu": {**imu, "dt": imu["dt"] + jitter}})
+        s0 = make_state(rng)
+        sizes, peaks = [], []
+        for folded in (stream, jittered):
+            est = StreamEstimator(s0, FilterConfig(noise=noise), PROPOSED)
+            tracemalloc.start()
+            try:
+                for _ in est.fold(folded):
+                    pass
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            sizes.append(len(pickle.dumps(vars(est))))
+        assert sizes[0] == sizes[1]
+        assert peaks[1] <= peaks[0] + 1e6, peaks
 
     def test_on_contact_only_schedule(self, rng):
         noise = NoiseParams.from_scalars()

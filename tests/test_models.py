@@ -34,6 +34,7 @@ from conftest import (
     fd_measurement_jacobian,
     group_affine_residual,
     identity,
+    process_cov,
     process_dynamics,
     random_element,
     random_imu,
@@ -287,9 +288,10 @@ class TestNoiseParams:
             validate_noise(bad)
 
     def test_process_cov_layout(self):
+        # The Qc layout of the generic propagation oracle (conftest).
         n = NoiseParams.from_scalars(gyro_density=1.0, accel_density=2.0,
                                       contact_vel_density=3.0)
-        qc = n.process_cov()
+        qc = process_cov(n)
         assert np.allclose(qc[XI_R, XI_R], np.eye(3))
         assert np.allclose(qc[XI_V, XI_V], 2.0 * np.eye(3))
         assert np.allclose(qc[XI_P, XI_P], 0.0)

@@ -261,6 +261,29 @@ class TestStreamChecks:
             Stream(stacked.kinds, columns)
         assert err.value.record == record_index(SHORT, "imu", 9)
 
+    def test_stack_is_not_checked_again(self, monkeypatch):
+        # Its streams were checked when built: stacking runs no value check,
+        # and the stack is the stream that checked columns would build.
+        parts = [SHORT, sim_stream(seed=6)]
+        calls = []
+        monkeypatch.setattr(streams, "rotation_defect",
+                            lambda rot: calls.append(1) or np.zeros(rot.shape[:-2]))
+        stacked = Stream.stack(parts, 2)
+        assert calls == []
+        monkeypatch.undo()
+        assert streams_equal(stacked, Stream(stacked.kinds, stacked.columns))
+        for i, part in enumerate(parts):
+            for kind, c in part.columns.items():
+                for name, col in c.items():
+                    got = stacked.columns[kind][name]
+                    assert np.array_equal(got if col.ndim == 1 else got[:, i], col)
+
+    def test_stack_rejects_differing_layouts(self):
+        with pytest.raises(ValueError, match="differ in record layout"):
+            Stream.stack([SHORT, sim_stream(duration=1.4)], 2)
+        with pytest.raises(ValueError, match="expected 3 streams"):
+            Stream.stack([SHORT, SHORT], 3)
+
     def test_stream_without_truth_has_no_clock(self):
         # With no truth sample there is no clock, so nothing is out of order.
         truth = {name: col[:0] for name, col in SHORT.columns["truth"].items()}
