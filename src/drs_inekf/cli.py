@@ -33,7 +33,7 @@ from .harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from .models import NoiseLevels, NoiseParams, config_fields
+from .models import NoiseParams, config_fields
 from .plots import write_report_svgs
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from .streams import StreamFormatError, read_jsonl, write_jsonl
@@ -51,7 +51,7 @@ class ConfigError(ValueError):
 # The config document: one section per dataclass, whose `param` fields
 # hold each key's default, type and bounds.
 SECTIONS = {"surface": SurfaceConfig, "gait": GaitConfig, "rates": Rates,
-            "noise": NoiseLevels, "filter": FilterConfig, "trials": TrialConfig}
+            "noise": NoiseParams, "filter": FilterConfig, "trials": TrialConfig}
 
 DEFAULT_CONFIG: dict = json.loads(json.dumps(
     {name: {f.name: f.default for f in config_fields(cls)}
@@ -89,14 +89,14 @@ def load_config(path: str | None) -> dict:
     return _merge(DEFAULT_CONFIG, user)
 
 
-def build(cfg: dict, section: str, make=None, **extra):
-    """Section `section` of a loaded config as its dataclass (or `make(...)`).
+def build(cfg: dict, section: str, **extra):
+    """Section `section` of a loaded config as its dataclass.
 
     The dataclass checks its own fields; its errors gain the section name,
     so they read `section.field: reason`.
     """
     try:
-        return (make or SECTIONS[section])(**cfg[section], **extra)
+        return SECTIONS[section](**cfg[section], **extra)
     except ValueError as exc:
         raise ConfigError(f"{section}.{exc}") from exc
 
@@ -136,7 +136,7 @@ def _ensure_out_dir(path: str) -> None:
 
 def build_all(cfg: dict, seed: int) -> argparse.Namespace:
     """Every section of a loaded config, built and checked."""
-    noise = build(cfg, "noise", NoiseParams.from_scalars)
+    noise = build(cfg, "noise")
     return argparse.Namespace(
         surface=build(cfg, "surface"), gait=build(cfg, "gait"),
         rates=build(cfg, "rates"), noise=noise,

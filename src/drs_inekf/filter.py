@@ -6,9 +6,10 @@ order (xi_R, xi_v, xi_p, xi_d). The process is group-affine and its error
 dynamics A are constant, so a run of IMU intervals takes one closed-form
 step: the intervals' zero-order-hold strapdown maps compose ahead, from the
 inputs alone (`imu_terms`), Phi(a) Phi(b) = Phi(a + b) for Phi(tau) = exp(A
-tau), and with isotropic noise densities the run's noise term needs no
-adjoint (`propagate`). Corrections are applied by left multiplication:
-X_hat+ = exp(K z) X_hat.
+tau), and as every noise is isotropic by type (`NoiseParams` holds one
+variance each) the run's noise term needs no adjoint (`propagate`) and a
+measurement covariance is that variance times I in every frame.
+Corrections are applied by left multiplication: X_hat+ = exp(K z) X_hat.
 
 The proposed estimator fuses the foot-position kinematic measurement and
 the surface-normal orientation measurement; the position-only baseline
@@ -31,6 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .liegroup import (
+    XI_D,
     GroupElement,
     adjoint,
     compose,
@@ -99,10 +101,6 @@ class FilterConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("gyro_cov", "accel_cov", "contact_vel_cov"):
-            if not np.array_equal(m := getattr(self.noise, name), m[0, 0] * _EYE3):
-                raise ValueError(f"noise.{name}: must be isotropic (a variance "
-                                 f"times I), got {np.asarray(m).tolist()}")
 
 
 @dataclass(frozen=True)
@@ -141,10 +139,10 @@ def imu_terms(dt, gyro, accel, contact_vel, first=None):
     W): G = Gamma_0(gyro dt), C = [Gamma_1 accel dt, Gamma_2 accel dt^2, 0],
     M = M(dt) adds v dt to p, W = [g dt, g dt^2 / 2, contact_vel dt]; maps
     compose as (G_a G_b, G_a C_b + C_a M_b, W_a M_b + W_b). Runs (time axis
-    first) start at interval 0 and the true entries of `first`. Per interval:
-    its run's map up to its end ([G | C], W, M(tau)); for the noise
-    (`propagate`), the map up to its start drifted with zero input to the
-    run's end (C, W). A run's last interval also holds Phi(T) and `still`,
+    first) start at interval 0 and the true entries of `first`. Returns the
+    terms per interval: its run's map up to its end ([G | C], W); for the
+    noise (`propagate`), the map up to its start drifted with zero input to
+    the run's end (C, W). Then the terms per run: M(T), Phi(T) and `still`,
     the run's sums of e_v e_v^T dt and e_d e_d^T dt (last axis).
     """
     dt = np.asarray(dt, dtype=float)
@@ -183,13 +181,10 @@ def imu_terms(dt, gyro, accel, contact_vel, first=None):
     _shift(carried, rest)
     carried[..., 3] += GRAVITY * rest.reshape(col.shape)
     carried[..., 4] += 0.5 * GRAVITY * (rest * rest).reshape(col.shape)
-    phi, still = np.zeros((n, 12, 12)), np.zeros((n, 12, 12, 2))  # at run ends only
-    phi[ends] = state_transition(tau[ends])
     moments = np.add.reduceat(dt[:, None] * rest[:, None] ** [0, 1, 2], starts)
-    still[ends] = np.tensordot(moments, _STILL, 1)
-    shift = _EYE3 + tau[:, None, None] * np.outer(_EYE3[0], _EYE3[1])
-    return (maps[..., :6], maps[..., 6:], shift, phi, carried[..., :3], carried[..., 3:],
-            still)
+    shift = _EYE3 + tau[ends, None, None] * np.outer(_EYE3[0], _EYE3[1])
+    return ((maps[..., :6], maps[..., 6:], carried[..., :3], carried[..., 3:]),
+            (shift, state_transition(tau[ends]), np.tensordot(moments, _STILL, 1)))
 
 
 def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
@@ -199,14 +194,15 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
     start (R0, cols0), its rotation re-projected if it drifted: the mean
     moves to (R0 G, R0 C + cols0 M(T) + W), the covariance to Phi(T) cov
     Phi(T)^T + sum_i Phi(tau_i) Ad_i Qc Ad_i^T Phi(tau_i)^T dt_i, Ad_i at
-    interval i's start, tau_i from there to the run's end. With Qc =
-    diag(sg^2 I, sa^2 I, 0, sc^2 I), R sg^2 I R^T = sg^2 I: term i is sg^2
-    Z_i Z_i^T + E_i diag(sa^2 I, sc^2 I) E_i^T, Z_i = [I; hat(v + g tau_i);
-    hat(p + tau_i v + g tau_i^2 / 2); hat(d)] at the mean's columns there,
-    E_i = [e_v | e_d] = [0, 0; I, 0; tau_i I, 0; 0, I]: no adjoint.
+    interval i's start, tau_i from there to the run's end. The densities of
+    `NoiseParams` give Qc = diag(sg^2 I, sa^2 I, 0, sc^2 I), and R sg^2 I
+    R^T = sg^2 I: term i is sg^2 Z_i Z_i^T + E_i diag(sa^2 I, sc^2 I)
+    E_i^T, Z_i = [I; hat(v + g tau_i); hat(p + tau_i v + g tau_i^2 / 2);
+    hat(d)] at the mean's columns there, E_i = [e_v | e_d] = [0, 0; I, 0;
+    tau_i I, 0; 0, I]: no adjoint.
     """
     lift = (None,) * (1 - np.ndim(u.dt))  # a single interval is a run of one
-    body, offset, shift, phi, carried_c, carried_w, still = u.terms or imu_terms(*(
+    (body, offset, carried_c, carried_w), (shift, phi, still) = u.terms or imu_terms(*(
         np.asarray(getattr(u, name), dtype=float)[lift] for name in _IMU_INPUTS[1:]))
     dt = np.atleast_1d(u.dt)
     rot, cols = s.mean.rot, s.mean.cols
@@ -225,8 +221,8 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
     z = np.empty(args.shape[:-2] + (12, 3))
     z[..., :3, :] = _EYE3
     z[..., 3:, :] = hat(_T(args)).reshape(args.shape[:-2] + (9, 3))
-    weight = (noise.gyro_cov[0, 0] * dt).reshape(dt.shape + (1,) * (z.ndim - 1))
-    still_cov = still[-1] @ (noise.accel_cov[0, 0], noise.contact_vel_cov[0, 0])
+    weight = (noise.gyro_density * dt).reshape(dt.shape + (1,) * (z.ndim - 1))
+    still_cov = still[-1] @ (noise.accel_density, noise.contact_vel_density)
     noise_cov = ((z * weight) @ _T(z)).sum(0) + still_cov
     cov = _symmetrize(phi[-1] @ s.cov @ _T(phi[-1]) + noise_cov)
     return State(mean, cov)
@@ -249,22 +245,22 @@ def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
     return State(mean, cov)
 
 
-def apply_jump(s: State, h_d: np.ndarray, q_jump: np.ndarray | None = None) -> State:
+def apply_jump(s: State, h_d: np.ndarray, jump_pos_var: float) -> State:
     """Support-foot swap: d+ = d + R h_d; everything else is continuous.
 
     h_d is the new-foot position relative to the old, in the base frame. The
     jump map has identity Jacobian in right-invariant coordinates, so with
     zero jump noise the covariance is untouched (bit-identical); otherwise
-    the tangent-space jump covariance is added through the adjoint of the
-    post-jump mean.
+    the foot-offset variance is added through the xi_d columns Ad_d of the
+    post-jump mean's adjoint: jump_pos_var Ad_d Ad_d^T.
     """
     cols = s.mean.cols.copy()
     cols[..., 2] = s.mean.foot + _mv(s.mean.rot, h_d)
     mean = GroupElement(s.mean.rot, cols)
     cov = s.cov
-    if q_jump is not None and np.any(q_jump):
-        ad = adjoint(mean)
-        cov = _symmetrize(cov + ad @ q_jump @ _T(ad))
+    if jump_pos_var:
+        ad = adjoint(mean)[..., XI_D]
+        cov = _symmetrize(cov + jump_pos_var * (ad @ _T(ad)))
     return State(mean, cov)
 
 
@@ -352,16 +348,16 @@ class StreamEstimator:
         elif isinstance(event, FkOrientation):
             if (self._orient_rows is not None
                     and self.surface_rot is not None and self._updates_enabled()):
-                self.state = _on_rows(self.state, self._orient_rows, lambda s: update(
-                    s, orientation_measurement(self.surface_rot, event.rot, s.mean,
-                                               noise), epsilon))
+                m = orientation_measurement(self.surface_rot, event.rot, noise)
+                self.state = _on_rows(self.state, self._orient_rows,
+                                      lambda s: update(s, m, epsilon))
         elif isinstance(event, FkPosition):
             if self._updates_enabled():
-                m = position_measurement(event.hp, self.state.mean, noise)
-                self.state = update(self.state, m, epsilon)
+                self.state = update(self.state, position_measurement(event.hp, noise),
+                                    epsilon)
             self._contact_fresh = False
         else:  # a SwapEvent
-            self.state = apply_jump(self.state, event.h_d, noise.jump_cov)
+            self.state = apply_jump(self.state, event.h_d, noise.jump_pos_var)
             self._contact_fresh = True
         return self.state
 
@@ -371,12 +367,14 @@ class StreamEstimator:
         A generator: yields the index of each truth sample (not routed)
         while the state is the estimate at its time. A run of consecutive
         IMU records is one ImuStep of at most _TERMS_BLOCK intervals, whose
-        integration terms are computed ahead _TERMS_BLOCK intervals at once.
+        integration terms are computed ahead _TERMS_BLOCK intervals at once:
+        such a step is a run of its terms block, the block's runs taken in
+        order, so it carries its intervals' terms and its run's own.
         """
         imu, kinds = stream.columns["imu"], stream.kinds
         opens = np.diff(kinds == IMU, prepend=False)[kinds == IMU]  # starts a run
         edges = np.flatnonzero(np.diff(kinds, prepend=-1, append=-1))  # kind runs
-        seen, end = [0] * len(KINDS), 0  # end: first interval without terms
+        seen, end, run = [0] * len(KINDS), 0, 0  # end: first interval without terms
         for first, stop in zip(map(int, edges[:-1]), map(int, edges[1:])):
             code = int(kinds[first])
             k, seen[code] = seen[code], seen[code] + stop - first
@@ -390,8 +388,11 @@ class StreamEstimator:
             for a in range(k, seen[code], _TERMS_BLOCK):
                 b = min(a + _TERMS_BLOCK, seen[code])
                 if b > end:
-                    start, end = a, a + _TERMS_BLOCK
-                    terms = imu_terms(*(imu[name][start:end] for name in _IMU_INPUTS[1:]),
-                                      opens[start:end])
-                self.step(ImuStep(*(imu[name][a:b] for name in _IMU_INPUTS),
-                                  terms=tuple(x[a - start:b - start] for x in terms)))
+                    start, end, run = a, a + _TERMS_BLOCK, 0
+                    intervals, runs = imu_terms(
+                        *(imu[name][start:end] for name in _IMU_INPUTS[1:]),
+                        opens[start:end])
+                self.step(ImuStep(*(imu[name][a:b] for name in _IMU_INPUTS), terms=(
+                    tuple(x[a - start:b - start] for x in intervals),
+                    tuple(x[run:run + 1] for x in runs))))
+                run += 1

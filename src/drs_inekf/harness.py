@@ -30,6 +30,11 @@ METRIC_NAMES = ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err", "nees"
 # the observability dichotomy.
 CONVERGENCE_METRICS = ("roll_err", "pitch_err", "vel_err")
 _TRUTH_BLOCK = 64  # truth samples whose metrics are evaluated together
+FINAL_WINDOW = 5.0  # s at the end of a trial that its final value summarizes
+# Gate thresholds (`evaluate_gates`).
+YAW_RATIO = 5.0
+STATIC_FLOOR = 0.5
+CONVERGENCE_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -172,7 +177,6 @@ class AggregateReport:
     bands: dict[Variant, dict[str, np.ndarray]]       # metric -> (3, T) p10/p50/p90
     initial: dict[Variant, dict[str, np.ndarray]]     # metric -> (n_trials,)
     final: dict[Variant, dict[str, np.ndarray]]       # metric -> (n_trials,)
-    final_window: float
     n_trials: int
 
 
@@ -182,11 +186,10 @@ def percentile_bands(values: np.ndarray,
     return np.percentile(values, qs, axis=0)
 
 
-def aggregate(results: list[TrialResult],
-              final_window: float = 5.0) -> AggregateReport:
+def aggregate(results: list[TrialResult]) -> AggregateReport:
     t = results[0].series[next(iter(results[0].series))].t
     variants = list(results[0].series.keys())
-    final_mask = t >= t[-1] - final_window + 1e-9
+    final_mask = t >= t[-1] - FINAL_WINDOW + 1e-9
     bands: dict[Variant, dict[str, np.ndarray]] = {}
     initial: dict[Variant, dict[str, np.ndarray]] = {}
     final: dict[Variant, dict[str, np.ndarray]] = {}
@@ -200,7 +203,7 @@ def aggregate(results: list[TrialResult],
             bands[variant][name] = percentile_bands(vals)
             initial[variant][name] = vals[:, 0].copy()
             final[variant][name] = np.median(vals[:, final_mask], axis=1)
-    return AggregateReport(t, bands, initial, final, final_window, len(results))
+    return AggregateReport(t, bands, initial, final, len(results))
 
 
 def _chunk_worker(args) -> list[list[TrialResult]]:
@@ -262,18 +265,15 @@ class GateResult:
 
 
 def evaluate_gates(rocking: AggregateReport,
-                   static: AggregateReport | None = None,
-                   yaw_ratio: float = 5.0,
-                   static_floor: float = 0.5,
-                   convergence_fraction: float = 0.1) -> list[GateResult]:
+                   static: AggregateReport | None = None) -> list[GateResult]:
     """Pass/fail gates for the observability and convergence claims.
 
     With a rocking surface the proposed variant's median final-window yaw
-    error must be at least `yaw_ratio` times smaller than the
-    position-only baseline's, and both variants must pull roll/pitch and
-    velocity errors below `convergence_fraction` of their median initial
-    values. On a static level surface neither variant may shrink the yaw
-    error below `static_floor` of its initial median.
+    error must be at least YAW_RATIO times smaller than the position-only
+    baseline's, and both variants must pull roll/pitch and velocity errors
+    below CONVERGENCE_FRACTION of their median initial values. On a static
+    level surface neither variant may shrink the yaw error below
+    STATIC_FLOOR of its initial median.
     """
     gates: list[GateResult] = []
     prop, base = Variant.PROPOSED, Variant.POSITION_ONLY
@@ -281,31 +281,31 @@ def evaluate_gates(rocking: AggregateReport,
     if prop in rocking.final and base in rocking.final:
         yaw_prop = float(np.median(rocking.final[prop]["yaw_err"]))
         yaw_base = float(np.median(rocking.final[base]["yaw_err"]))
-        ok = yaw_prop * yaw_ratio <= yaw_base
+        ok = yaw_prop * YAW_RATIO <= yaw_base
         gates.append(GateResult(
             "yaw-observability (rocking)", ok,
             f"proposed median final yaw {yaw_prop:.3f} deg vs "
-            f"position-only {yaw_base:.3f} deg (need >= {yaw_ratio}x smaller)"))
+            f"position-only {yaw_base:.3f} deg (need >= {YAW_RATIO}x smaller)"))
 
     for variant in rocking.final:
         for metric in CONVERGENCE_METRICS:
             init = float(np.median(rocking.initial[variant][metric]))
             fin = float(np.median(rocking.final[variant][metric]))
-            ok = fin <= convergence_fraction * init
+            ok = fin <= CONVERGENCE_FRACTION * init
             gates.append(GateResult(
                 f"{metric} convergence ({variant.value})", ok,
                 f"median initial {init:.4f} -> final {fin:.4f} "
-                f"(need <= {convergence_fraction:.0%})"))
+                f"(need <= {CONVERGENCE_FRACTION:.0%})"))
 
     if static is not None:
         for variant in static.final:
             init = float(np.median(static.initial[variant]["yaw_err"]))
             fin = float(np.median(static.final[variant]["yaw_err"]))
-            ok = fin >= static_floor * init
+            ok = fin >= STATIC_FLOOR * init
             gates.append(GateResult(
                 f"yaw non-convergence (static, {variant.value})", ok,
                 f"median initial {init:.3f} deg -> final {fin:.3f} deg "
-                f"(must stay >= {static_floor}x)"))
+                f"(must stay >= {STATIC_FLOOR}x)"))
 
     # Soft report only: base position is unobservable under both variants;
     # the proposed design tends to hold a smaller error.

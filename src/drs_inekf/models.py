@@ -34,10 +34,10 @@ from .liegroup import (
     hat,
 )
 from .liegroup import matvec as _mv
-from .liegroup import transposed as _T
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 E3 = np.array([0.0, 0.0, 1.0])
+_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
@@ -121,13 +121,17 @@ def check_fields(obj) -> None:
         object.__setattr__(obj, f.name, value)
 
 
-def _diag3(value: float) -> np.ndarray:
-    return np.eye(3) * value
-
-
 @dataclass(frozen=True)
-class NoiseLevels:
-    """Scalar noise levels, the `noise` section of the config document."""
+class NoiseParams:
+    """Noise model of the filter, the `noise` section of the config document.
+
+    Every noise is isotropic, so each field is one variance: the noise's
+    covariance is that variance times I, in every frame. gyro, accel and
+    contact_vel are continuous-time white-noise densities ((unit)^2/Hz);
+    fk_pos and surface_orient are per-sample measurement variances; jump_pos
+    is the variance of the support-foot offset added at swaps (zero
+    reproduces the exact no-jump covariance behaviour).
+    """
 
     gyro_density: float = param(1e-5, lo=0.0)
     accel_density: float = param(1e-4, lo=0.0)
@@ -141,43 +145,14 @@ class NoiseLevels:
 
 
 @dataclass(frozen=True)
-class NoiseParams:
-    """Noise model of the filter.
-
-    gyro/accel/contact_vel covariances are continuous-time white-noise
-    densities ((unit)^2/Hz), isotropic (a variance times I, as `FilterConfig`
-    checks: the filter's propagation needs it); fk_pos and surface_orient
-    covariances are per-sample measurement covariances; jump_cov is the
-    tangent-space covariance added at support-foot swaps (zero reproduces
-    the exact no-jump covariance behaviour).
-    """
-
-    gyro_cov: np.ndarray
-    accel_cov: np.ndarray
-    contact_vel_cov: np.ndarray
-    fk_pos_cov: np.ndarray
-    surface_orient_cov: np.ndarray
-    jump_cov: np.ndarray
-
-    @classmethod
-    def from_scalars(cls, *args, **kwargs) -> "NoiseParams":
-        """Isotropic noise model from `NoiseLevels(*args, **kwargs)`."""
-        s = NoiseLevels(*args, **kwargs)
-        jump = np.zeros((12, 12))
-        jump[XI_D, XI_D] = _diag3(s.jump_pos_var)
-        return cls(_diag3(s.gyro_density), _diag3(s.accel_density),
-                   _diag3(s.contact_vel_density), _diag3(s.fk_pos_var),
-                   _diag3(s.surface_orient_var), jump)
-
-
-@dataclass(frozen=True)
 class InvariantMeasurement:
     """Right-invariant measurement bundle (Y, b, H, N).
 
     Y and b are 6-vectors of the form [vector; augmentation rows]; H is the
     3x12 Jacobian of the innovation z = (X_hat Y - b)[:3] with respect to
     the right-invariant error; N is the world-frame covariance of the top
-    three rows after the X_hat V mapping.
+    three rows after the X_hat V mapping (sigma^2 I for isotropic noise V,
+    as R_hat sigma^2 I R_hat^T = sigma^2 I).
     """
 
     Y: np.ndarray
@@ -191,15 +166,16 @@ def innovation(m: InvariantMeasurement, xhat: GroupElement) -> np.ndarray:
     return _mv(xhat.rot, m.Y[..., :3]) + _mv(xhat.cols, m.Y[..., 3:]) - m.b[..., :3]
 
 
-def error_jacobian_A(contact_vel: np.ndarray | None = None) -> np.ndarray:
+def error_jacobian_A() -> np.ndarray:
     """Linearized right-invariant error dynamics matrix (d xi/dt = A xi).
 
     Independent of the linearization state: gravity couples xi_R into xi_v
-    and xi_v integrates into xi_p. A nonzero world-frame contact velocity
-    additionally couples xi_R into xi_d (hat(contact_vel) block); the
-    filter's covariance propagation uses the constant input-free form: a run
-    of IMU intervals takes one step as Phi(a) Phi(b) = Phi(a + b). With the
-    input-dependent block, a run must multiply per-interval Phi instead.
+    and xi_v integrates into xi_p. The exact error dynamics of a nonzero
+    world-frame contact velocity also couple xi_R into xi_d (a
+    hat(contact_vel) block); the filter leaves that block out and uses this
+    constant input-free form, so a run of IMU intervals takes one step as
+    Phi(a) Phi(b) = Phi(a + b). With the input-dependent block, a run would
+    have to multiply per-interval Phi instead.
 
     The input-free form is also the consistent one. With the hat(contact_vel)
     block linearised at the noisy measured input, per-interval Phi made the
@@ -212,8 +188,6 @@ def error_jacobian_A(contact_vel: np.ndarray | None = None) -> np.ndarray:
     a = np.zeros((12, 12))
     a[XI_V, XI_R] = hat(GRAVITY)
     a[XI_P, XI_V] = np.eye(3)
-    if contact_vel is not None:
-        a[XI_D, XI_R] = hat(contact_vel)
     return a
 
 
@@ -225,7 +199,7 @@ def state_transition(dt) -> np.ndarray:
 
 
 def orientation_measurement(surface_rot: np.ndarray, foot_rot_in_base: np.ndarray,
-                            xhat: GroupElement, noise: NoiseParams) -> InvariantMeasurement:
+                            noise: NoiseParams) -> InvariantMeasurement:
     """Surface-normal alignment measurement in right-invariant form.
 
     During secured flat-foot contact the foot normal and the surface normal
@@ -238,15 +212,14 @@ def orientation_measurement(surface_rot: np.ndarray, foot_rot_in_base: np.ndarra
     b = _augment(n_s, (0.0, 0.0, 0.0))
     h = np.zeros(n_s.shape[:-1] + (3, 12))
     h[..., XI_R] = hat(n_s)
-    n = xhat.rot @ noise.surface_orient_cov @ _T(xhat.rot)
-    return InvariantMeasurement(y, b, h, n)
+    return InvariantMeasurement(y, b, h, noise.surface_orient_var * _EYE3)
 
 
 _POSITION_B = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
 _POSITION_H = np.zeros((3, 12))
 _POSITION_H[:, XI_P] = -np.eye(3)
 _POSITION_H[:, XI_D] = np.eye(3)
-for _constant in (_POSITION_B, _POSITION_H):
+for _constant in (_POSITION_B, _POSITION_H, _EYE3):
     _constant.setflags(write=False)
 
 
@@ -258,8 +231,7 @@ def _augment(v: np.ndarray, rows: tuple) -> np.ndarray:
     return out
 
 
-def position_measurement(hp: np.ndarray, xhat: GroupElement,
-                         noise: NoiseParams) -> InvariantMeasurement:
+def position_measurement(hp: np.ndarray, noise: NoiseParams) -> InvariantMeasurement:
     """Leg-kinematics foot position measurement in right-invariant form.
 
     hp is the support-foot position relative to the base, in the base frame,
@@ -267,5 +239,4 @@ def position_measurement(hp: np.ndarray, xhat: GroupElement,
     The innovation R_hat hp + p_hat - d_hat observes xi_d - xi_p.
     """
     y = _augment(hp, (0.0, 1.0, -1.0))
-    n = xhat.rot @ noise.fk_pos_cov @ _T(xhat.rot)
-    return InvariantMeasurement(y, _POSITION_B, _POSITION_H, n)
+    return InvariantMeasurement(y, _POSITION_B, _POSITION_H, noise.fk_pos_var * _EYE3)

@@ -75,7 +75,7 @@ def _band(xs, lo, hi, color) -> str:
             f'points="{" ".join(fwd + back)}"/>')
 
 
-def render_metric_svg(report: AggregateReport, metric: str, title: str = "") -> str:
+def render_metric_svg(report: AggregateReport, metric: str) -> str:
     """SVG document for one metric with per-variant median and band."""
     t = report.t
     y_hi = 0.0
@@ -105,14 +105,14 @@ def render_metric_svg(report: AggregateReport, metric: str, title: str = "") -> 
 
     for variant, metrics in report.bands.items():
         band = metrics[metric]
-        color = _COLORS.get(variant, "#2ca02c")
+        color = _COLORS[variant]
         xs = frame.x(t)
         parts.append(_band(xs, frame.y(band[0]), frame.y(band[2]), color))
         parts.append(_polyline(xs, frame.y(band[1]), color))
 
     legend_y = _MT + 14
     for variant in report.bands:
-        color = _COLORS.get(variant, "#2ca02c")
+        color = _COLORS[variant]
         parts.append(f'<line x1="{_W - _MR - 150}" y1="{legend_y}" '
                      f'x2="{_W - _MR - 122}" y2="{legend_y}" stroke="{color}" '
                      f'stroke-width="2"/>')
@@ -120,9 +120,9 @@ def render_metric_svg(report: AggregateReport, metric: str, title: str = "") -> 
                      f'font-family="sans-serif">{variant.value}</text>')
         legend_y += 16
 
-    label = _YLABELS.get(metric, metric)
+    label = _YLABELS[metric]
     parts.append(f'<text x="{_ML}" y="{_MT - 12}" font-size="13" '
-                 f'font-family="sans-serif">{title or label} '
+                 f'font-family="sans-serif">{label} '
                  f'(median, p10-p90, {report.n_trials} trials)</text>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
                  f'text-anchor="middle" font-size="12" '

@@ -204,12 +204,6 @@ def generate_truth(gait: GaitConfig, surf: SurfaceConfig,
     return TruthTrajectory(gait, surf, phases)
 
 
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix (tolerates zero eigenvalues)."""
-    vals, vecs = np.linalg.eigh(np.asarray(m, dtype=float))
-    return vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-
-
 def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
                        rates: Rates = Rates(), seed: int = 0) -> Stream:
     """Build the full sensor stream from a truth trajectory.
@@ -274,13 +268,14 @@ def _sensor_columns(truth, noise, rates, seed) -> tuple:
             foot_next[mask] = truth.foot_pos(times[1:][mask], idx)
     contact_vel = (foot_next - foot_own[:-1]) / dt
 
+    # Isotropic noise, each axis with the field's variance (a density over dt).
     rng = np.random.default_rng(seed)
-    gyro_n = rng.standard_normal((n_imu, 3)) @ _psd_sqrt(noise.gyro_cov / dt).T
-    accel_n = rng.standard_normal((n_imu, 3)) @ _psd_sqrt(noise.accel_cov / dt).T
-    cvel_n = rng.standard_normal((n_imu, 3)) @ _psd_sqrt(noise.contact_vel_cov / dt).T
-    fk_n = rng.standard_normal((len(kin), 3)) @ _psd_sqrt(noise.fk_pos_cov).T
-    orient_n = rng.standard_normal((len(kin), 3)) @ _psd_sqrt(noise.surface_orient_cov).T
-    hd_n = rng.standard_normal((len(swaps), 3)) @ _psd_sqrt(noise.jump_cov[9:12, 9:12]).T
+    gyro_n = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.gyro_density / dt)
+    accel_n = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.accel_density / dt)
+    cvel_n = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.contact_vel_density / dt)
+    fk_n = rng.standard_normal((len(kin), 3)) * math.sqrt(noise.fk_pos_var)
+    orient_n = rng.standard_normal((len(kin), 3)) * math.sqrt(noise.surface_orient_var)
+    hd_n = rng.standard_normal((len(swaps), 3)) * math.sqrt(noise.jump_pos_var)
 
     # Records present at each tick, in the co-timestamp order of KINDS.
     present = np.zeros((n_imu + 1, len(KINDS)), dtype=bool)

@@ -115,17 +115,6 @@ def group_affine_residual(x1: GroupElement, x2: GroupElement, u: ImuStep,
     return float(np.linalg.norm(lhs - rhs))
 
 
-def validate_noise(noise, tol: float = 1e-9) -> None:
-    """Raise ValueError unless every covariance of `noise` is symmetric PSD."""
-    for name in ("gyro_cov", "accel_cov", "contact_vel_cov",
-                 "fk_pos_cov", "surface_orient_cov", "jump_cov"):
-        m = getattr(noise, name)
-        if not np.allclose(m, m.T, atol=tol):
-            raise ValueError(f"{name} is not symmetric")
-        if np.min(np.linalg.eigvalsh(m)) < -tol:
-            raise ValueError(f"{name} is not positive semidefinite")
-
-
 def base_acc(truth, t):
     """World acceleration of the base (analytic)."""
     t = np.asarray(t, dtype=float)
@@ -294,9 +283,9 @@ def _sym(m):
 def process_cov(noise) -> np.ndarray:
     """12x12 continuous density Qc of the process noise (position rows zero)."""
     qc = np.zeros((12, 12))
-    qc[XI_R, XI_R] = noise.gyro_cov
-    qc[XI_V, XI_V] = noise.accel_cov
-    qc[XI_D, XI_D] = noise.contact_vel_cov
+    qc[XI_R, XI_R] = noise.gyro_density * np.eye(3)
+    qc[XI_V, XI_V] = noise.accel_density * np.eye(3)
+    qc[XI_D, XI_D] = noise.contact_vel_density * np.eye(3)
     return qc
 
 
@@ -363,7 +352,7 @@ def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
                 h = np.zeros((3, 12))
                 h[:, 0:3] = hat(n_s)
                 y = np.concatenate([rec.rot[:, 2], np.zeros(3)])
-                n = mean.rot @ noise.surface_orient_cov @ mean.rot.T
+                n = mean.rot @ (noise.surface_orient_var * np.eye(3)) @ mean.rot.T
                 mean, cov = oracle_update(mean, cov, y, np.concatenate(
                     [n_s, np.zeros(3)]), h, n, epsilon)
         elif isinstance(rec, FkPosition):
@@ -371,7 +360,7 @@ def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
                 h = np.zeros((3, 12))
                 h[:, 6:9] = -np.eye(3)
                 h[:, 9:12] = np.eye(3)
-                n = mean.rot @ noise.fk_pos_cov @ mean.rot.T
+                n = mean.rot @ (noise.fk_pos_var * np.eye(3)) @ mean.rot.T
                 mean, cov = oracle_update(
                     mean, cov, np.concatenate([rec.hp, [0.0, 1.0, -1.0]]),
                     np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]), h, n, epsilon)
@@ -380,9 +369,11 @@ def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
             cols = mean.cols.copy()
             cols[:, 2] = mean.foot + mean.rot @ rec.h_d
             mean = GroupElement(mean.rot, cols)
-            if np.any(noise.jump_cov):
+            if noise.jump_pos_var:
                 ad = adjoint(mean)
-                cov = _sym(cov + ad @ noise.jump_cov @ ad.T)
+                q = np.zeros((12, 12))
+                q[XI_D, XI_D] = noise.jump_pos_var * np.eye(3)
+                cov = _sym(cov + ad @ q @ ad.T)
             fresh = True
         elif isinstance(rec, TruthSample):
             truth = rec.element

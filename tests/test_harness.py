@@ -27,7 +27,7 @@ from drs_inekf.streams import TRUTH, Stream, TruthSample
 from conftest import oracle_metric_rows, stream_records
 
 SHORT_GAIT = GaitConfig(duration=2.4)
-ZERO = NoiseParams.from_scalars(0, 0, 0, 0, 0, 0)
+ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
 
 
 def offset(seed, tcfg):
@@ -41,7 +41,7 @@ def one_campaign(tcfg, surface, noise, jobs=1):
 
 
 def short_stream(seed=1, noise=None, surface=None):
-    noise = noise or NoiseParams.from_scalars(jump_pos_var=1e-6)
+    noise = noise or NoiseParams(jump_pos_var=1e-6)
     surface = surface or SurfaceConfig()
     return synthesize_sensors(generate_truth(SHORT_GAIT, surface, seed),
                               noise, Rates(), seed)
@@ -102,7 +102,7 @@ class TestSampling:
 class TestRunTrial:
     def test_same_seed_reproduces_bitwise(self):
         records = short_stream()
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         tcfg = TrialConfig(n_trials=1)
         cfg = FilterConfig(noise=noise)
         a = run_trial(records, tcfg, cfg, tcfg.variants, offset(77, tcfg))
@@ -119,7 +119,7 @@ class TestRunTrial:
                            roll_pitch_range_deg=0.0, vel_range=0.0,
                            pos_range=0.0, foot_range=0.0)
         # nonzero assumed noise, noiseless data, exact start
-        noise = NoiseParams.from_scalars()
+        noise = NoiseParams()
         result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
                            offset(5, tcfg))
         for v in tcfg.variants:
@@ -130,7 +130,7 @@ class TestRunTrial:
     def test_metrics_timestamped_on_truth_grid(self):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
                            offset(1, tcfg))
         t = result.series[Variant.PROPOSED].t
@@ -143,7 +143,7 @@ class TestRunTrial:
         # (241 samples: full blocks and a partial one), for a batch of two
         # stacked trials and both variants.
         tcfg = TrialConfig(n_trials=2)
-        cfg = FilterConfig(noise=NoiseParams.from_scalars(jump_pos_var=1e-6))
+        cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
         stream = Stream.stack((short_stream(seed) for seed in (1, 2)), 2)
         xi0 = np.array([offset(3, tcfg), offset(4, tcfg)])
         want = run_trials(stream, tcfg, cfg, tcfg.variants, xi0, [0, 1])
@@ -161,7 +161,7 @@ class TestRunTrial:
         # rounding of the covariance step: 1e-10 relative per metric, the
         # bound of the lockstep engine against the scalar oracle.
         tcfg = TrialConfig(n_trials=1)
-        cfg = FilterConfig(noise=NoiseParams.from_scalars(jump_pos_var=1e-6))
+        cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
         stream = short_stream()
         want = run_trial(stream, tcfg, cfg, tcfg.variants, offset(5, tcfg))
         monkeypatch.setattr(filter_module, "_TERMS_BLOCK", 3)
@@ -177,7 +177,7 @@ class TestRunTrial:
         records = Stream(stream.kinds[stream.kinds != TRUTH],
                          {**stream.columns, "truth": no_truth})
         tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams.from_scalars()
+        noise = NoiseParams()
         with pytest.raises(ValueError, match="truth"):
             run_trial(records, tcfg, FilterConfig(noise=noise), (Variant.PROPOSED,),
                       offset(1, tcfg))
@@ -187,7 +187,7 @@ class TestAggregation:
     def test_single_trial_percentiles_equal_the_trial(self):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
                            offset(3, tcfg))
         report = aggregate([result])
@@ -222,7 +222,7 @@ class TestAggregation:
     def test_trial_order_does_not_change_aggregate(self, rng):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         cfg = FilterConfig(noise=noise)
         results = [run_trial(records, tcfg, cfg, tcfg.variants, offset(s, tcfg), i)
                    for i, s in enumerate((1, 2, 3, 4, 5))]
@@ -246,7 +246,7 @@ class TestYawConvergenceReferenceRun:
         from drs_inekf.liegroup import compose, sek3_exp
 
         gait = GaitConfig(duration=12.0)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         records = stream_records(synthesize_sensors(
             generate_truth(gait, SurfaceConfig(), 21), noise, Rates(), 21))
         first = next(r for r in records if isinstance(r, TruthSample))
@@ -271,7 +271,7 @@ class TestLockstepEngine:
     def test_matches_scalar_oracle(self, schedule):
         # Both variants run in one batch; each must match the scalar
         # record-by-record fold within 1e-10 relative per metric value.
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         stream = synthesize_sensors(generate_truth(GaitConfig(duration=6.0),
                                                    SurfaceConfig(), 4),
                                     noise, Rates(), 4)
@@ -299,7 +299,7 @@ class TestMonteCarlo:
         # different sizes and at different positions: every series and band
         # must be bitwise the same.
         tcfg = TrialConfig(n_trials=3, master_seed=9)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         serial, serial_results = one_campaign(tcfg, SurfaceConfig(), noise, jobs=1)
         for jobs in (2, 3):
             parallel, results = one_campaign(tcfg, SurfaceConfig(), noise, jobs=jobs)
@@ -315,7 +315,7 @@ class TestMonteCarlo:
 
     def test_campaigns_run_together_equal_apart(self):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         surfaces = [SurfaceConfig(), SurfaceConfig(pitch_amplitude=0.0)]
         together = campaigns(tcfg, SHORT_GAIT, surfaces, FilterConfig(noise=noise),
                              Rates())
@@ -327,7 +327,7 @@ class TestMonteCarlo:
 
     def test_gate_evaluation_structure(self):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         rocking, _ = one_campaign(tcfg, SurfaceConfig(), noise)
         static, _ = one_campaign(tcfg, SurfaceConfig(pitch_amplitude=0.0), noise)
         gates = evaluate_gates(rocking, static)
@@ -338,7 +338,7 @@ class TestMonteCarlo:
 
     def test_csv_outputs(self, tmp_path):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         report, results = one_campaign(tcfg, SurfaceConfig(), noise)
         agg = tmp_path / "aggregate.csv"
         write_aggregate_csv(agg, report)

@@ -22,10 +22,9 @@ from drs_inekf.models import (
 )
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 
-from conftest import identity
 
 WINDOW = 40  # kinematic samples, 10 ms apart at the default rates
-NOISE = NoiseParams.from_scalars()
+NOISE = NoiseParams()
 
 
 def observability_matrix(stream, variant: Variant) -> np.ndarray:
@@ -38,10 +37,10 @@ def observability_matrix(stream, variant: Variant) -> np.ndarray:
     assert np.array_equal(fk_rot["t"][:WINDOW], t)
     rows = []
     for k, phi in enumerate(state_transition(t - t[0])):
-        rows.append(position_measurement(fk_pos["hp"][k], identity(), NOISE).H @ phi)
+        rows.append(position_measurement(fk_pos["hp"][k], NOISE).H @ phi)
         if variant is Variant.PROPOSED:
             rows.append(orientation_measurement(surface["rot"][k], fk_rot["rot"][k],
-                                                identity(), NOISE).H @ phi)
+                                                NOISE).H @ phi)
     return np.concatenate(rows)
 
 

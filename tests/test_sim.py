@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from drs_inekf.filter import (
     FilterConfig,
@@ -10,7 +11,7 @@ from drs_inekf.filter import (
     Variant,
     error_vs_truth,
 )
-from drs_inekf.liegroup import hat, rotation_defect, so3_exp
+from drs_inekf.liegroup import hat, rotation_defect, so3_exp, so3_log
 from drs_inekf.models import ImuStep, NoiseParams
 from drs_inekf.sim import (
     GaitConfig,
@@ -37,7 +38,7 @@ from conftest import (
     surface_omega,
 )
 
-ZERO = NoiseParams.from_scalars(0, 0, 0, 0, 0, 0)
+ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
 
 
 def surface_state(t, cfg):
@@ -158,7 +159,7 @@ class TestTruthTrajectory:
 class TestSynthesizeSensors:
     def test_deterministic_given_seed(self):
         gait = GaitConfig(duration=1.2)
-        noise = NoiseParams.from_scalars(jump_pos_var=1e-6)
+        noise = NoiseParams(jump_pos_var=1e-6)
         a = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
         b = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
         c = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 10)
@@ -187,7 +188,7 @@ class TestSynthesizeSensors:
     def test_per_kind_timestamps_strictly_increase(self):
         records = stream_records(synthesize_sensors(
             generate_truth(GaitConfig(duration=1.8), SurfaceConfig(), 2),
-            NoiseParams.from_scalars(), Rates(), 2))
+            NoiseParams(), Rates(), 2))
         last = {}
         for rec in records:
             kind = type(rec).__name__
@@ -204,6 +205,42 @@ class TestSynthesizeSensors:
             synthesize_sensors(generate_truth(GaitConfig(step_period=0.0175),
                                               SurfaceConfig(), 0),
                                ZERO, Rates(imu_hz=400, kin_hz=100), 0)
+
+    def test_noise_has_configured_variance(self):
+        # One 30 s stream without noise and with six distinct levels, from
+        # one seed (so the same normal draws): each field's difference, per
+        # axis, is n samples of zero-mean noise of variance v (a density over
+        # dt for the imu fields), so sum(x^2) / v ~ chi2(n). The band is
+        # two-sided at 1e-6. Each level is 4 times the next, beyond every
+        # band, so a field drawn at another's level, or with dt misapplied,
+        # falls outside.
+        levels = NoiseParams(gyro_density=1e-6, accel_density=4e-6,
+                             contact_vel_density=1.6e-5, fk_pos_var=6.4e-5,
+                             surface_orient_var=2.56e-4, jump_pos_var=1.024e-3)
+        rates = Rates()
+        truth = generate_truth(GaitConfig(duration=30.0), SurfaceConfig(), 5)
+        clean, noisy = (synthesize_sensors(truth, noise, rates, 5).columns
+                        for noise in (ZERO, levels))
+
+        def delta(kind, name):
+            return noisy[kind][name] - clean[kind][name]
+
+        root_dt = math.sqrt(1.0 / rates.imu_hz)
+        samples = {
+            "gyro_density": delta("imu", "gyro") * root_dt,
+            "accel_density": delta("imu", "accel") * root_dt,
+            "contact_vel_density": delta("imu", "contact_vel") * root_dt,
+            "fk_pos_var": delta("fk_pos", "hp"),
+            "surface_orient_var": so3_log(np.swapaxes(clean["fk_rot"]["rot"], -1, -2)
+                                          @ noisy["fk_rot"]["rot"]),
+            "jump_pos_var": delta("swap", "h_d"),
+        }
+        assert [len(x) for x in samples.values()] == [12000] * 3 + [3001] * 2 + [49]
+        for name, x in samples.items():
+            n = len(x)
+            lo, hi = chi2.ppf([0.5e-6, 1.0 - 0.5e-6], n) / n
+            ratio = (x * x).mean(axis=0) / getattr(levels, name)
+            assert np.all((lo <= ratio) & (ratio <= hi)), (name, ratio, lo, hi)
 
     def test_noiseless_fk_consistency(self):
         truth = generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 3)
@@ -232,7 +269,7 @@ class TestKeystone:
         first = next(r for r in records if isinstance(r, TruthSample))
         start = State(first.element, np.eye(12) * 1e-4)
         est = StreamEstimator(start,
-                              FilterConfig(noise=NoiseParams.from_scalars()),
+                              FilterConfig(noise=NoiseParams()),
                               (Variant.PROPOSED,))
         worst = 0.0
         terminal = None
@@ -254,7 +291,7 @@ class TestKeystone:
         first = next(r for r in records if isinstance(r, TruthSample))
         start = State(first.element, np.eye(12) * 1e-4)
         est = StreamEstimator(start,
-                              FilterConfig(noise=NoiseParams.from_scalars()),
+                              FilterConfig(noise=NoiseParams()),
                               (Variant.POSITION_ONLY,))
         for rec in records:
             if not isinstance(rec, TruthSample):

@@ -61,7 +61,7 @@ def sim_stream(seed=5, duration=1.2):
     """A short simulated stream; 1.2 s at the default rates holds every kind."""
     return synthesize_sensors(generate_truth(GaitConfig(duration=duration),
                                              SurfaceConfig(), seed),
-                              NoiseParams.from_scalars(), Rates(), seed)
+                              NoiseParams(), Rates(), seed)
 
 
 SHORT = sim_stream()
@@ -112,7 +112,7 @@ class TestRoundtrip:
         # 1.2 s at the default rates holds every record kind, a swap too.
         stream = synthesize_sensors(
             generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 5),
-            NoiseParams.from_scalars(), Rates(), 5)
+            NoiseParams(), Rates(), 5)
         assert all(len(stream.columns[kind]["t"]) for kind in KINDS)
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
         write_jsonl(stream, first)
@@ -129,7 +129,7 @@ class TestRoundtrip:
         monkeypatch.setattr(streams, "_BLOCK", 7)
         stream = synthesize_sensors(
             generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 6),
-            NoiseParams.from_scalars(), Rates(), 6)
+            NoiseParams(), Rates(), 6)
         path = tmp_path / "s.jsonl"
         write_jsonl(stream, path)
         assert streams_equal(read_jsonl(path), stream)
@@ -172,7 +172,7 @@ class TestErrors:
         # The last imu interval leaves no gap, so only the dt check sees it.
         stream = synthesize_sensors(
             generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 5),
-            NoiseParams.from_scalars(), Rates(), 5)
+            NoiseParams(), Rates(), 5)
         imu = dict(stream.columns["imu"])
         for dt in (0.5, 0.0):
             imu["dt"] = imu["dt"].copy()
@@ -240,7 +240,7 @@ class TestStreamChecks:
         n = len(SHORT.columns[kind]["t"])
         with pytest.raises(StreamFormatError, match=message) as err:
             run_trial(Stream(SHORT.kinds, columns), TrialConfig(n_trials=1),
-                      FilterConfig(noise=NoiseParams.from_scalars()),
+                      FilterConfig(noise=NoiseParams()),
                       (Variant.PROPOSED,), np.zeros(12))
         assert err.value.record == record_index(SHORT, kind, k % n)
 
