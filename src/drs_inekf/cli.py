@@ -115,7 +115,9 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def write_manifest(path: str, command: str, config: dict, seed: int,
-                   outputs: list[str], started: float) -> None:
+                   outputs: list[str], marks: dict[str, float]) -> None:
+    """`marks`: the `perf_counter` time of "start", then of each stage's end, in order."""
+    names, times = list(marks), list(marks.values())
     manifest = {
         "tool": "drs-inekf",
         "version": __version__,
@@ -124,7 +126,8 @@ def write_manifest(path: str, command: str, config: dict, seed: int,
         "seed": seed,
         "config": config,
         "outputs": [os.path.abspath(p) for p in outputs],
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.perf_counter() - times[0], 3),
+        "stages_s": {n: round(b - a, 4) for n, a, b in zip(names[1:], times, times[1:])},
     }
     _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -145,7 +148,7 @@ def build_all(cfg: dict, seed: int) -> argparse.Namespace:
 
 
 def cmd_sim(args) -> int:
-    started = time.time()
+    marks = {"start": time.perf_counter()}
     cfg = load_config(args.config)
     c = build_all(cfg, args.seed)
     truth = generate_truth(c.gait, c.surface, seed=args.seed)
@@ -153,35 +156,40 @@ def cmd_sim(args) -> int:
         stream = synthesize_sensors(truth, c.noise, c.rates, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    marks["simulate"] = time.perf_counter()
     _ensure_out_dir(args.out)
     write_jsonl(stream, args.out)
+    marks["write"] = time.perf_counter()
     write_manifest(args.out + ".manifest.json", "sim", cfg, args.seed,
-                   [args.out], started)
+                   [args.out], marks)
     print(f"wrote {len(stream)} records to {args.out}")
     return EXIT_OK
 
 
 def cmd_estimate(args) -> int:
-    started = time.time()
+    marks = {"start": time.perf_counter()}
     if args.stream is None:
         raise ConfigError("estimate needs --stream")
     cfg = load_config(args.config)
     c = build_all(cfg, args.seed)
     variant = Variant(args.variant)
+    stream = read_jsonl(args.stream)
+    marks["read"] = time.perf_counter()
     # One variant, one trial, started exactly at the first truth sample.
-    result = run_trial(read_jsonl(args.stream), c.trials, c.filter, (variant,),
-                       np.zeros(12))
+    result = run_trial(stream, c.trials, c.filter, (variant,), np.zeros(12))
+    marks["estimate"] = time.perf_counter()
     _ensure_out_dir(args.out)
     write_trial_csv(args.out, result)
+    marks["write"] = time.perf_counter()
     write_manifest(args.out + ".manifest.json", "estimate", cfg, args.seed,
-                   [args.out], started)
+                   [args.out], marks)
     print(f"wrote metrics for {len(result.series[variant].t)} truth samples "
           f"to {args.out}")
     return EXIT_OK
 
 
 def cmd_montecarlo(args) -> int:
-    started = time.time()
+    marks = {"start": time.perf_counter()}
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
     cfg = load_config(args.config)
@@ -202,15 +210,13 @@ def cmd_montecarlo(args) -> int:
     (rocking, results), *control = campaigns(tcfg, c.gait, surfaces, c.filter,
                                              c.rates, jobs=args.jobs)
     static = control[0][0] if control else None
+    marks["campaigns"] = time.perf_counter()
 
     outputs = []
-    aggregate_path = os.path.join(out_dir, "aggregate.csv")
-    write_aggregate_csv(aggregate_path, rocking)
-    outputs.append(aggregate_path)
-    if static is not None:
-        static_path = os.path.join(out_dir, "aggregate_static.csv")
-        write_aggregate_csv(static_path, static)
-        outputs.append(static_path)
+    for name, report in (("aggregate.csv", rocking), ("aggregate_static.csv", static)):
+        if report is not None:
+            outputs.append(os.path.join(out_dir, name))
+            write_aggregate_csv(outputs[-1], report)
     for result in results:
         path = os.path.join(out_dir, "trials", f"trial_{result.trial:03d}.csv")
         write_trial_csv(path, result)
@@ -234,8 +240,9 @@ def cmd_montecarlo(args) -> int:
         [{"name": g.name, "passed": g.passed, "gating": g.gating,
           "detail": g.detail} for g in gates], indent=2) + "\n")
     outputs.append(gates_path)
+    marks["outputs"] = time.perf_counter()
     write_manifest(os.path.join(out_dir, "manifest.json"), "montecarlo", cfg,
-                   args.seed, outputs, started)
+                   args.seed, outputs, marks)
     if failed:
         print(f"\nFAILED gates: {', '.join(failed)}", file=sys.stderr)
         return EXIT_GATE

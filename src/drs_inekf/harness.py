@@ -319,21 +319,23 @@ def evaluate_gates(rocking: AggregateReport,
     return gates
 
 
+def _write_rows(fh, labels: str, table: np.ndarray) -> None:
+    """Write an (n, k) table as n `t,labels,values` CRLF rows, with one `%`."""
+    row = "%.6f," + labels.replace("%", "%%") + ",%.9g" * (table.shape[1] - 1) + "\r\n"
+    fh.write(row * len(table) % tuple(table.ravel().tolist()))
+
+
 def write_trial_csv(path, result: TrialResult) -> None:
-    row = "%.6f,%s" + ",%.9g" * len(METRIC_NAMES) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write("t,variant," + ",".join(METRIC_NAMES) + "\r\n")
         for variant, series in result.series.items():
-            fh.writelines(row % (t, variant.value, *values) for t, values in
-                          zip(series.t.tolist(), series.values.tolist()))
+            _write_rows(fh, variant.value, np.column_stack([series.t, series.values]))
 
 
 def write_aggregate_csv(path, report: AggregateReport) -> None:
-    row = "%.6f,%s,%s,%.9g,%.9g,%.9g\r\n"
-    t = report.t.tolist()
     with open(path, "w", newline="") as fh:
         fh.write("t,variant,metric,p10,p50,p90\r\n")
         for variant, metrics in report.bands.items():
             for metric, band in metrics.items():
-                fh.writelines(row % (ti, variant.value, metric, *b)
-                              for ti, b in zip(t, band.T.tolist()))
+                _write_rows(fh, f"{variant.value},{metric}",
+                            np.column_stack([report.t, band.T]))

@@ -61,18 +61,21 @@ class _Frame:
         return _H - _MB - (np.asarray(v) - self.y_lo) / span * (_H - _MT - _MB)
 
 
-def _polyline(xs, ys, color, width=1.5, dash="") -> str:
-    pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys))
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return (f'<polyline fill="none" stroke="{color}" stroke-width="{width}"'
-            f'{extra} points="{pts}"/>')
+def _points(xs, ys) -> str:
+    """SVG points `x,y x,y ...` at two decimals, formatted with one `%`."""
+    return " ".join(["%.2f,%.2f"] * len(xs)) % tuple(
+        np.column_stack([xs, ys]).ravel().tolist())
+
+
+def _polyline(xs, ys, color) -> str:
+    return (f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
+            f'points="{_points(xs, ys)}"/>')
 
 
 def _band(xs, lo, hi, color) -> str:
-    fwd = [f"{x:.2f},{y:.2f}" for x, y in zip(xs, lo)]
-    back = [f"{x:.2f},{y:.2f}" for x, y in zip(xs[::-1], hi[::-1])]
+    pts = _points(np.concatenate([xs, xs[::-1]]), np.concatenate([lo, hi[::-1]]))
     return (f'<polygon fill="{color}" fill-opacity="0.18" stroke="none" '
-            f'points="{" ".join(fwd + back)}"/>')
+            f'points="{pts}"/>')
 
 
 def render_metric_svg(report: AggregateReport, metric: str) -> str:
@@ -103,10 +106,10 @@ def render_metric_svg(report: AggregateReport, metric: str) -> str:
     parts.append(f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
                  f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')
 
+    xs = frame.x(t)
     for variant, metrics in report.bands.items():
         band = metrics[metric]
         color = _COLORS[variant]
-        xs = frame.x(t)
         parts.append(_band(xs, frame.y(band[0]), frame.y(band[2]), color))
         parts.append(_polyline(xs, frame.y(band[1]), color))
 

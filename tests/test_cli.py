@@ -28,6 +28,16 @@ def write_config(tmp_path, overrides):
 
 SMALL = {"gait": {"duration": 2.4}, "trials": {"n_trials": 2}}
 
+
+def assert_stages(manifest_path, names):
+    """The manifest times each named stage, within the command's duration."""
+    with open(manifest_path) as fh:
+        manifest = json.load(fh)
+    stages = manifest["stages_s"]
+    assert set(stages) == names
+    assert all(v >= 0.0 for v in stages.values())
+    assert sum(stages.values()) <= manifest["duration_s"] + 0.005
+
 # The shipped default config, as `--print-config` printed it when the
 # defaults moved into the config dataclasses.
 DEFAULT_DOCUMENT = {
@@ -99,6 +109,12 @@ class TestSimCommand:
         assert main(["sim", "--config", cfg, "--seed", "1", "--out", out2]) == EXIT_OK
         assert sha256(out1) == sha256(out2)
         assert os.path.exists(out1 + ".manifest.json")
+
+    def test_manifest_times_stages(self, tmp_path):
+        out = str(tmp_path / "s.jsonl")
+        assert main(["sim", "--config", write_config(tmp_path, SMALL),
+                     "--out", out]) == EXIT_OK
+        assert_stages(out + ".manifest.json", {"simulate", "write"})
 
     def test_tiny_duration_still_has_truth(self, tmp_path):
         cfg = write_config(tmp_path, {"gait": {"duration": 0.01}})
@@ -189,6 +205,13 @@ class TestEstimateCommand:
         for row in rows:
             for key in ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err"):
                 assert abs(float(row[key])) < 1e-4
+
+    def test_manifest_times_stages(self, tmp_path, sim_lines):
+        stream = tmp_path / "s.jsonl"
+        stream.write_text("".join(sim_lines))
+        out = str(tmp_path / "m.csv")
+        assert main(["estimate", "--stream", str(stream), "--out", out]) == EXIT_OK
+        assert_stages(out + ".manifest.json", {"read", "estimate", "write"})
 
     def test_variants_differ_on_rocking_data(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)
@@ -376,6 +399,12 @@ class TestMonteCarloCommand:
         assert code == EXIT_GATE
         err = capsys.readouterr().err
         assert "yaw-observability" in err
+
+    def test_manifest_times_stages(self, tmp_path):
+        out = tmp_path / "mc"
+        assert main(["montecarlo", "--config", write_config(tmp_path, SMALL),
+                     "--out", str(out)]) == EXIT_OK
+        assert_stages(out / "manifest.json", {"campaigns", "outputs"})
 
     def test_manifest_reproducibility_fields(self, tmp_path):
         cfg = write_config(tmp_path, SMALL)

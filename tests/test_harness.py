@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from drs_inekf import filter as filter_module
-from drs_inekf import harness
+from drs_inekf import harness, plots
 from drs_inekf.filter import FilterConfig, UpdateSchedule, Variant
 from drs_inekf.harness import (
     METRIC_NAMES,
+    AggregateReport,
+    MetricSeries,
     TrialConfig,
+    TrialResult,
     aggregate,
     campaigns,
     evaluate_gates,
@@ -348,3 +351,83 @@ class TestMonteCarlo:
         write_trial_csv(trial, results[0])
         header = trial.read_text().splitlines()[0]
         assert header == "t,variant," + ",".join(METRIC_NAMES)
+
+
+# Values whose printed form is easy to get wrong: signed zero, the smallest
+# and largest magnitudes, all nine significant digits, halves, infinities.
+EDGE = [-0.0, 1e-300, 123456789.5, 0.123456789, 9.87654321e-7, -2.5e-7,
+        1.5, 2.675, -0.004999, 999999999.5, float("inf"), -float("inf")]
+# Times that round at the sixth decimal.
+EDGE_T = np.array([0.0, 0.0000005, 2.6750005, 0.0000015, 1e-300, 123456.7890125])
+
+
+def reference_trial_lines(result):
+    """The trial CSV formatted one row at a time."""
+    row = "%.6f,%s" + ",%.9g" * len(METRIC_NAMES) + "\r\n"
+    lines = ["t,variant," + ",".join(METRIC_NAMES) + "\r\n"]
+    for variant, series in result.series.items():
+        lines += [row % (t, variant.value, *values) for t, values in
+                  zip(series.t.tolist(), series.values.tolist())]
+    return lines
+
+
+def reference_aggregate_lines(report):
+    """The aggregate CSV formatted one row at a time."""
+    row = "%.6f,%s,%s,%.9g,%.9g,%.9g\r\n"
+    lines = ["t,variant,metric,p10,p50,p90\r\n"]
+    for variant, metrics in report.bands.items():
+        for metric, band in metrics.items():
+            lines += [row % (ti, variant.value, metric, *b)
+                      for ti, b in zip(report.t.tolist(), band.T.tolist())]
+    return lines
+
+
+def reference_points(xs, ys):
+    """SVG points formatted one point at a time."""
+    return [f"{x:.2f},{y:.2f}" for x, y in zip(xs, ys)]
+
+
+def edge_table(shape, shift):
+    return np.resize(np.roll(EDGE, shift), shape)
+
+
+class TestOutputFormat:
+    """Every byte the writers emit, against row-by-row formatting."""
+
+    def test_trial_csv_lines(self, tmp_path):
+        shape = (len(EDGE_T), len(METRIC_NAMES))
+        result = TrialResult(3, {v: MetricSeries(EDGE_T, edge_table(shape, i))
+                                 for i, v in enumerate(Variant)})
+        path = tmp_path / "trial.csv"
+        write_trial_csv(path, result)
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert lines == reference_trial_lines(result)
+        assert len(lines) == 1 + len(Variant) * len(EDGE_T)
+
+    def test_aggregate_csv_lines(self, tmp_path):
+        # A `%` in a label must reach the file as it is.
+        names = (*METRIC_NAMES, "share%d")
+        bands = {v: {name: edge_table((3, len(EDGE_T)), 3 * i + j)
+                     for j, name in enumerate(names)}
+                 for i, v in enumerate(Variant)}
+        report = AggregateReport(EDGE_T, bands, {}, {}, n_trials=3)
+        path = tmp_path / "aggregate.csv"
+        write_aggregate_csv(path, report)
+        with open(path, newline="") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert lines == reference_aggregate_lines(report)
+        assert len(lines) == 1 + len(Variant) * len(names) * len(EDGE_T)
+
+    def test_svg_points(self):
+        xs = np.array([62.0, 62.004999, 2.675, 1e-300, 578.125, 123456789.555])
+        lo = np.array([-0.001, 0.005, 1.005, -0.0, 354.0, float("inf")])
+        hi = lo + np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        pts = reference_points(xs, lo[::-1])
+        assert plots._polyline(xs, lo[::-1], "#1f77b4") == (
+            '<polyline fill="none" stroke="#1f77b4" stroke-width="1.5" '
+            f'points="{" ".join(pts)}"/>')
+        pts = reference_points(xs, lo) + reference_points(xs[::-1], hi[::-1])
+        assert plots._band(xs, lo, hi, "#d62728") == (
+            '<polygon fill="#d62728" fill-opacity="0.18" stroke="none" '
+            f'points="{" ".join(pts)}"/>')
