@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .filter import FilterConfig, State, StreamEstimator, Variant, error_vs_truth
-from .liegroup import XI_D, XI_P, XI_V, GroupElement, compose, sek3_exp
+from .liegroup import GroupElement, compose, sek3_exp
 from .liegroup import dot as _dot
 from .models import check_fields, param
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
@@ -35,6 +35,8 @@ FINAL_WINDOW = 5.0  # s at the end of a trial that its final value summarizes
 YAW_RATIO = 5.0
 STATIC_FLOOR = 0.5
 CONVERGENCE_FRACTION = 0.1
+VARIANTS = (Variant.PROPOSED, Variant.POSITION_ONLY)  # compared in every trial
+PERCENTILES = (10.0, 50.0, 90.0)  # the p10/p50/p90 bands
 
 
 @dataclass(frozen=True)
@@ -53,36 +55,27 @@ class TrialConfig:
     foot_range: float = param(0.5, lo=0.0)
     static_control: bool = param(True)
     master_seed: int = 0
-    variants: tuple[Variant, ...] = (Variant.PROPOSED, Variant.POSITION_ONLY)
 
     def __post_init__(self):
         check_fields(self)
 
 
+def _half_widths(tcfg: TrialConfig) -> np.ndarray:
+    """The 12 uniform half-widths: roll/pitch, yaw, then the v, p and d blocks."""
+    return np.repeat([math.radians(tcfg.roll_pitch_range_deg),
+                      math.radians(tcfg.yaw_range_deg),
+                      tcfg.vel_range, tcfg.pos_range, tcfg.foot_range], [2, 1, 3, 3, 3])
+
+
 def sample_initial_error(rng: np.random.Generator, tcfg: TrialConfig) -> np.ndarray:
     """Draw the tangent perturbation applied as exp(xi0) @ X_true."""
-    xi = np.zeros(12)
-    rp = math.radians(tcfg.roll_pitch_range_deg)
-    xi[0] = rng.uniform(-rp, rp)
-    xi[1] = rng.uniform(-rp, rp)
-    xi[2] = rng.uniform(-math.radians(tcfg.yaw_range_deg),
-                        math.radians(tcfg.yaw_range_deg))
-    xi[XI_V] = rng.uniform(-tcfg.vel_range, tcfg.vel_range, 3)
-    xi[XI_P] = rng.uniform(-tcfg.pos_range, tcfg.pos_range, 3)
-    xi[XI_D] = rng.uniform(-tcfg.foot_range, tcfg.foot_range, 3)
-    return xi
+    a = _half_widths(tcfg)
+    return rng.uniform(-a, a)
 
 
 def initial_covariance(tcfg: TrialConfig) -> np.ndarray:
     """Diagonal covariance matching the uniform sampling ranges (var = a^2/3)."""
-    p = np.zeros((12, 12))
-    rp = math.radians(tcfg.roll_pitch_range_deg) ** 2 / 3.0
-    p[0, 0] = p[1, 1] = rp
-    p[2, 2] = math.radians(tcfg.yaw_range_deg) ** 2 / 3.0
-    p[XI_V, XI_V] = np.eye(3) * tcfg.vel_range ** 2 / 3.0
-    p[XI_P, XI_P] = np.eye(3) * tcfg.pos_range ** 2 / 3.0
-    p[XI_D, XI_D] = np.eye(3) * tcfg.foot_range ** 2 / 3.0
-    return p
+    return np.diag(_half_widths(tcfg) ** 2 / 3.0)
 
 
 def nees(xi: np.ndarray, cov: np.ndarray,
@@ -180,10 +173,9 @@ class AggregateReport:
     n_trials: int
 
 
-def percentile_bands(values: np.ndarray,
-                     qs: tuple[float, ...] = (10.0, 50.0, 90.0)) -> np.ndarray:
-    """Percentiles across the trial axis; values is (n_trials, T)."""
-    return np.percentile(values, qs, axis=0)
+def percentile_bands(values: np.ndarray) -> np.ndarray:
+    """PERCENTILES across the trial axis; values is (n_trials, T)."""
+    return np.percentile(values, PERCENTILES, axis=0)
 
 
 def aggregate(results: list[TrialResult]) -> AggregateReport:
@@ -217,7 +209,7 @@ def _chunk_worker(args) -> list[list[TrialResult]]:
     xi0 = np.array([sample_initial_error(np.random.default_rng(seed), tcfg)
                     for seed in trial_seeds])
     try:
-        results = run_trials(stream, tcfg, cfg, tcfg.variants,
+        results = run_trials(stream, tcfg, cfg, VARIANTS,
                              np.tile(xi0, (len(surfaces), 1)), indices * len(surfaces))
     except Exception as exc:
         raise RuntimeError(f"trials {indices[0]}..{indices[-1]} failed: {exc}") from exc

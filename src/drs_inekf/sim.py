@@ -105,7 +105,8 @@ class TruthTrajectory:
 
     All evaluators accept scalar or 1-D arrays of times. Stance intervals
     are [n*step_period, (n+1)*step_period); foot_pos takes the stance
-    index explicitly so callers control behaviour across swaps.
+    index explicitly, an int or an array matching the times, so callers
+    control behaviour across swaps.
     """
 
     def __init__(self, gait: GaitConfig, surf: SurfaceConfig,
@@ -120,7 +121,7 @@ class TruthTrajectory:
 
     # -- base ---------------------------------------------------------------
 
-    def _osc(self, t):
+    def _osc(self):
         ph = self.phases
         g = self.gait
         surge = g.surge_amplitude, self._w_bob, ph[0]
@@ -130,14 +131,14 @@ class TruthTrajectory:
 
     def base_pos(self, t):
         t = np.asarray(t, dtype=float)
-        (ax, wx, px), (ay, wy, py), (az, wz, pz) = self._osc(t)
+        (ax, wx, px), (ay, wy, py), (az, wz, pz) = self._osc()
         return np.stack([ax * np.sin(wx * t + px),
                          ay * np.sin(wy * t + py),
                          self.gait.base_height + az * np.sin(wz * t + pz)], axis=-1)
 
     def base_vel(self, t):
         t = np.asarray(t, dtype=float)
-        (ax, wx, px), (ay, wy, py), (az, wz, pz) = self._osc(t)
+        (ax, wx, px), (ay, wy, py), (az, wz, pz) = self._osc()
         return np.stack([ax * wx * np.cos(wx * t + px),
                          ay * wy * np.cos(wy * t + py),
                          az * wz * np.cos(wz * t + pz)], axis=-1)
@@ -165,32 +166,30 @@ class TruthTrajectory:
 
     # -- surface ------------------------------------------------------------
 
-    def surface_angle(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.surf.pitch_amplitude * np.sin(self.surf.pitch_angular_freq * t)
-
     def surface_rot(self, t):
-        return _ry_batch(self.surface_angle(t))
+        surf, t = self.surf, np.asarray(t, dtype=float)
+        return _ry_batch(surf.pitch_amplitude * np.sin(surf.pitch_angular_freq * t))
 
     # -- stance feet ----------------------------------------------------------
 
-    def foot_anchor(self, index: int) -> np.ndarray:
-        """Surface-local coordinates of the stance foot for one step."""
-        sign = 1.0 if index % 2 == 0 else -1.0
-        local = np.array([0.5 * self.gait.step_length * sign,
-                          0.5 * self.gait.stance_width * sign,
-                          0.0])
-        return local - self.surf.pivot_vec
+    def _local(self, t, index):
+        """Surface-local stance-foot coordinates, relative to the pivot.
 
-    def _local(self, t, index: int):
-        t = np.asarray(t, dtype=float)
-        drift = self.surf.belt_speed * (t - index * self.gait.step_period)
-        local = np.broadcast_to(self.foot_anchor(index), t.shape + (3,)).copy()
-        local[..., 0] -= drift
-        return local
+        Stance n sits at +-(step_length, stance_width) / 2 (+ for even n),
+        carried back by the belt from the start of its stance interval.
+        """
+        t, index = np.broadcast_arrays(np.asarray(t, dtype=float), index)
+        sign = np.where(index % 2 == 0, 1.0, -1.0)
+        g, pivot = self.gait, self.surf.pivot_vec
+        drift = self.surf.belt_speed * (t - index * g.step_period)
+        # The order (anchor, minus the pivot, minus the drift) fixes the
+        # output bits; 0.0 - p keeps a zero pivot's z at +0.0.
+        return np.stack([(0.5 * g.step_length * sign - pivot[0]) - drift,
+                         0.5 * g.stance_width * sign - pivot[1],
+                         np.full(t.shape, 0.0 - pivot[2])], axis=-1)
 
-    def foot_pos(self, t, index: int):
-        """World position of the stance foot, rigidly following the surface."""
+    def foot_pos(self, t, index):
+        """World position of stance `index` at t, rigidly following the surface."""
         rs = self.surface_rot(t)
         local = self._local(t, index)
         return self.surf.pivot_vec + np.einsum("...ij,...j->...i", rs, local)
@@ -244,15 +243,12 @@ def _sensor_columns(truth, noise, rates, seed) -> tuple:
     vel = truth.base_vel(times)
     pos = truth.base_pos(times)
     rs = truth.surface_rot(times)
-    # Foot position at each tick with its own stance, and with the previous
-    # stance (needed for the swap offset; differs only at swap ticks).
-    foot_own = np.empty((n_imu + 1, 3))
-    for idx in range(int(stance_idx[-1]) + 1):
-        mask = stance_idx == idx
-        foot_own[mask] = truth.foot_pos(times[mask], idx)
-    foot_prev = np.empty((len(swaps), 3))
-    for i, k in enumerate(swaps):
-        foot_prev[i] = truth.foot_pos(times[k], int(stance_idx[k]) - 1)
+    # Each tick's foot with its own stance; at the next tick with the same
+    # stance, that tick's own foot, but at a swap tick the previous stance's.
+    foot_own = truth.foot_pos(times, stance_idx)
+    foot_prev = truth.foot_pos(times[swaps], stance_idx[swaps - 1])
+    foot_next = foot_own[1:].copy()
+    foot_next[swaps - 1] = foot_prev
 
     # Exact-inverse IMU synthesis: gyro from the tick-to-tick rotation,
     # accel from the velocity increment through Gamma_1, contact velocity
@@ -261,11 +257,6 @@ def _sensor_columns(truth, noise, rates, seed) -> tuple:
     jl = so3_left_jacobian(gyro * dt)
     rhs = vel[1:] - vel[:-1] - GRAVITY * dt
     accel = np.linalg.solve(rot[:-1] @ jl * dt, rhs[..., None])[..., 0]
-    foot_next = np.empty((n_imu, 3))
-    for idx in range(int(stance_idx[-1]) + 1):
-        mask = stance_idx[:-1] == idx
-        if np.any(mask):
-            foot_next[mask] = truth.foot_pos(times[1:][mask], idx)
     contact_vel = (foot_next - foot_own[:-1]) / dt
 
     # Isotropic noise, each axis with the field's variance (a density over dt).

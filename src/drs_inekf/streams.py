@@ -28,7 +28,6 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from enum import Enum
 from itertools import chain
 from typing import Iterable, Union
 
@@ -42,11 +41,6 @@ TIME_TOL = 1e-9
 # Largest |R^T R - I|_F of a rotation in a stream.
 ROT_TOL = 1e-6
 MAX_IMU_DT = 0.1  # longest IMU interval, in seconds
-
-
-class StanceFoot(Enum):
-    LEFT = "left"
-    RIGHT = "right"
 
 
 class StreamFormatError(ValueError):
@@ -95,7 +89,7 @@ class TruthSample:  # the truth record class, by which bench/tracing.py names th
 
     t: float
     element: GroupElement
-    stance: StanceFoot
+    stance: str  # a label of STANCES
 
 
 StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose, SwapEvent]
@@ -104,7 +98,7 @@ StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose, SwapEvent]
 # Record kind names; a kind's code is its index here.
 KINDS = ("swap", "truth", "surface", "fk_rot", "fk_pos", "imu")
 SWAP, TRUTH, SURFACE, FK_ROT, FK_POS, IMU = range(len(KINDS))
-STANCES = (StanceFoot.LEFT, StanceFoot.RIGHT)
+STANCES = ("left", "right")  # truth stance labels
 
 # Per kind, its file fields after "kind", in file order, with the shape of
 # one record's value (rotations are 9 row-major reals): the columns of a
@@ -121,7 +115,7 @@ _FIELDS = {
 # The record class and value column of each kind whose record is (t, value).
 _PAIRS = {SWAP: (SwapEvent, "h_d"), SURFACE: (SurfacePose, "rot"),
           FK_ROT: (FkOrientation, "rot"), FK_POS: (FkPosition, "hp")}
-_STANCE_CODE = {s.value: code for code, s in enumerate(STANCES)}
+_STANCE_CODE = {label: code for code, label in enumerate(STANCES)}
 # JSON integers are read as floats; NaN and Infinity too, which Stream rejects.
 _DECODER = json.JSONDecoder(parse_int=float)
 _BLOCK = 4096  # records of a kind parsed before they are converted to arrays
@@ -348,8 +342,7 @@ def _lines(kind: str, columns: dict):
     template = ", ".join(parts) + "}\n"
     if kind != "truth":
         return (template % tuple(row.tolist()) for row in numbers)
-    stances = [s.value for s in STANCES]
-    return (template % (*row.tolist(), stances[code])
+    return (template % (*row.tolist(), STANCES[code])
             for row, code in zip(numbers, columns["stance"].tolist()))
 
 

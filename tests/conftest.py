@@ -118,7 +118,7 @@ def group_affine_residual(x1: GroupElement, x2: GroupElement, u: ImuStep,
 def base_acc(truth, t):
     """World acceleration of the base (analytic)."""
     t = np.asarray(t, dtype=float)
-    (ax, wx, px), (ay, wy, py), (az, wz, pz) = truth._osc(t)
+    (ax, wx, px), (ay, wy, py), (az, wz, pz) = truth._osc()
     return np.stack([-ax * wx * wx * np.sin(wx * t + px),
                      -ay * wy * wy * np.sin(wy * t + py),
                      -az * wz * wz * np.sin(wz * t + pz)], axis=-1)

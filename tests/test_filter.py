@@ -613,18 +613,21 @@ class TestLongRunHygiene:
         n_steps = 100_000
         dt = 0.0025
         check_every = 2000
-        for k in range(n_steps):
+        run = 40  # IMU intervals between measurement ticks, stepped as one run
+        for k in range(0, n_steps, run):
             t = k * dt
             if k % 240 == 0 and k > 0:
                 est.step(SwapEvent(t, rng.standard_normal(3) * 0.2))
-            if k % 40 == 0:
-                mean = est.state.mean
-                hp = mean.rot.T @ (mean.foot - mean.pos)
-                est.step(FkPosition(t, hp + rng.standard_normal(3) * 0.01))
-                est.step(FkOrientation(t, mean.rot.T @ surf))
-            est.step(ImuStep(t, dt, rng.standard_normal(3) * 0.3,
-                             np.array([0.0, 0.0, 9.81]) + rng.standard_normal(3) * 0.3,
-                             rng.standard_normal(3) * 0.1))
+            mean = est.state.mean
+            hp = mean.rot.T @ (mean.foot - mean.pos)
+            est.step(FkPosition(t, hp + rng.standard_normal(3) * 0.01))
+            est.step(FkOrientation(t, mean.rot.T @ surf))
+            # Per interval: gyro, accel and contact_vel draws, in that order.
+            draws = rng.standard_normal((run, 3, 3))
+            est.step(ImuStep(np.arange(k, k + run) * dt, np.full(run, dt),
+                             draws[:, 0] * 0.3,
+                             np.array([0.0, 0.0, 9.81]) + draws[:, 1] * 0.3,
+                             draws[:, 2] * 0.1))
             if k % check_every == 0:
                 cov = est.state.cov
                 assert np.allclose(cov, cov.T, atol=1e-12)

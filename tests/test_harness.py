@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from drs_inekf import harness, plots
 from drs_inekf.filter import FilterConfig, UpdateSchedule, Variant
 from drs_inekf.harness import (
     METRIC_NAMES,
+    VARIANTS,
     AggregateReport,
     MetricSeries,
     TrialConfig,
@@ -94,6 +97,27 @@ class TestSampling:
         assert p[2, 2] == pytest.approx(np.radians(30.0) ** 2 / 3.0)
         assert p[3, 3] == pytest.approx(0.25 / 3.0)
         assert np.allclose(p, p.T)
+        a = np.array([math.radians(10.0)] * 2 + [math.radians(30.0)] + [0.5] * 9)
+        assert np.array_equal(p, np.diag(a ** 2 / 3.0))
+
+    def test_sample_matches_one_draw_per_block(self):
+        # Reference: roll, pitch, yaw, then the v, p and d blocks, each drawn
+        # by its own call into zeros. Equal bits, so equal signs of zero too.
+        tcfg = TrialConfig(n_trials=1, yaw_range_deg=20.0, roll_pitch_range_deg=0.0,
+                           vel_range=0.0, pos_range=0.4, foot_range=0.3)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            want = np.zeros(12)
+            rp, yaw = math.radians(0.0), math.radians(20.0)
+            want[0] = rng.uniform(-rp, rp)
+            want[1] = rng.uniform(-rp, rp)
+            want[2] = rng.uniform(-yaw, yaw)
+            want[3:6] = rng.uniform(-0.0, 0.0, 3)
+            want[6:9] = rng.uniform(-0.4, 0.4, 3)
+            want[9:12] = rng.uniform(-0.3, 0.3, 3)
+            got = sample_initial_error(np.random.default_rng(seed), tcfg)
+            assert got.tobytes() == want.tobytes()
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
@@ -108,11 +132,11 @@ class TestRunTrial:
         noise = NoiseParams(jump_pos_var=1e-6)
         tcfg = TrialConfig(n_trials=1)
         cfg = FilterConfig(noise=noise)
-        a = run_trial(records, tcfg, cfg, tcfg.variants, offset(77, tcfg))
-        b = run_trial(records, tcfg, cfg, tcfg.variants, offset(77, tcfg))
-        for v in tcfg.variants:
+        a = run_trial(records, tcfg, cfg, VARIANTS, offset(77, tcfg))
+        b = run_trial(records, tcfg, cfg, VARIANTS, offset(77, tcfg))
+        for v in VARIANTS:
             assert np.array_equal(a.series[v].values, b.series[v].values)
-        c = run_trial(records, tcfg, cfg, tcfg.variants, offset(78, tcfg))
+        c = run_trial(records, tcfg, cfg, VARIANTS, offset(78, tcfg))
         assert not np.array_equal(a.series[Variant.PROPOSED].values,
                                   c.series[Variant.PROPOSED].values)
 
@@ -123,9 +147,9 @@ class TestRunTrial:
                            pos_range=0.0, foot_range=0.0)
         # nonzero assumed noise, noiseless data, exact start
         noise = NoiseParams()
-        result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
+        result = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
                            offset(5, tcfg))
-        for v in tcfg.variants:
+        for v in VARIANTS:
             series = result.series[v]
             for name in ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err"):
                 assert np.max(series.values[:, METRIC_NAMES.index(name)]) < 1e-5
@@ -134,7 +158,7 @@ class TestRunTrial:
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
-        result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
+        result = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
                            offset(1, tcfg))
         t = result.series[Variant.PROPOSED].t
         assert t[0] == 0.0
@@ -149,12 +173,12 @@ class TestRunTrial:
         cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
         stream = Stream.stack((short_stream(seed) for seed in (1, 2)), 2)
         xi0 = np.array([offset(3, tcfg), offset(4, tcfg)])
-        want = run_trials(stream, tcfg, cfg, tcfg.variants, xi0, [0, 1])
+        want = run_trials(stream, tcfg, cfg, VARIANTS, xi0, [0, 1])
         for block in (1, 7):
             monkeypatch.setattr(harness, "_TRUTH_BLOCK", block)
-            got = run_trials(stream, tcfg, cfg, tcfg.variants, xi0, [0, 1])
+            got = run_trials(stream, tcfg, cfg, VARIANTS, xi0, [0, 1])
             for a, b in zip(got, want):
-                for v in tcfg.variants:
+                for v in VARIANTS:
                     assert np.array_equal(a.series[v].values, b.series[v].values)
 
     def test_imu_runs_across_terms_blocks(self, monkeypatch):
@@ -166,10 +190,10 @@ class TestRunTrial:
         tcfg = TrialConfig(n_trials=1)
         cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
         stream = short_stream()
-        want = run_trial(stream, tcfg, cfg, tcfg.variants, offset(5, tcfg))
+        want = run_trial(stream, tcfg, cfg, VARIANTS, offset(5, tcfg))
         monkeypatch.setattr(filter_module, "_TERMS_BLOCK", 3)
-        got = run_trial(stream, tcfg, cfg, tcfg.variants, offset(5, tcfg))
-        for v in tcfg.variants:
+        got = run_trial(stream, tcfg, cfg, VARIANTS, offset(5, tcfg))
+        for v in VARIANTS:
             a, b = got.series[v].values, want.series[v].values
             assert np.all(np.abs(a - b).max(axis=0) <= 1e-10 * np.abs(b).max(axis=0))
 
@@ -191,10 +215,10 @@ class TestAggregation:
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
-        result = run_trial(records, tcfg, FilterConfig(noise=noise), tcfg.variants,
+        result = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
                            offset(3, tcfg))
         report = aggregate([result])
-        for v in tcfg.variants:
+        for v in VARIANTS:
             for j, name in enumerate(METRIC_NAMES):
                 band = report.bands[v][name]
                 col = result.series[v].values[:, j]
@@ -227,11 +251,11 @@ class TestAggregation:
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
         cfg = FilterConfig(noise=noise)
-        results = [run_trial(records, tcfg, cfg, tcfg.variants, offset(s, tcfg), i)
+        results = [run_trial(records, tcfg, cfg, VARIANTS, offset(s, tcfg), i)
                    for i, s in enumerate((1, 2, 3, 4, 5))]
         fwd = aggregate(results)
         rev = aggregate(results[::-1])
-        for v in tcfg.variants:
+        for v in VARIANTS:
             for name in METRIC_NAMES:
                 assert np.array_equal(fwd.bands[v][name], rev.bands[v][name])
                 assert np.array_equal(np.sort(fwd.final[v][name]),
@@ -281,11 +305,11 @@ class TestLockstepEngine:
         tcfg = TrialConfig(n_trials=1)
         cfg = FilterConfig(noise=noise, update_schedule=schedule)
         xi0 = offset(13, tcfg)
-        result = run_trial(stream, tcfg, cfg, tcfg.variants, xi0)
+        result = run_trial(stream, tcfg, cfg, VARIANTS, xi0)
         records = stream_records(stream)
         first = next(r for r in records if isinstance(r, TruthSample))
         mean0 = compose(sek3_exp(xi0), first.element)
-        for variant in tcfg.variants:
+        for variant in VARIANTS:
             want = oracle_metric_rows(
                 records, mean0, initial_covariance(tcfg), noise,
                 variant is Variant.PROPOSED,
@@ -312,7 +336,7 @@ class TestMonteCarlo:
                                           parallel.bands[v][name])
             assert [r.trial for r in results] == [0, 1, 2]
             for a, b in zip(serial_results, results):
-                for v in tcfg.variants:
+                for v in VARIANTS:
                     assert np.array_equal(a.series[v].t, b.series[v].t)
                     assert np.array_equal(a.series[v].values, b.series[v].values)
 
@@ -325,7 +349,7 @@ class TestMonteCarlo:
         for surface, (_, results) in zip(surfaces, together):
             _, apart = one_campaign(tcfg, surface, noise)
             for a, b in zip(results, apart):
-                for v in tcfg.variants:
+                for v in VARIANTS:
                     assert np.array_equal(a.series[v].values, b.series[v].values)
 
     def test_gate_evaluation_structure(self):

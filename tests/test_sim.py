@@ -22,6 +22,7 @@ from drs_inekf.sim import (
     synthesize_sensors,
 )
 from drs_inekf.streams import (
+    SWAP,
     FkOrientation,
     FkPosition,
     SurfacePose,
@@ -150,6 +151,20 @@ class TestTruthTrajectory:
         for t in np.linspace(0.0, truth.gait.step_period, 7):
             assert np.allclose(truth.foot_pos(t, 0), d0, atol=1e-15)
 
+    def test_foot_pos_over_arrays_matches_scalar_calls(self, rng):
+        # Arrays of times and stance indices of both parities give, bit for
+        # bit, what one call per element gives.
+        surf = SurfaceConfig(belt_speed=0.15, pivot=(0.3, -0.2, 0.1))
+        truth = generate_truth(GaitConfig(), surf, seed=8)
+        t = rng.uniform(0.0, 30.0, 40)
+        index = rng.integers(0, 50, 40)
+        assert set(index % 2) == {0, 1}
+        got = truth.foot_pos(t, index)
+        want = np.array([truth.foot_pos(float(ti), int(i)) for ti, i in zip(t, index)])
+        assert got.shape == (40, 3)
+        assert got.tobytes() == want.tobytes()
+        assert truth.foot_pos(float(t[0]), int(index[0])).shape == (3,)
+
     def test_swap_times_grid(self):
         truth = generate_truth(GaitConfig(duration=3.0), SurfaceConfig(), 0)
         stream = synthesize_sensors(truth, ZERO, Rates(), 0)
@@ -195,6 +210,14 @@ class TestSynthesizeSensors:
             if kind in last:
                 assert rec.t > last[kind]
             last[kind] = rec.t
+
+    def test_gait_shorter_than_one_step_has_no_swaps(self):
+        truth = generate_truth(GaitConfig(duration=0.4), SurfaceConfig(), 4)
+        stream = synthesize_sensors(truth, NoiseParams(), Rates(), 4)
+        assert len(stream.columns["swap"]["t"]) == 0
+        assert not np.any(stream.kinds == SWAP)
+        assert len(stream.columns["imu"]["t"]) == 160
+        assert np.all(stream.columns["truth"]["stance"] == 0)
 
     def test_tick_alignment_validation(self):
         with pytest.raises(ValueError, match="imu ticks"):
