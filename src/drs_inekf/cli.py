@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .filter import FilterConfig, Variant
 from .harness import (
+    VARIANTS,
     TrialConfig,
     campaigns,
     evaluate_gates,
@@ -33,7 +34,7 @@ from .harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from .models import NoiseParams, config_fields
+from .models import ConfigError, NoiseParams, config_fields
 from .plots import write_report_svgs
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from .streams import StreamFormatError, read_jsonl, write_jsonl
@@ -42,10 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_GATE = 4
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; message names the offending field."""
 
 
 # The config document: one section per dataclass, whose `param` fields
@@ -138,13 +135,15 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def build_all(cfg: dict, seed: int) -> argparse.Namespace:
-    """Every section of a loaded config, built and checked."""
+    """Every section of a loaded config, built and checked, the gait on the tick grid."""
     noise = build(cfg, "noise")
-    return argparse.Namespace(
+    c = argparse.Namespace(
         surface=build(cfg, "surface"), gait=build(cfg, "gait"),
         rates=build(cfg, "rates"), noise=noise,
         filter=build(cfg, "filter", noise=noise),
         trials=build(cfg, "trials", master_seed=seed))
+    c.gait.ticks(c.rates)
+    return c
 
 
 def cmd_sim(args) -> int:
@@ -152,10 +151,7 @@ def cmd_sim(args) -> int:
     cfg = load_config(args.config)
     c = build_all(cfg, args.seed)
     truth = generate_truth(c.gait, c.surface, seed=args.seed)
-    try:
-        stream = synthesize_sensors(truth, c.noise, c.rates, seed=args.seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    stream = synthesize_sensors(truth, c.noise, c.rates, seed=args.seed)
     marks["simulate"] = time.perf_counter()
     _ensure_out_dir(args.out)
     write_jsonl(stream, args.out)
@@ -176,15 +172,15 @@ def cmd_estimate(args) -> int:
     stream = read_jsonl(args.stream)
     marks["read"] = time.perf_counter()
     # One variant, one trial, started exactly at the first truth sample.
-    result = run_trial(stream, c.trials, c.filter, (variant,), np.zeros(12))
+    rows = run_trial(stream, c.trials, c.filter, (variant,), np.zeros(12))
     marks["estimate"] = time.perf_counter()
     _ensure_out_dir(args.out)
-    write_trial_csv(args.out, result)
+    t = stream.columns["truth"]["t"]
+    write_trial_csv(args.out, t, (variant,), rows)
     marks["write"] = time.perf_counter()
     write_manifest(args.out + ".manifest.json", "estimate", cfg, args.seed,
                    [args.out], marks)
-    print(f"wrote metrics for {len(result.series[variant].t)} truth samples "
-          f"to {args.out}")
+    print(f"wrote metrics for {len(t)} truth samples to {args.out}")
     return EXIT_OK
 
 
@@ -207,8 +203,8 @@ def cmd_montecarlo(args) -> int:
     if tcfg.static_control and c.surface.pitch_amplitude > 0.0:
         surfaces.append(dataclasses.replace(c.surface, pitch_amplitude=0.0))
         print(f"running {tcfg.n_trials} trials (static level control)")
-    (rocking, results), *control = campaigns(tcfg, c.gait, surfaces, c.filter,
-                                             c.rates, jobs=args.jobs)
+    (rocking, rows), *control = campaigns(tcfg, c.gait, surfaces, c.filter,
+                                          c.rates, jobs=args.jobs)
     static = control[0][0] if control else None
     marks["campaigns"] = time.perf_counter()
 
@@ -217,9 +213,9 @@ def cmd_montecarlo(args) -> int:
         if report is not None:
             outputs.append(os.path.join(out_dir, name))
             write_aggregate_csv(outputs[-1], report)
-    for result in results:
-        path = os.path.join(out_dir, "trials", f"trial_{result.trial:03d}.csv")
-        write_trial_csv(path, result)
+    for i in range(rows.shape[1]):
+        path = os.path.join(out_dir, "trials", f"trial_{i:03d}.csv")
+        write_trial_csv(path, rocking.t, VARIANTS, rows[:, i])
         outputs.append(path)
     outputs.extend(write_report_svgs(rocking, os.path.join(out_dir, "plots")))
 

@@ -4,9 +4,11 @@ Each trial perturbs the true initial state by a sampled tangent offset,
 runs every filter variant over the same sensor stream, and records
 estimate-vs-truth metrics on the truth-sample grid. The trials of a
 worker's chunk and their variants run as one batch, in lockstep over
-their stacked streams. Aggregation reduces the trial axis to percentile
-bands and summary statistics used by the pass/fail gates (yaw
-observability dichotomy, roll/pitch/velocity convergence).
+their stacked streams. A campaign's results are one float array `rows`,
+axes VARIANTS x trial index x truth sample x METRIC_NAMES, with the truth
+times `t` beside it. Aggregation reduces the trial axis to percentile bands
+and the summaries used by the pass/fail gates (yaw observability
+dichotomy, roll/pitch/velocity convergence).
 """
 
 from __future__ import annotations
@@ -78,8 +80,7 @@ def initial_covariance(tcfg: TrialConfig) -> np.ndarray:
     return np.diag(_half_widths(tcfg) ** 2 / 3.0)
 
 
-def nees(xi: np.ndarray, cov: np.ndarray,
-         epsilon: float = FilterConfig.epsilon) -> np.ndarray:
+def nees(xi: np.ndarray, cov: np.ndarray, epsilon: float) -> np.ndarray:
     """Normalized estimation error squared xi^T cov^-1 xi (regularized)."""
     try:
         sol = np.linalg.solve(cov + epsilon * np.eye(xi.shape[-1]), xi[..., None])
@@ -90,23 +91,8 @@ def nees(xi: np.ndarray, cov: np.ndarray,
     return _dot(xi, sol[..., 0])
 
 
-@dataclass
-class MetricSeries:
-    """Metric rows on the truth-sample grid, per member of a batch."""
-
-    t: np.ndarray          # (T,)
-    values: np.ndarray     # (..., T, len(METRIC_NAMES))
-
-
-@dataclass
-class TrialResult:
-    trial: int
-    series: dict[Variant, MetricSeries]
-
-
 def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
-               variants: tuple[Variant, ...], xi0: np.ndarray,
-               indices: list[int]) -> list[TrialResult]:
+               variants: tuple[Variant, ...], xi0: np.ndarray) -> np.ndarray:
     """Run every variant of every trial over a stream, in lockstep.
 
     Trial j starts from the first truth sample perturbed by the tangent
@@ -118,6 +104,8 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
     one such trial runs unbatched, as small numpy operations run fastest.
     Truth precedes the updates at its timestamp, so each metric row holds
     the prior error there; metrics are evaluated _TRUTH_BLOCK samples at once.
+    Returns the rows, axes (variant, trial, truth sample, metric) in the
+    order `variants` x trial x truth time x METRIC_NAMES.
     """
     truth = stream.columns["truth"]
     t = truth["t"]
@@ -149,58 +137,37 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
         rows[ticks] = np.stack([m.pos_err, m.vel_err, np.abs(m.roll_deg),
                                 np.abs(m.pitch_deg), np.abs(m.yaw_deg),
                                 nees(m.xi, cov[:n], cfg.epsilon)], axis=-1)
-    rows = np.moveaxis(rows, 0, -2).reshape((len(variants), len(indices), len(t), -1))
-    return [TrialResult(index, {v: MetricSeries(t, rows[i, j])
-                                for i, v in enumerate(variants)})
-            for j, index in enumerate(indices)]
+    return np.moveaxis(rows, 0, -2).reshape(len(variants), -1, len(t), len(METRIC_NAMES))
 
 
 def run_trial(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
-              variants: tuple[Variant, ...], xi0: np.ndarray,
-              index: int = 0) -> TrialResult:
-    """Run every variant over one stream from the truth perturbed by xi0."""
-    return run_trials(stream, tcfg, cfg, variants, xi0, [index])[0]
+              variants: tuple[Variant, ...], xi0: np.ndarray) -> np.ndarray:
+    """Run every variant over one stream from the truth perturbed by xi0: rows[:, 0]."""
+    return run_trials(stream, tcfg, cfg, variants, xi0)[:, 0]
 
 
 @dataclass
 class AggregateReport:
     """Percentile bands plus the per-trial summaries the gates consume."""
 
-    t: np.ndarray
-    bands: dict[Variant, dict[str, np.ndarray]]       # metric -> (3, T) p10/p50/p90
-    initial: dict[Variant, dict[str, np.ndarray]]     # metric -> (n_trials,)
-    final: dict[Variant, dict[str, np.ndarray]]       # metric -> (n_trials,)
-    n_trials: int
+    t: np.ndarray        # (T,) truth times
+    bands: np.ndarray    # (PERCENTILES, variant, T, metric)
+    initial: np.ndarray  # (variant, trial, metric) at the first truth sample
+    final: np.ndarray    # (variant, trial, metric) median over FINAL_WINDOW
 
 
-def percentile_bands(values: np.ndarray) -> np.ndarray:
-    """PERCENTILES across the trial axis; values is (n_trials, T)."""
-    return np.percentile(values, PERCENTILES, axis=0)
-
-
-def aggregate(results: list[TrialResult]) -> AggregateReport:
-    t = results[0].series[next(iter(results[0].series))].t
-    variants = list(results[0].series.keys())
+def aggregate(t: np.ndarray, rows: np.ndarray) -> AggregateReport:
+    """Reduce the trial axis of rows (variant, trial, truth sample, metric)."""
     final_mask = t >= t[-1] - FINAL_WINDOW + 1e-9
-    bands: dict[Variant, dict[str, np.ndarray]] = {}
-    initial: dict[Variant, dict[str, np.ndarray]] = {}
-    final: dict[Variant, dict[str, np.ndarray]] = {}
-    for variant in variants:
-        stacked = np.stack([r.series[variant].values for r in results])  # (n, T, m)
-        bands[variant] = {}
-        initial[variant] = {}
-        final[variant] = {}
-        for j, name in enumerate(METRIC_NAMES):
-            vals = stacked[:, :, j]
-            bands[variant][name] = percentile_bands(vals)
-            initial[variant][name] = vals[:, 0].copy()
-            final[variant][name] = np.median(vals[:, final_mask], axis=1)
-    return AggregateReport(t, bands, initial, final, len(results))
+    return AggregateReport(t, np.percentile(rows, PERCENTILES, axis=1),
+                           rows[:, :, 0].copy(),
+                           np.median(rows[:, :, final_mask], axis=2))
 
 
-def _chunk_worker(args) -> list[list[TrialResult]]:
-    """One chunk of trials of every campaign, run as one batch."""
-    indices, stream_seeds, trial_seeds, gait, surfaces, cfg, rates, tcfg = args
+def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk of trials of every campaign, run as one batch: the truth
+    times and the rows (surface, variant, trial, truth sample, metric)."""
+    chunk, stream_seeds, trial_seeds, gait, surfaces, cfg, rates, tcfg = args
     stream = Stream.stack(
         (synthesize_sensors(generate_truth(gait, surf, seed=seed), cfg.noise, rates,
                             seed=seed)
@@ -209,17 +176,16 @@ def _chunk_worker(args) -> list[list[TrialResult]]:
     xi0 = np.array([sample_initial_error(np.random.default_rng(seed), tcfg)
                     for seed in trial_seeds])
     try:
-        results = run_trials(stream, tcfg, cfg, VARIANTS,
-                             np.tile(xi0, (len(surfaces), 1)), indices * len(surfaces))
+        rows = run_trials(stream, tcfg, cfg, VARIANTS, np.tile(xi0, (len(surfaces), 1)))
     except Exception as exc:
-        raise RuntimeError(f"trials {indices[0]}..{indices[-1]} failed: {exc}") from exc
-    n = len(indices)
-    return [results[i * n:(i + 1) * n] for i in range(len(surfaces))]
+        raise RuntimeError(f"trials {chunk[0]}..{chunk[-1]} failed: {exc}") from exc
+    rows = rows.reshape((len(VARIANTS), len(surfaces), len(chunk)) + rows.shape[2:])
+    return stream.columns["truth"]["t"], rows.swapaxes(0, 1)
 
 
 def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig],
               cfg: FilterConfig, rates: Rates = Rates(), jobs: int = 1,
-              ) -> list[tuple[AggregateReport, list[TrialResult]]]:
+              ) -> list[tuple[AggregateReport, np.ndarray]]:
     """One Monte Carlo campaign per surface, all with the same trial seeds.
 
     Every trial derives its stream seed and initial-error seed from the
@@ -227,7 +193,8 @@ def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig]
     and independent of execution order, worker count and of which campaigns
     run together. The trials are split into `jobs` (at least 1) contiguous
     chunks; a worker runs its chunk of every campaign as one batch. The
-    streams are synthesized with the filter's noise model.
+    streams are synthesized with the filter's noise model. Each campaign
+    comes as its report and its rows (variant, trial, truth sample, metric).
     """
     seq = np.random.SeedSequence(tcfg.master_seed)
     seeds = np.array([child.generate_state(2, dtype=np.uint64)
@@ -241,11 +208,8 @@ def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig]
             chunked = pool.map(_chunk_worker, args)
     else:
         chunked = [_chunk_worker(a) for a in args]
-    out = []
-    for i in range(len(surfaces)):
-        results = [r for chunk in chunked for r in chunk[i]]
-        out.append((aggregate(results), results))
-    return out
+    rows = np.concatenate([r for _, r in chunked], axis=2)
+    return [(aggregate(chunked[0][0], r), r) for r in rows]
 
 
 @dataclass
@@ -267,47 +231,40 @@ def evaluate_gates(rocking: AggregateReport,
     level surface neither variant may shrink the yaw error below
     STATIC_FLOOR of its initial median.
     """
-    gates: list[GateResult] = []
-    prop, base = Variant.PROPOSED, Variant.POSITION_ONLY
+    # Medians over the trials, indexed [variant][metric].
+    init, fin = (np.median(a, axis=1).tolist() for a in (rocking.initial, rocking.final))
+    prop, base = (VARIANTS.index(v) for v in (Variant.PROPOSED, Variant.POSITION_ONLY))
+    yaw, pos = METRIC_NAMES.index("yaw_err"), METRIC_NAMES.index("pos_err")
+    gates = [GateResult(
+        "yaw-observability (rocking)", fin[prop][yaw] * YAW_RATIO <= fin[base][yaw],
+        f"proposed median final yaw {fin[prop][yaw]:.3f} deg vs "
+        f"position-only {fin[base][yaw]:.3f} deg (need >= {YAW_RATIO}x smaller)")]
 
-    if prop in rocking.final and base in rocking.final:
-        yaw_prop = float(np.median(rocking.final[prop]["yaw_err"]))
-        yaw_base = float(np.median(rocking.final[base]["yaw_err"]))
-        ok = yaw_prop * YAW_RATIO <= yaw_base
-        gates.append(GateResult(
-            "yaw-observability (rocking)", ok,
-            f"proposed median final yaw {yaw_prop:.3f} deg vs "
-            f"position-only {yaw_base:.3f} deg (need >= {YAW_RATIO}x smaller)"))
-
-    for variant in rocking.final:
+    for i, variant in enumerate(VARIANTS):
         for metric in CONVERGENCE_METRICS:
-            init = float(np.median(rocking.initial[variant][metric]))
-            fin = float(np.median(rocking.final[variant][metric]))
-            ok = fin <= CONVERGENCE_FRACTION * init
+            j = METRIC_NAMES.index(metric)
             gates.append(GateResult(
-                f"{metric} convergence ({variant.value})", ok,
-                f"median initial {init:.4f} -> final {fin:.4f} "
+                f"{metric} convergence ({variant.value})",
+                fin[i][j] <= CONVERGENCE_FRACTION * init[i][j],
+                f"median initial {init[i][j]:.4f} -> final {fin[i][j]:.4f} "
                 f"(need <= {CONVERGENCE_FRACTION:.0%})"))
 
     if static is not None:
-        for variant in static.final:
-            init = float(np.median(static.initial[variant]["yaw_err"]))
-            fin = float(np.median(static.final[variant]["yaw_err"]))
-            ok = fin >= STATIC_FLOOR * init
+        s_init, s_fin = (np.median(a, axis=1).tolist()
+                         for a in (static.initial, static.final))
+        for i, variant in enumerate(VARIANTS):
             gates.append(GateResult(
-                f"yaw non-convergence (static, {variant.value})", ok,
-                f"median initial {init:.3f} deg -> final {fin:.3f} deg "
+                f"yaw non-convergence (static, {variant.value})",
+                s_fin[i][yaw] >= STATIC_FLOOR * s_init[i][yaw],
+                f"median initial {s_init[i][yaw]:.3f} deg -> final {s_fin[i][yaw]:.3f} deg "
                 f"(must stay >= {STATIC_FLOOR}x)"))
 
     # Soft report only: base position is unobservable under both variants;
     # the proposed design tends to hold a smaller error.
-    if prop in rocking.final and base in rocking.final:
-        pos_prop = float(np.median(rocking.final[prop]["pos_err"]))
-        pos_base = float(np.median(rocking.final[base]["pos_err"]))
-        gates.append(GateResult(
-            "position comparison (informational)", True,
-            f"proposed median final pos {pos_prop:.3f} m vs "
-            f"position-only {pos_base:.3f} m", gating=False))
+    gates.append(GateResult(
+        "position comparison (informational)", True,
+        f"proposed median final pos {fin[prop][pos]:.3f} m vs "
+        f"position-only {fin[base][pos]:.3f} m", gating=False))
     return gates
 
 
@@ -317,17 +274,19 @@ def _write_rows(fh, labels: str, table: np.ndarray) -> None:
     fh.write(row * len(table) % tuple(table.ravel().tolist()))
 
 
-def write_trial_csv(path, result: TrialResult) -> None:
+def write_trial_csv(path, t: np.ndarray, variants: tuple[Variant, ...],
+                    rows: np.ndarray) -> None:
+    """One trial's rows (variant, truth sample, metric) at truth times t."""
     with open(path, "w", newline="") as fh:
         fh.write("t,variant," + ",".join(METRIC_NAMES) + "\r\n")
-        for variant, series in result.series.items():
-            _write_rows(fh, variant.value, np.column_stack([series.t, series.values]))
+        for variant, table in zip(variants, rows):
+            _write_rows(fh, variant.value, np.column_stack([t, table]))
 
 
 def write_aggregate_csv(path, report: AggregateReport) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,variant,metric,p10,p50,p90\r\n")
-        for variant, metrics in report.bands.items():
-            for metric, band in metrics.items():
+        for i, variant in enumerate(VARIANTS):
+            for j, metric in enumerate(METRIC_NAMES):
                 _write_rows(fh, f"{variant.value},{metric}",
-                            np.column_stack([report.t, band.T]))
+                            np.column_stack([report.t, report.bands[:, i, :, j].T]))

@@ -100,6 +100,10 @@ def _as_type(hint, value):
     raise ValueError(f"expected {expected}, got {value!r}")
 
 
+class ConfigError(ValueError):
+    """Invalid configuration; message names the offending field."""
+
+
 def check_fields(obj) -> None:
     """Check the `param` fields of a frozen dataclass; store them converted.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .filter import Variant
-from .harness import AggregateReport
+from .harness import METRIC_NAMES, VARIANTS, AggregateReport
 
 _COLORS = {
     Variant.PROPOSED: "#1f77b4",
@@ -81,9 +81,8 @@ def _band(xs, lo, hi, color) -> str:
 def render_metric_svg(report: AggregateReport, metric: str) -> str:
     """SVG document for one metric with per-variant median and band."""
     t = report.t
-    y_hi = 0.0
-    for variant in report.bands:
-        y_hi = max(y_hi, float(np.max(report.bands[variant][metric][2])))
+    bands = report.bands[..., METRIC_NAMES.index(metric)]  # (PERCENTILES, variant, T)
+    y_hi = max(0.0, float(np.max(bands[2])))
     frame = _Frame(float(t[0]), float(t[-1]), 0.0, y_hi * 1.05 + 1e-12)
 
     parts = [
@@ -107,14 +106,13 @@ def render_metric_svg(report: AggregateReport, metric: str) -> str:
                  f'height="{_H - _MT - _MB}" fill="none" stroke="#333333"/>')
 
     xs = frame.x(t)
-    for variant, metrics in report.bands.items():
-        band = metrics[metric]
+    for variant, (lo, mid, hi) in zip(VARIANTS, bands.swapaxes(0, 1)):
         color = _COLORS[variant]
-        parts.append(_band(xs, frame.y(band[0]), frame.y(band[2]), color))
-        parts.append(_polyline(xs, frame.y(band[1]), color))
+        parts.append(_band(xs, frame.y(lo), frame.y(hi), color))
+        parts.append(_polyline(xs, frame.y(mid), color))
 
     legend_y = _MT + 14
-    for variant in report.bands:
+    for variant in VARIANTS:
         color = _COLORS[variant]
         parts.append(f'<line x1="{_W - _MR - 150}" y1="{legend_y}" '
                      f'x2="{_W - _MR - 122}" y2="{legend_y}" stroke="{color}" '
@@ -126,7 +124,7 @@ def render_metric_svg(report: AggregateReport, metric: str) -> str:
     label = _YLABELS[metric]
     parts.append(f'<text x="{_ML}" y="{_MT - 12}" font-size="13" '
                  f'font-family="sans-serif">{label} '
-                 f'(median, p10-p90, {report.n_trials} trials)</text>')
+                 f'(median, p10-p90, {report.initial.shape[1]} trials)</text>')
     parts.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 10}" '
                  f'text-anchor="middle" font-size="12" '
                  f'font-family="sans-serif">time [s]</text>')
@@ -144,7 +142,7 @@ def write_report_svgs(report: AggregateReport, out_dir) -> list[str]:
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for metric in next(iter(report.bands.values())):
+    for metric in METRIC_NAMES:
         path = os.path.join(str(out_dir), f"{metric}.svg")
         with open(path, "w") as fh:
             fh.write(render_metric_svg(report, metric))

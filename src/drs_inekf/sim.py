@@ -22,12 +22,13 @@ import numpy as np
 from .liegroup import so3_exp, so3_left_jacobian, so3_log
 from .liegroup import matvec as _mv
 from .liegroup import transposed as _T
-from .models import GRAVITY, NoiseParams, check_fields, param
+from .models import GRAVITY, ConfigError, NoiseParams, check_fields, param
 from .streams import (
     FK_POS,
     FK_ROT,
     IMU,
     KINDS,
+    MAX_IMU_DT,
     SURFACE,
     SWAP,
     TRUTH,
@@ -77,10 +78,27 @@ class GaitConfig:
     def __post_init__(self):
         check_fields(self)
 
+    def ticks(self, rates: Rates) -> tuple[int, int, int]:
+        """The IMU ticks of the duration, of a kinematics interval and of a step.
+
+        Raises ConfigError naming `gait.duration` or `gait.step_period` off the grid.
+        """
+        n_imu = int(round(self.duration * rates.imu_hz))
+        if abs(n_imu - self.duration * rates.imu_hz) > 1e-6:
+            raise ConfigError("gait.duration: must be an integer number of imu ticks")
+        kin_stride = rates.imu_hz // rates.kin_hz
+        swap_float = self.step_period * rates.imu_hz
+        swap_stride = int(round(swap_float))
+        if abs(swap_stride - swap_float) > 1e-6 or swap_stride == 0:
+            raise ConfigError("gait.step_period: must be an integer number of imu ticks")
+        if swap_stride % kin_stride != 0:
+            raise ConfigError("gait.step_period: must land on the kinematics grid")
+        return n_imu, kin_stride, swap_stride
+
 
 @dataclass(frozen=True)
 class Rates:
-    imu_hz: int = param(400, lo=1)
+    imu_hz: int = param(400, lo=math.ceil(1.0 / MAX_IMU_DT))  # dt <= MAX_IMU_DT
     kin_hz: int = param(100, lo=1)
 
     def __post_init__(self):
@@ -220,16 +238,7 @@ def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
 def _sensor_columns(truth, noise, rates, seed) -> tuple:
     gait, surf = truth.gait, truth.surf
     dt = 1.0 / rates.imu_hz
-    n_imu = int(round(gait.duration * rates.imu_hz))
-    if abs(n_imu - gait.duration * rates.imu_hz) > 1e-6:
-        raise ValueError("duration must be an integer number of imu ticks")
-    kin_stride = rates.imu_hz // rates.kin_hz
-    swap_float = gait.step_period * rates.imu_hz
-    swap_stride = int(round(swap_float))
-    if abs(swap_stride - swap_float) > 1e-6 or swap_stride == 0:
-        raise ValueError("step_period must be an integer number of imu ticks")
-    if swap_stride % kin_stride != 0:
-        raise ValueError("step_period must land on the kinematics grid")
+    n_imu, kin_stride, swap_stride = gait.ticks(rates)
 
     ticks = np.arange(n_imu + 1)
     times = ticks / rates.imu_hz

@@ -69,6 +69,13 @@ BAD_VALUES = [
     ("surface", "pivot", [True, 0, 0]),
 ]
 
+# Configs whose every field passes its own check, and the field to name.
+OFF_GRID = [
+    ({"gait": {"duration": 2.4001}}, "gait.duration"),
+    ({"gait": {"step_period": 0.6025}}, "gait.step_period"),
+    ({"rates": {"imu_hz": 5, "kin_hz": 5}}, "rates.imu_hz"),
+]
+
 
 def scaled_rot(d):
     d["rot"] = [5.0 * x for x in d["rot"]]
@@ -182,6 +189,25 @@ class TestConfigChecks:
         out = tmp_path / "s.jsonl"
         assert main(["sim", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert f"config error: {section}.{key}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Each section is valid alone, but the gait is off the rates' tick grid
+    # or the imu interval is too long for a stream. Every command rejects
+    # the config before it reads, simulates or runs anything.
+    @pytest.mark.parametrize("overrides, field", OFF_GRID,
+                             ids=[field for _, field in OFF_GRID])
+    @pytest.mark.parametrize("command", ["sim", "estimate", "montecarlo"])
+    def test_off_grid_config_names_field(self, tmp_path, capsys, sim_lines,
+                                         command, overrides, field):
+        cfg = write_config(tmp_path, overrides)
+        stream = tmp_path / "s.jsonl"
+        stream.write_text("".join(sim_lines))
+        out = tmp_path / "out"
+        args = {"estimate": ["--stream", str(stream)]}.get(command, [])
+        assert main([command, "--config", cfg, *args, "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert f"config error: {field}:" in captured.err
+        assert captured.out == ""
         assert not out.exists()
 
 

@@ -107,7 +107,7 @@ class TestPropagate:
         s = make_state(rng)
         s2 = propagate(s, random_imu(rng), NoiseParams())
         assert np.trace(s2.cov) > np.trace(s.cov)
-        assert np.allclose(s2.cov, s2.cov.T, atol=1e-12)
+        assert np.array_equal(s2.cov, s2.cov.T)
 
 
 def simple_measurement(z_target):
@@ -325,8 +325,37 @@ class TestUpdate:
             hp = s.mean.rot.T @ (s.mean.foot - s.mean.pos) + rng.standard_normal(3) * 0.01
             m = position_measurement(hp, NoiseParams())
             s = update(s, m, 1e-9)
-            assert np.allclose(s.cov, s.cov.T, atol=1e-12)
+            assert np.array_equal(s.cov, s.cov.T)
             assert np.min(np.linalg.eigvalsh(s.cov)) > -1e-10
+
+
+class TestExactSymmetry:
+    @pytest.mark.parametrize("shape", [(), (4,)], ids=["one", "batch"])
+    def test_every_step_returns_its_covariance_transposed(self, rng, shape):
+        # Each step ends in `_symmetrize`, so its covariance equals its
+        # transpose bit for bit, whatever the rounding of the products.
+        means = [random_element(rng) for _ in range(int(np.prod(shape)))]
+        mean = GroupElement(np.reshape([m.rot for m in means], shape + (3, 3)),
+                            np.reshape([m.cols for m in means], shape + (3, 3)))
+        a = rng.standard_normal(shape + (12, 12))
+        cov = a @ np.swapaxes(a, -1, -2) / 12.0
+        s = State(mean, 0.5 * (cov + np.swapaxes(cov, -1, -2)))
+        gyro, accel, contact_vel = rng.standard_normal((3,) + shape + (3,))
+        noise = NoiseParams()
+        steps = [
+            lambda s: propagate(s, ImuStep(0.0, 0.0025, gyro, 3.0 * accel,
+                                           0.3 * contact_vel), noise),
+            lambda s: update(s, position_measurement(
+                rng.standard_normal(shape + (3,)), noise), 1e-9),
+            lambda s: update(s, orientation_measurement(
+                so3_exp(0.1 * rng.standard_normal(shape + (3,))),
+                so3_exp(rng.standard_normal(shape + (3,))), noise), 1e-9),
+            lambda s: apply_jump(s, 0.2 * rng.standard_normal(shape + (3,)), 1e-3),
+        ]
+        for step in steps:
+            s = step(s)
+            assert s.cov.shape == shape + (12, 12)
+            assert np.array_equal(s.cov, np.swapaxes(s.cov, -1, -2))
 
 
 class TestApplyJump:
@@ -630,7 +659,7 @@ class TestLongRunHygiene:
                              draws[:, 2] * 0.1))
             if k % check_every == 0:
                 cov = est.state.cov
-                assert np.allclose(cov, cov.T, atol=1e-12)
+                assert np.array_equal(cov, cov.T)
                 assert np.min(np.linalg.eigvalsh(cov)) > -1e-10
         from drs_inekf.liegroup import rotation_defect
 

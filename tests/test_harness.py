@@ -2,23 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drs_inekf import filter as filter_module
 from drs_inekf import harness, plots
-from drs_inekf.filter import FilterConfig, UpdateSchedule, Variant
+from drs_inekf.filter import FilterConfig, StreamEstimator, UpdateSchedule, Variant
 from drs_inekf.harness import (
     METRIC_NAMES,
+    PERCENTILES,
     VARIANTS,
     AggregateReport,
-    MetricSeries,
     TrialConfig,
-    TrialResult,
     aggregate,
     campaigns,
     evaluate_gates,
     initial_covariance,
     nees,
-    percentile_bands,
     run_trial,
     run_trials,
     sample_initial_error,
@@ -55,13 +55,13 @@ def short_stream(seed=1, noise=None, surface=None):
 
 class TestNees:
     def test_zero_error(self):
-        assert nees(np.zeros(12), np.eye(12)) == 0.0
+        assert nees(np.zeros(12), np.eye(12), 1e-9) == 0.0
 
     def test_unit_vector_identity_cov(self):
         xi = np.zeros(12)
         xi[4] = 1.0
         assert nees(xi, np.eye(12), 0.0) == pytest.approx(1.0, rel=1e-12)
-        assert nees(xi, np.eye(12)) == pytest.approx(1.0, rel=1e-8)
+        assert nees(xi, np.eye(12), 1e-9) == pytest.approx(1.0, rel=1e-8)
 
     def test_matches_solve_oracle(self, rng):
         for _ in range(50):
@@ -69,7 +69,7 @@ class TestNees:
             cov = a @ a.T + 0.5 * np.eye(12)
             xi = rng.standard_normal(12)
             oracle = float(xi @ np.linalg.inv(cov + 1e-9 * np.eye(12)) @ xi)
-            assert nees(xi, cov) == pytest.approx(oracle, rel=1e-9)
+            assert nees(xi, cov, 1e-9) == pytest.approx(oracle, rel=1e-9)
 
     def test_singular_covariance_raises(self):
         xi = np.ones(12)
@@ -134,11 +134,11 @@ class TestRunTrial:
         cfg = FilterConfig(noise=noise)
         a = run_trial(records, tcfg, cfg, VARIANTS, offset(77, tcfg))
         b = run_trial(records, tcfg, cfg, VARIANTS, offset(77, tcfg))
-        for v in VARIANTS:
-            assert np.array_equal(a.series[v].values, b.series[v].values)
+        assert a.shape == (len(VARIANTS), 241, len(METRIC_NAMES))
+        assert np.array_equal(a, b)
         c = run_trial(records, tcfg, cfg, VARIANTS, offset(78, tcfg))
-        assert not np.array_equal(a.series[Variant.PROPOSED].values,
-                                  c.series[Variant.PROPOSED].values)
+        prop = VARIANTS.index(Variant.PROPOSED)
+        assert not np.array_equal(a[prop], c[prop])
 
     def test_zero_initial_error_zero_noise_stays_keystone_small(self):
         records = short_stream(noise=ZERO)
@@ -147,20 +147,20 @@ class TestRunTrial:
                            pos_range=0.0, foot_range=0.0)
         # nonzero assumed noise, noiseless data, exact start
         noise = NoiseParams()
-        result = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
-                           offset(5, tcfg))
-        for v in VARIANTS:
-            series = result.series[v]
+        rows = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
+                         offset(5, tcfg))
+        for table in rows:
             for name in ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err"):
-                assert np.max(series.values[:, METRIC_NAMES.index(name)]) < 1e-5
+                assert np.max(table[:, METRIC_NAMES.index(name)]) < 1e-5
 
     def test_metrics_timestamped_on_truth_grid(self):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
-        result = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
-                           offset(1, tcfg))
-        t = result.series[Variant.PROPOSED].t
+        rows = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
+                         offset(1, tcfg))
+        t = records.columns["truth"]["t"]
+        assert rows.shape[1] == len(t)
         assert t[0] == 0.0
         assert np.allclose(np.diff(t), 0.01, atol=1e-12)
 
@@ -173,13 +173,12 @@ class TestRunTrial:
         cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
         stream = Stream.stack((short_stream(seed) for seed in (1, 2)), 2)
         xi0 = np.array([offset(3, tcfg), offset(4, tcfg)])
-        want = run_trials(stream, tcfg, cfg, VARIANTS, xi0, [0, 1])
+        want = run_trials(stream, tcfg, cfg, VARIANTS, xi0)
+        assert want.shape == (len(VARIANTS), 2, 241, len(METRIC_NAMES))
         for block in (1, 7):
             monkeypatch.setattr(harness, "_TRUTH_BLOCK", block)
-            got = run_trials(stream, tcfg, cfg, VARIANTS, xi0, [0, 1])
-            for a, b in zip(got, want):
-                for v in VARIANTS:
-                    assert np.array_equal(a.series[v].values, b.series[v].values)
+            got = run_trials(stream, tcfg, cfg, VARIANTS, xi0)
+            assert np.array_equal(got, want)
 
     def test_imu_runs_across_terms_blocks(self, monkeypatch):
         # With integration terms computed 3 intervals at a time, each run of
@@ -193,8 +192,7 @@ class TestRunTrial:
         want = run_trial(stream, tcfg, cfg, VARIANTS, offset(5, tcfg))
         monkeypatch.setattr(filter_module, "_TERMS_BLOCK", 3)
         got = run_trial(stream, tcfg, cfg, VARIANTS, offset(5, tcfg))
-        for v in VARIANTS:
-            a, b = got.series[v].values, want.series[v].values
+        for a, b in zip(got, want):
             assert np.all(np.abs(a - b).max(axis=0) <= 1e-10 * np.abs(b).max(axis=0))
 
     def test_stream_without_truth_rejected(self):
@@ -210,33 +208,47 @@ class TestRunTrial:
                       offset(1, tcfg))
 
 
+def per_variant_metric_reductions(t, rows):
+    """The bands, initial and final values, one variant and metric at a time."""
+    final_mask = t >= t[-1] - harness.FINAL_WINDOW + 1e-9
+    out = {}
+    for i, j in np.ndindex(rows.shape[0], rows.shape[3]):
+        vals = rows[i, :, :, j]
+        out[i, j] = (np.percentile(vals, PERCENTILES, axis=0), vals[:, 0],
+                     np.median(vals[:, final_mask], axis=1))
+    return out
+
+
 class TestAggregation:
     def test_single_trial_percentiles_equal_the_trial(self):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
-        result = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
-                           offset(3, tcfg))
-        report = aggregate([result])
-        for v in VARIANTS:
-            for j, name in enumerate(METRIC_NAMES):
-                band = report.bands[v][name]
-                col = result.series[v].values[:, j]
+        rows = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
+                         offset(3, tcfg))
+        report = aggregate(records.columns["truth"]["t"], rows[:, None])
+        assert report.bands.shape == (3,) + rows.shape
+        for i in range(len(VARIANTS)):
+            for j in range(len(METRIC_NAMES)):
+                band = report.bands[:, i, :, j]
+                col = rows[i, :, j]
                 assert np.allclose(band[0], col)
                 assert np.allclose(band[1], col)
                 assert np.allclose(band[2], col)
 
     def test_constant_series_aggregates_to_constant(self):
-        vals = np.full((7, 11), 3.25)
-        band = percentile_bands(vals)
-        assert np.all(band == 3.25)
+        rows = np.full((len(VARIANTS), 7, 11, len(METRIC_NAMES)), 3.25)
+        report = aggregate(np.arange(11.0), rows)
+        assert np.all(report.bands == 3.25)
+        assert np.all(report.initial == 3.25)
+        assert np.all(report.final == 3.25)
 
     def test_percentiles_match_sort_oracle(self, rng):
-        vals = rng.standard_normal((101, 13))
-        band = percentile_bands(vals)
+        rows = rng.standard_normal((len(VARIANTS), 101, 13, len(METRIC_NAMES)))
+        band = aggregate(np.arange(13.0), rows).bands
         # independent sort-and-interpolate implementation
-        for col in range(vals.shape[1]):
-            data = np.sort(vals[:, col])
+        for i, col, j in np.ndindex(rows.shape[0], rows.shape[2], rows.shape[3]):
+            data = np.sort(rows[i, :, col, j])
             n = len(data)
             for row, q in zip(range(3), (0.10, 0.50, 0.90)):
                 pos = q * (n - 1)
@@ -244,22 +256,34 @@ class TestAggregation:
                 hi = min(lo + 1, n - 1)
                 frac = pos - lo
                 oracle = data[lo] * (1 - frac) + data[hi] * frac
-                assert band[row, col] == pytest.approx(oracle, rel=1e-12)
+                assert band[row, i, col, j] == pytest.approx(oracle, rel=1e-12)
+
+    def test_equals_per_variant_metric_reductions(self, rng):
+        # One percentile and one median call over the whole table give the
+        # bits of one call per variant and metric, for odd and even trial
+        # counts and a final window that is not a whole number of samples.
+        t = np.arange(0.0, 12.01, 0.01)
+        for n in (1, 2, 7):
+            rows = rng.standard_normal((len(VARIANTS), n, len(t), len(METRIC_NAMES)))
+            report = aggregate(t, rows)
+            for (i, j), (band, initial, final) in per_variant_metric_reductions(
+                    t, rows).items():
+                assert report.bands[:, i, :, j].tobytes() == band.tobytes()
+                assert report.initial[i, :, j].tobytes() == initial.tobytes()
+                assert report.final[i, :, j].tobytes() == final.tobytes()
 
     def test_trial_order_does_not_change_aggregate(self, rng):
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
         cfg = FilterConfig(noise=noise)
-        results = [run_trial(records, tcfg, cfg, VARIANTS, offset(s, tcfg), i)
-                   for i, s in enumerate((1, 2, 3, 4, 5))]
-        fwd = aggregate(results)
-        rev = aggregate(results[::-1])
-        for v in VARIANTS:
-            for name in METRIC_NAMES:
-                assert np.array_equal(fwd.bands[v][name], rev.bands[v][name])
-                assert np.array_equal(np.sort(fwd.final[v][name]),
-                                      np.sort(rev.final[v][name]))
+        rows = np.stack([run_trial(records, tcfg, cfg, VARIANTS, offset(s, tcfg))
+                         for s in (1, 2, 3, 4, 5)], axis=1)
+        t = records.columns["truth"]["t"]
+        fwd = aggregate(t, rows)
+        rev = aggregate(t, rows[:, ::-1])
+        assert np.array_equal(fwd.bands, rev.bands)
+        assert np.array_equal(np.sort(fwd.final, axis=1), np.sort(rev.final, axis=1))
 
 
 class TestYawConvergenceReferenceRun:
@@ -305,19 +329,76 @@ class TestLockstepEngine:
         tcfg = TrialConfig(n_trials=1)
         cfg = FilterConfig(noise=noise, update_schedule=schedule)
         xi0 = offset(13, tcfg)
-        result = run_trial(stream, tcfg, cfg, VARIANTS, xi0)
+        rows = run_trial(stream, tcfg, cfg, VARIANTS, xi0)
         records = stream_records(stream)
         first = next(r for r in records if isinstance(r, TruthSample))
         mean0 = compose(sek3_exp(xi0), first.element)
-        for variant in VARIANTS:
+        for variant, got in zip(VARIANTS, rows):
             want = oracle_metric_rows(
                 records, mean0, initial_covariance(tcfg), noise,
                 variant is Variant.PROPOSED,
                 schedule is UpdateSchedule.ON_CONTACT_ONLY, cfg.epsilon)
-            got = result.series[variant].values
             assert got.shape == want.shape == (601, len(METRIC_NAMES))
             err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
             assert err.max() <= 1e-10, (variant, err.max())
+
+
+# A noise variance within its config bounds: zero, or up to 100x the default.
+VARIANCE = st.one_of(st.just(0.0), st.floats(1e-8, 1e-2))
+
+
+def run_recorded(noise, pitch, belt, imu_ticks, seed):
+    """run_trial of both variants on a scenario: the rows and the final covariance."""
+    estimators = []
+
+    class Recording(StreamEstimator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            estimators.append(self)
+
+    gait = GaitConfig(duration=imu_ticks / Rates().imu_hz)
+    surface = SurfaceConfig(pitch_amplitude=pitch, belt_speed=belt)
+    stream = synthesize_sensors(generate_truth(gait, surface, seed), noise, Rates(), seed)
+    tcfg = TrialConfig(n_trials=1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "StreamEstimator", Recording)
+        rows = run_trial(stream, tcfg, FilterConfig(noise=noise), VARIANTS,
+                         offset(seed, tcfg))
+    assert rows.shape == (len(VARIANTS), len(stream.columns["truth"]["t"]),
+                          len(METRIC_NAMES))
+    return rows, estimators[0].state.cov
+
+
+def assert_finite_and_psd(rows, cov):
+    assert np.all(np.isfinite(rows))
+    assert cov.shape == (len(VARIANTS), 12, 12)
+    assert np.array_equal(cov, np.swapaxes(cov, -1, -2))
+    eig = np.linalg.eigvalsh(cov)
+    assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1])
+
+
+class TestEstimatorFuzz:
+    # Valid scenarios of 1.2-2.4 s, sensors and filter on the same noise:
+    # both variants keep every metric finite and end on a symmetric
+    # covariance with no eigenvalue below rounding. An exact foot position
+    # (fk_pos_var = 0) can break this; it is left to the test after this one.
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           noise=st.builds(NoiseParams, VARIANCE, VARIANCE, VARIANCE,
+                           st.floats(1e-8, 1e-2), VARIANCE, VARIANCE),
+           pitch=st.floats(0.0, 0.3), belt=st.floats(-1.0, 1.0),
+           imu_ticks=st.integers(480, 960))
+    def test_metrics_finite_and_covariance_psd(self, seed, noise, pitch, belt, imu_ticks):
+        assert_finite_and_psd(*run_recorded(noise, pitch, belt, imu_ticks, seed))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "known defect: with fk_pos_var = 0 the filter's foot-position update "
+        "is regularized only by epsilon, the mean diverges and the covariance "
+        "goes indefinite"))
+    def test_exact_foot_positions_keep_the_covariance_psd(self):
+        # The smallest case the fuzz test found with fk_pos_var = 0 allowed.
+        noise = NoiseParams(0.0078125, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert_finite_and_psd(*run_recorded(noise, 0.0, 1.0, 480, 0))
 
 
 class TestMonteCarlo:
@@ -327,18 +408,14 @@ class TestMonteCarlo:
         # must be bitwise the same.
         tcfg = TrialConfig(n_trials=3, master_seed=9)
         noise = NoiseParams(jump_pos_var=1e-6)
-        serial, serial_results = one_campaign(tcfg, SurfaceConfig(), noise, jobs=1)
+        serial, serial_rows = one_campaign(tcfg, SurfaceConfig(), noise, jobs=1)
+        assert serial_rows.shape == (len(VARIANTS), 3, 241, len(METRIC_NAMES))
         for jobs in (2, 3):
-            parallel, results = one_campaign(tcfg, SurfaceConfig(), noise, jobs=jobs)
-            for v in serial.bands:
-                for name in METRIC_NAMES:
-                    assert np.array_equal(serial.bands[v][name],
-                                          parallel.bands[v][name])
-            assert [r.trial for r in results] == [0, 1, 2]
-            for a, b in zip(serial_results, results):
-                for v in VARIANTS:
-                    assert np.array_equal(a.series[v].t, b.series[v].t)
-                    assert np.array_equal(a.series[v].values, b.series[v].values)
+            parallel, rows = one_campaign(tcfg, SurfaceConfig(), noise, jobs=jobs)
+            assert np.array_equal(serial.bands, parallel.bands)
+            assert np.array_equal(serial.t, parallel.t)
+            assert rows.shape == serial_rows.shape
+            assert np.array_equal(serial_rows, rows)
 
     def test_campaigns_run_together_equal_apart(self):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
@@ -346,11 +423,10 @@ class TestMonteCarlo:
         surfaces = [SurfaceConfig(), SurfaceConfig(pitch_amplitude=0.0)]
         together = campaigns(tcfg, SHORT_GAIT, surfaces, FilterConfig(noise=noise),
                              Rates())
-        for surface, (_, results) in zip(surfaces, together):
+        for surface, (_, rows) in zip(surfaces, together):
             _, apart = one_campaign(tcfg, surface, noise)
-            for a, b in zip(results, apart):
-                for v in VARIANTS:
-                    assert np.array_equal(a.series[v].values, b.series[v].values)
+            assert rows.shape == apart.shape == (len(VARIANTS), 2, 241, len(METRIC_NAMES))
+            assert np.array_equal(rows, apart)
 
     def test_gate_evaluation_structure(self):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
@@ -366,13 +442,13 @@ class TestMonteCarlo:
     def test_csv_outputs(self, tmp_path):
         tcfg = TrialConfig(n_trials=2, master_seed=4)
         noise = NoiseParams(jump_pos_var=1e-6)
-        report, results = one_campaign(tcfg, SurfaceConfig(), noise)
+        report, rows = one_campaign(tcfg, SurfaceConfig(), noise)
         agg = tmp_path / "aggregate.csv"
         write_aggregate_csv(agg, report)
         header = agg.read_text().splitlines()[0]
         assert header == "t,variant,metric,p10,p50,p90"
         trial = tmp_path / "trial.csv"
-        write_trial_csv(trial, results[0])
+        write_trial_csv(trial, report.t, VARIANTS, rows[:, 0])
         header = trial.read_text().splitlines()[0]
         assert header == "t,variant," + ",".join(METRIC_NAMES)
 
@@ -385,24 +461,24 @@ EDGE = [-0.0, 1e-300, 123456789.5, 0.123456789, 9.87654321e-7, -2.5e-7,
 EDGE_T = np.array([0.0, 0.0000005, 2.6750005, 0.0000015, 1e-300, 123456.7890125])
 
 
-def reference_trial_lines(result):
+def reference_trial_lines(t, variants, rows):
     """The trial CSV formatted one row at a time."""
     row = "%.6f,%s" + ",%.9g" * len(METRIC_NAMES) + "\r\n"
     lines = ["t,variant," + ",".join(METRIC_NAMES) + "\r\n"]
-    for variant, series in result.series.items():
-        lines += [row % (t, variant.value, *values) for t, values in
-                  zip(series.t.tolist(), series.values.tolist())]
+    for variant, table in zip(variants, rows):
+        lines += [row % (ti, variant.value, *values) for ti, values in
+                  zip(t.tolist(), table.tolist())]
     return lines
 
 
-def reference_aggregate_lines(report):
-    """The aggregate CSV formatted one row at a time."""
+def reference_aggregate_lines(report, names):
+    """The aggregate CSV of metrics `names` formatted one row at a time."""
     row = "%.6f,%s,%s,%.9g,%.9g,%.9g\r\n"
     lines = ["t,variant,metric,p10,p50,p90\r\n"]
-    for variant, metrics in report.bands.items():
-        for metric, band in metrics.items():
-            lines += [row % (ti, variant.value, metric, *b)
-                      for ti, b in zip(report.t.tolist(), band.T.tolist())]
+    for i, variant in enumerate(VARIANTS):
+        for j, metric in enumerate(names):
+            lines += [row % (ti, variant.value, metric, *b) for ti, b in
+                      zip(report.t.tolist(), report.bands[:, i, :, j].T.tolist())]
     return lines
 
 
@@ -420,28 +496,29 @@ class TestOutputFormat:
 
     def test_trial_csv_lines(self, tmp_path):
         shape = (len(EDGE_T), len(METRIC_NAMES))
-        result = TrialResult(3, {v: MetricSeries(EDGE_T, edge_table(shape, i))
-                                 for i, v in enumerate(Variant)})
+        rows = np.stack([edge_table(shape, i) for i in range(len(VARIANTS))])
         path = tmp_path / "trial.csv"
-        write_trial_csv(path, result)
+        write_trial_csv(path, EDGE_T, VARIANTS, rows)
         with open(path, newline="") as fh:
             lines = fh.read().splitlines(keepends=True)
-        assert lines == reference_trial_lines(result)
-        assert len(lines) == 1 + len(Variant) * len(EDGE_T)
+        assert lines == reference_trial_lines(EDGE_T, VARIANTS, rows)
+        assert len(lines) == 1 + len(VARIANTS) * len(EDGE_T)
 
-    def test_aggregate_csv_lines(self, tmp_path):
+    def test_aggregate_csv_lines(self, tmp_path, monkeypatch):
         # A `%` in a label must reach the file as it is.
         names = (*METRIC_NAMES, "share%d")
-        bands = {v: {name: edge_table((3, len(EDGE_T)), 3 * i + j)
-                     for j, name in enumerate(names)}
-                 for i, v in enumerate(Variant)}
-        report = AggregateReport(EDGE_T, bands, {}, {}, n_trials=3)
+        monkeypatch.setattr(harness, "METRIC_NAMES", names)
+        bands = np.empty((3, len(VARIANTS), len(EDGE_T), len(names)))
+        for i, j in np.ndindex(len(VARIANTS), len(names)):
+            bands[:, i, :, j] = edge_table((3, len(EDGE_T)), 3 * i + j)
+        trials = np.zeros((len(VARIANTS), 3, len(names)))
+        report = AggregateReport(EDGE_T, bands, trials, trials)
         path = tmp_path / "aggregate.csv"
         write_aggregate_csv(path, report)
         with open(path, newline="") as fh:
             lines = fh.read().splitlines(keepends=True)
-        assert lines == reference_aggregate_lines(report)
-        assert len(lines) == 1 + len(Variant) * len(names) * len(EDGE_T)
+        assert lines == reference_aggregate_lines(report, names)
+        assert len(lines) == 1 + len(VARIANTS) * len(names) * len(EDGE_T)
 
     def test_svg_points(self):
         xs = np.array([62.0, 62.004999, 2.675, 1e-300, 578.125, 123456789.555])
