@@ -6,9 +6,10 @@ order (xi_R, xi_v, xi_p, xi_d). The process is group-affine and its error
 dynamics A are constant, so a run of IMU intervals takes one closed-form
 step: the intervals' zero-order-hold strapdown maps compose ahead, from the
 inputs alone (`imu_terms`), Phi(a) Phi(b) = Phi(a + b) for Phi(tau) = exp(A
-tau), and as every noise is isotropic by type (`NoiseParams` holds one
-variance each) the run's noise term needs no adjoint (`propagate`) and a
-measurement covariance is that variance times I in every frame.
+tau), and an `ImuStep` is the run's dt and those terms. As every noise is
+isotropic by type (`NoiseParams` holds one variance each), the run's noise
+term needs no adjoint (`propagate`) and a measurement's noise is its
+variance, var I in every frame (`InvariantMeasurement.var`).
 Corrections are applied by left multiplication: X_hat+ = exp(K z) X_hat.
 
 The proposed estimator fuses the foot-position kinematic measurement and
@@ -72,7 +73,7 @@ from .streams import (
 
 _ORTHO_TOL = 1e-9
 _TERMS_BLOCK = 512  # IMU intervals whose integration terms are computed together
-_IMU_INPUTS = ("t", "dt", "gyro", "accel", "contact_vel")  # ImuStep fields
+_IMU_INPUTS = ("dt", "gyro", "accel", "contact_vel")  # imu_terms' inputs
 _EYE3 = np.eye(3)
 _EYE3.setflags(write=False)
 _EYE12 = np.eye(12)
@@ -139,11 +140,11 @@ def imu_terms(dt, gyro, accel, contact_vel, first=None):
     W): G = Gamma_0(gyro dt), C = [Gamma_1 accel dt, Gamma_2 accel dt^2, 0],
     M = M(dt) adds v dt to p, W = [g dt, g dt^2 / 2, contact_vel dt]; maps
     compose as (G_a G_b, G_a C_b + C_a M_b, W_a M_b + W_b). Runs (time axis
-    first) start at interval 0 and the true entries of `first`. Returns the
-    terms per interval: its run's map up to its end ([G | C], W); for the
-    noise (`propagate`), the map up to its start drifted with zero input to
-    the run's end (C, W). Then the terms per run: M(T), Phi(T) and `still`,
-    the run's sums of e_v e_v^T dt and e_d e_d^T dt (last axis).
+    first) start at interval 0 and the true entries of `first`. Returns what
+    `propagate` reads: per interval, the carried noise arguments, the map up
+    to its start drifted with zero input to its run's end (C, W); per run,
+    its map ([G | C], W), M(T), Phi(T) and `still`, the run's sums of e_v
+    e_v^T dt and e_d e_d^T dt (last axis).
     """
     dt = np.asarray(dt, dtype=float)
     n = len(dt)
@@ -183,15 +184,17 @@ def imu_terms(dt, gyro, accel, contact_vel, first=None):
     carried[..., 4] += 0.5 * GRAVITY * (rest * rest).reshape(col.shape)
     moments = np.add.reduceat(dt[:, None] * rest[:, None] ** [0, 1, 2], starts)
     shift = _EYE3 + tau[ends, None, None] * np.outer(_EYE3[0], _EYE3[1])
-    return ((maps[..., :6], maps[..., 6:], carried[..., :3], carried[..., 3:]),
-            (shift, state_transition(tau[ends]), np.tensordot(moments, _STILL, 1)))
+    run_maps = maps[ends]
+    return ((carried[..., :3], carried[..., 3:]),
+            (run_maps[..., :6], run_maps[..., 6:], shift, state_transition(tau[ends]),
+             np.tensordot(moments, _STILL, 1)))
 
 
 def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
-    """Advance mean and covariance over u, one interval or a run of them.
+    """Advance mean and covariance over the run of IMU intervals u.
 
-    One closed-form step (`imu_terms`, or u.terms computed ahead) from the
-    start (R0, cols0), its rotation re-projected if it drifted: the mean
+    One closed-form step, from u.terms (`imu_terms`) and the run's start
+    (R0, cols0), its rotation re-projected if it drifted: the mean
     moves to (R0 G, R0 C + cols0 M(T) + W), the covariance to Phi(T) cov
     Phi(T)^T + sum_i Phi(tau_i) Ad_i Qc Ad_i^T Phi(tau_i)^T dt_i, Ad_i at
     interval i's start, tau_i from there to the run's end. The densities of
@@ -201,19 +204,16 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
     hat(d)] at the mean's columns there, E_i = [e_v | e_d] = [0, 0; I, 0;
     tau_i I, 0; 0, I]: no adjoint.
     """
-    lift = (None,) * (1 - np.ndim(u.dt))  # a single interval is a run of one
-    (body, offset, carried_c, carried_w), (shift, phi, still) = u.terms or imu_terms(*(
-        np.asarray(getattr(u, name), dtype=float)[lift] for name in _IMU_INPUTS[1:]))
-    dt = np.atleast_1d(u.dt)
+    (carried_c, carried_w), (body, offset, shift, phi, still) = u.terms
     rot, cols = s.mean.rot, s.mean.cols
     # Every member is within tolerance when no entry of R^T R - I exceeds
     # a third of it (the Frobenius norm is at most 3 times that).
     if np.abs(_T(rot) @ rot - _EYE3).max() > _ORTHO_TOL / 3.0:
         drifted = rotation_defect(rot) > _ORTHO_TOL
         rot = np.where(drifted[..., None, None], project_to_rotation(rot), rot)
-    moved = cols @ shift[-1]
-    rotated = rot @ body[-1]
-    mean = GroupElement(rotated[..., :3], rotated[..., 3:] + moved + offset[-1])
+    moved = cols @ shift
+    rotated = rot @ body
+    mean = GroupElement(rotated[..., :3], rotated[..., 3:] + moved + offset)
     # The Z_i arguments, time first: the inputs' axes are the state's last.
     lead = carried_c.shape[:1] + (1,) * (rot.ndim + 1 - carried_c.ndim)
     args = (rot @ carried_c.reshape(lead + carried_c.shape[1:])
@@ -221,18 +221,22 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
     z = np.empty(args.shape[:-2] + (12, 3))
     z[..., :3, :] = _EYE3
     z[..., 3:, :] = hat(_T(args)).reshape(args.shape[:-2] + (9, 3))
-    weight = (noise.gyro_density * dt).reshape(dt.shape + (1,) * (z.ndim - 1))
-    still_cov = still[-1] @ (noise.accel_density, noise.contact_vel_density)
+    weight = (noise.gyro_density * u.dt).reshape(u.dt.shape + (1,) * (z.ndim - 1))
+    still_cov = still @ (noise.accel_density, noise.contact_vel_density)
     noise_cov = ((z * weight) @ _T(z)).sum(0) + still_cov
-    cov = _symmetrize(phi[-1] @ s.cov @ _T(phi[-1]) + noise_cov)
+    cov = _symmetrize(phi @ s.cov @ _T(phi) + noise_cov)
     return State(mean, cov)
 
 
 def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
-    """Right-invariant correction with Joseph-form covariance update."""
+    """Right-invariant correction with Joseph-form covariance update.
+
+    The measurement noise is m.var I, so it adds m.var I to the innovation
+    covariance and K (m.var I) K^T to the Joseph form.
+    """
     z = innovation(m, s.mean)
     pht = s.cov @ _T(m.H)
-    sce = m.H @ pht + m.N + epsilon * _EYE3
+    sce = m.H @ pht + m.var * _EYE3 + epsilon * _EYE3
     try:
         gain = _T(np.linalg.solve(_T(sce), _T(pht)))
     except np.linalg.LinAlgError as exc:
@@ -241,7 +245,7 @@ def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
         raise FilterError("non-finite Kalman gain (degenerate innovation covariance)")
     mean = compose(sek3_exp(_mv(gain, z)), s.mean)
     ikh = _EYE12 - gain @ m.H
-    cov = _symmetrize(ikh @ s.cov @ _T(ikh) + gain @ m.N @ _T(gain))
+    cov = _symmetrize(ikh @ s.cov @ _T(ikh) + (gain * m.var) @ _T(gain))
     return State(mean, cov)
 
 
@@ -252,7 +256,8 @@ def apply_jump(s: State, h_d: np.ndarray, jump_pos_var: float) -> State:
     jump map has identity Jacobian in right-invariant coordinates, so with
     zero jump noise the covariance is untouched (bit-identical); otherwise
     the foot-offset variance is added through the xi_d columns Ad_d of the
-    post-jump mean's adjoint: jump_pos_var Ad_d Ad_d^T.
+    post-jump mean's adjoint: jump_pos_var Ad_d Ad_d^T, which numpy computes
+    exactly symmetric, so a symmetric covariance stays so bit for bit.
     """
     cols = s.mean.cols.copy()
     cols[..., 2] = s.mean.foot + _mv(s.mean.rot, h_d)
@@ -260,7 +265,7 @@ def apply_jump(s: State, h_d: np.ndarray, jump_pos_var: float) -> State:
     cov = s.cov
     if jump_pos_var:
         ad = adjoint(mean)[..., XI_D]
-        cov = _symmetrize(cov + jump_pos_var * (ad @ _T(ad)))
+        cov = cov + jump_pos_var * (ad @ _T(ad))
     return State(mean, cov)
 
 
@@ -338,8 +343,8 @@ class StreamEstimator:
         return (self.cfg.update_schedule is UpdateSchedule.EVERY_STEP
                 or self._contact_fresh)
 
-    def step(self, event: StreamRecord) -> State:
-        """Route one record or IMU run; returns the (possibly unchanged) state."""
+    def step(self, event: StreamRecord) -> None:
+        """Route one record or IMU run into `self.state`."""
         noise, epsilon = self.cfg.noise, self.cfg.epsilon
         if isinstance(event, ImuStep):
             self.state = propagate(self.state, event, noise)
@@ -359,7 +364,6 @@ class StreamEstimator:
         else:  # a SwapEvent
             self.state = apply_jump(self.state, event.h_d, noise.jump_pos_var)
             self._contact_fresh = True
-        return self.state
 
     def fold(self, stream: Stream):
         """Route a columnar stream through `step`, each IMU run at once.
@@ -369,7 +373,7 @@ class StreamEstimator:
         IMU records is one ImuStep of at most _TERMS_BLOCK intervals, whose
         integration terms are computed ahead _TERMS_BLOCK intervals at once:
         such a step is a run of its terms block, the block's runs taken in
-        order, so it carries its intervals' terms and its run's own.
+        order, so it carries its dt, its intervals' terms and its run's own.
         """
         imu, kinds = stream.columns["imu"], stream.kinds
         opens = np.diff(kinds == IMU, prepend=False)[kinds == IMU]  # starts a run
@@ -390,9 +394,8 @@ class StreamEstimator:
                 if b > end:
                     start, end, run = a, a + _TERMS_BLOCK, 0
                     intervals, runs = imu_terms(
-                        *(imu[name][start:end] for name in _IMU_INPUTS[1:]),
-                        opens[start:end])
-                self.step(ImuStep(*(imu[name][a:b] for name in _IMU_INPUTS), terms=(
+                        *(imu[name][start:end] for name in _IMU_INPUTS), opens[start:end])
+                self.step(ImuStep(imu["dt"][a:b], (
                     tuple(x[a - start:b - start] for x in intervals),
-                    tuple(x[run:run + 1] for x in runs))))
+                    tuple(x[run] for x in runs))))
                 run += 1

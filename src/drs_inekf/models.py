@@ -37,26 +37,21 @@ from .liegroup import matvec as _mv
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 E3 = np.array([0.0, 0.0, 1.0])
-_EYE3 = np.eye(3)
 
 
 @dataclass(frozen=True)
 class ImuStep:
-    """Inputs for one propagation interval [t, t + dt], or for a run of n.
+    """A run of n consecutive IMU intervals: their dt (n,) and their terms.
 
-    gyro/accel are body-frame raw IMU data; contact_vel is the world-frame
-    linear velocity of the foot-surface contact area. The arrays may carry
-    leading stream axes (one interval of several streams in lockstep), after
-    a run axis of length n (t and dt then have shape (n,)). terms, when
-    given, are the integration terms computed ahead (`filter.imu_terms`).
+    The terms are what `filter.propagate` reads of the run's inputs (body-
+    frame gyro/accel, world-frame contact-point velocity), composed ahead by
+    `filter.imu_terms`: per interval the carried noise arguments, per run
+    its map, M(T), Phi(T) and noise sums. They may carry stream axes after
+    the run axis (several streams in lockstep).
     """
 
-    t: float
-    dt: float
-    gyro: np.ndarray
-    accel: np.ndarray
-    contact_vel: np.ndarray
-    terms: tuple | None = field(default=None, repr=False, compare=False)
+    dt: np.ndarray
+    terms: tuple = field(repr=False, compare=False)
 
 
 def param(default, lo=None, hi=None):
@@ -150,19 +145,19 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class InvariantMeasurement:
-    """Right-invariant measurement bundle (Y, b, H, N).
+    """Right-invariant measurement bundle (Y, b, H, var).
 
     Y and b are 6-vectors of the form [vector; augmentation rows]; H is the
     3x12 Jacobian of the innovation z = (X_hat Y - b)[:3] with respect to
-    the right-invariant error; N is the world-frame covariance of the top
-    three rows after the X_hat V mapping (sigma^2 I for isotropic noise V,
-    as R_hat sigma^2 I R_hat^T = sigma^2 I).
+    the right-invariant error; var is the variance of the isotropic noise V,
+    whose X_hat-mapped covariance on the top three rows is var I in every
+    frame, as R_hat var I R_hat^T = var I.
     """
 
     Y: np.ndarray
     b: np.ndarray
     H: np.ndarray
-    N: np.ndarray
+    var: float
 
 
 def innovation(m: InvariantMeasurement, xhat: GroupElement) -> np.ndarray:
@@ -216,14 +211,14 @@ def orientation_measurement(surface_rot: np.ndarray, foot_rot_in_base: np.ndarra
     b = _augment(n_s, (0.0, 0.0, 0.0))
     h = np.zeros(n_s.shape[:-1] + (3, 12))
     h[..., XI_R] = hat(n_s)
-    return InvariantMeasurement(y, b, h, noise.surface_orient_var * _EYE3)
+    return InvariantMeasurement(y, b, h, noise.surface_orient_var)
 
 
 _POSITION_B = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
 _POSITION_H = np.zeros((3, 12))
 _POSITION_H[:, XI_P] = -np.eye(3)
 _POSITION_H[:, XI_D] = np.eye(3)
-for _constant in (_POSITION_B, _POSITION_H, _EYE3):
+for _constant in (_POSITION_B, _POSITION_H):
     _constant.setflags(write=False)
 
 
@@ -243,4 +238,4 @@ def position_measurement(hp: np.ndarray, noise: NoiseParams) -> InvariantMeasure
     The innovation R_hat hp + p_hat - d_hat observes xi_d - xi_p.
     """
     y = _augment(hp, (0.0, 1.0, -1.0))
-    return InvariantMeasurement(y, _POSITION_B, _POSITION_H, noise.fk_pos_var * _EYE3)
+    return InvariantMeasurement(y, _POSITION_B, _POSITION_H, noise.fk_pos_var)

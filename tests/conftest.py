@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from drs_inekf.liegroup import (
     sek3_exp,
     sek3_log,
 )
+from drs_inekf.filter import imu_terms
 from drs_inekf.models import GRAVITY, ImuStep, state_transition
 from drs_inekf.streams import (
     IMU,
@@ -39,6 +41,39 @@ from drs_inekf.streams import (
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@dataclass(frozen=True)
+class ImuReading:
+    """One raw IMU record, the interval [t, t + dt]: the oracles' input.
+
+    gyro/accel are body-frame IMU data, contact_vel the world-frame velocity
+    of the foot-surface contact area; they may carry stream axes.
+    """
+
+    t: float
+    dt: float
+    gyro: np.ndarray
+    accel: np.ndarray
+    contact_vel: np.ndarray
+
+
+def imu_step(dt, gyro, accel, contact_vel) -> ImuStep:
+    """The ImuStep of one run of intervals (time axis first), via imu_terms."""
+    dt = np.asarray(dt, dtype=float)
+    intervals, runs = imu_terms(dt, gyro, accel, contact_vel)
+    return ImuStep(dt, (intervals, tuple(x[0] for x in runs)))
+
+
+def imu_run(readings) -> ImuStep:
+    """The ImuStep of consecutive readings; a lone reading is a run of one."""
+    return imu_step(*(np.array([getattr(u, name) for u in readings], dtype=float)
+                      for name in ("dt", "gyro", "accel", "contact_vel")))
+
+
+def routed(rec):
+    """What `StreamEstimator.step` takes for a record: a reading as a run of one."""
+    return imu_run([rec]) if isinstance(rec, ImuReading) else rec
 
 
 # -- Lie-group, model and trajectory oracles ----------------------------------
@@ -92,7 +127,7 @@ def so3_left_jacobian_inv(v: np.ndarray) -> np.ndarray:
     return _left_jacobian_inv(v, np.sqrt(dot(v, v)))
 
 
-def process_dynamics(x: GroupElement, u: ImuStep) -> np.ndarray:
+def process_dynamics(x: GroupElement, u: ImuReading) -> np.ndarray:
     """Deterministic part of d/dt of the embedded state matrix."""
     out = np.zeros((6, 6))
     out[:3, :3] = x.rot @ hat(u.gyro)
@@ -102,7 +137,7 @@ def process_dynamics(x: GroupElement, u: ImuStep) -> np.ndarray:
     return out
 
 
-def group_affine_residual(x1: GroupElement, x2: GroupElement, u: ImuStep,
+def group_affine_residual(x1: GroupElement, x2: GroupElement, u: ImuReading,
                           dynamics=process_dynamics) -> float:
     """Frobenius norm of f(X1 X2) - f(X1) X2 - X1 f(X2) + X1 f(Id) X2.
 
@@ -156,9 +191,9 @@ def foot_vel(truth, t, index: int):
 def stream_records(stream):
     """The records of a stream, in order, as record objects.
 
-    A truth sample becomes a TruthSample, for the oracles, and each imu
-    record an ImuStep of one interval; the other kinds are the records
-    `StreamEstimator.fold` routes.
+    A truth sample becomes a TruthSample and each imu record an
+    ImuReading, for the oracles (`routed` makes the reading a run of one);
+    the other kinds are the records `StreamEstimator.fold` routes.
     """
     seen = [0] * len(KINDS)
     records = []
@@ -171,8 +206,9 @@ def stream_records(stream):
                                                     truth["pos"][k], truth["foot"][k]),
                 STANCES[truth["stance"][k]]))
         elif code == IMU:
-            records.append(ImuStep(float(imu["t"][k]), float(imu["dt"][k]),
-                                   imu["gyro"][k], imu["accel"][k], imu["contact_vel"][k]))
+            records.append(ImuReading(float(imu["t"][k]), float(imu["dt"][k]),
+                                      imu["gyro"][k], imu["accel"][k],
+                                      imu["contact_vel"][k]))
         else:
             records.append(stream.record(code, k))
         seen[code] += 1
@@ -192,7 +228,7 @@ def step_all(est, records):
     """Route each record but the truth samples through `est.step`; the final state."""
     for rec in records:
         if not isinstance(rec, TruthSample):
-            est.step(rec)
+            est.step(routed(rec))
     return est.state
 
 
@@ -204,8 +240,8 @@ def random_element(rng, rot_scale: float = 1.0, col_scale: float = 1.0) -> Group
 
 
 def random_imu(rng, t: float = 0.0, dt: float = 0.0025,
-               contact_vel_scale: float = 0.3) -> ImuStep:
-    return ImuStep(t, dt, rng.standard_normal(3),
+               contact_vel_scale: float = 0.3) -> ImuReading:
+    return ImuReading(t, dt, rng.standard_normal(3),
                    rng.standard_normal(3) * 3.0,
                    rng.standard_normal(3) * contact_vel_scale)
 
@@ -310,7 +346,7 @@ def oracle_propagate(mean, cov, u, noise):
 
 
 def oracle_run(mean, cov, steps, noise):
-    """Mean and covariance after a run of one-interval ImuSteps, generically.
+    """Mean and covariance after a run of ImuReadings, generically.
 
     The means are stepped by oracle_propagate, tick by tick; the covariance
     takes the one step Phi(T) cov Phi(T)^T + sum_i Phi(tau_i) Ad_i Qc
@@ -342,7 +378,7 @@ def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
     surface, fresh, rows = None, True, []
     for rec in records:
         enabled = fresh or not on_contact_only
-        if isinstance(rec, ImuStep):
+        if isinstance(rec, ImuReading):
             mean, cov = oracle_propagate(mean, cov, rec, noise)
         elif isinstance(rec, SurfacePose):
             surface = rec.rot

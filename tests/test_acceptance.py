@@ -25,7 +25,14 @@ from drs_inekf.filter import (
     apply_jump,
     error_vs_truth,
 )
-from drs_inekf.harness import TrialConfig, campaigns, evaluate_gates
+from drs_inekf.harness import (
+    FINAL_WINDOW,
+    METRIC_NAMES,
+    VARIANTS,
+    TrialConfig,
+    campaigns,
+    evaluate_gates,
+)
 from drs_inekf.liegroup import (
     adjoint,
     compose,
@@ -36,7 +43,6 @@ from drs_inekf.liegroup import (
     so3_log,
 )
 from drs_inekf.models import (
-    ImuStep,
     NoiseParams,
     error_jacobian_A,
     innovation,
@@ -53,6 +59,7 @@ from drs_inekf.sim import (
 from drs_inekf.streams import TruthSample
 
 from conftest import (
+    ImuReading,
     algebra_hat,
     embed,
     fd_error_jacobian,
@@ -63,10 +70,14 @@ from conftest import (
     process_dynamics,
     random_element,
     random_imu,
+    routed,
     stream_records,
 )
 
 JOBS = max(1, os.cpu_count() or 1)
+# Two-sided 95 % chi-square band of the 100-trial mean NEES, 12 x 100 dof
+# divided by 100 (Bar-Shalom, Li & Kirubarajan 2001, sec. 5.4).
+NEES_BAND = (11.06, 12.98)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -84,12 +95,12 @@ def mc_results():
     tcfg = TrialConfig(n_trials=100, master_seed=2024)
     started = time.time()
     cfg = FilterConfig(noise=noise)
-    rocking, _ = campaigns(tcfg, gait, [rocking_surface], cfg, rates, jobs=JOBS)[0]
-    static, _ = campaigns(tcfg, gait, [static_surface], cfg, rates, jobs=JOBS)[0]
+    rocking = campaigns(tcfg, gait, [rocking_surface], cfg, rates, jobs=JOBS)[0]
+    static = campaigns(tcfg, gait, [static_surface], cfg, rates, jobs=JOBS)[0]
     wall = time.time() - started
     print(f"\n[info] Monte Carlo: 2 x {tcfg.n_trials} trials x "
           f"{gait.duration:.0f} s, jobs={JOBS}, wall {wall:.0f} s")
-    return rocking, static
+    return rocking, static  # each (report, rows)
 
 
 def test_criterion_1_group_affine_property(rng):
@@ -123,7 +134,7 @@ def test_criterion_2_state_independent_error_dynamics(rng):
     worst = 0.0
     for _ in range(100):
         u = random_imu(rng)
-        u = ImuStep(u.t, u.dt, u.gyro, u.accel, np.zeros(3))
+        u = ImuReading(u.t, u.dt, u.gyro, u.accel, np.zeros(3))
         fd = fd_error_jacobian(random_element(rng), u, substeps=2)
         worst = max(worst, float(np.max(np.abs(fd - a_const))))
     elapsed = time.time() - started
@@ -253,7 +264,7 @@ def test_criterion_6_keystone_self_consistency():
     worst_pos = worst_vel = 0.0
     for rec in records:
         if not isinstance(rec, TruthSample):
-            est.step(rec)
+            est.step(routed(rec))
         else:
             m = error_vs_truth(est.state, rec.element)
             worst = np.maximum(worst, np.abs(m.xi))
@@ -269,7 +280,7 @@ def test_criterion_6_keystone_self_consistency():
 
 
 def test_criterion_7_yaw_observability_dichotomy(mc_results):
-    rocking, static = mc_results
+    (rocking, _), (static, _) = mc_results
     gates = {g.name: g for g in evaluate_gates(rocking, static)}
     dichotomy = gates["yaw-observability (rocking)"]
     static_prop = gates["yaw non-convergence (static, proposed)"]
@@ -284,7 +295,7 @@ def test_criterion_7_yaw_observability_dichotomy(mc_results):
 
 
 def test_criterion_8_observable_state_convergence(mc_results):
-    rocking, _ = mc_results
+    (rocking, _), _ = mc_results
     gates = [g for g in evaluate_gates(rocking)
              if "convergence" in g.name and g.gating]
     assert len(gates) == 6  # roll/pitch/vel for both variants
@@ -321,3 +332,21 @@ def test_criterion_9_determinism(tmp_path):
     ok = sums[0] == sums[1]
     report(9, ok, f"identical (config, seed) checksums across two runs: {ok}")
     assert ok
+
+
+def test_criterion_10_nees_consistency(mc_results):
+    # Per campaign and variant, the NEES averaged over the trials and over
+    # the final window must lie in the chi-square band: the filter's
+    # covariance matches its errors, not only shrinks with them.
+    means, ok = {}, True
+    for surface, (agg, rows) in zip(("rocking", "static"), mc_results):
+        window = agg.t >= agg.t[-1] - FINAL_WINDOW + 1e-9
+        for i, variant in enumerate(VARIANTS):
+            nees = rows[i][:, window, METRIC_NAMES.index("nees")]
+            means[f"{surface} {variant.value}"] = mean = float(nees.mean())
+            ok &= NEES_BAND[0] <= mean <= NEES_BAND[1]
+    report(10, ok, "final-window mean NEES " + ", ".join(
+        f"{name} {mean:.3f}" for name, mean in means.items())
+        + f" (in [{NEES_BAND[0]}, {NEES_BAND[1]}], 12 dof x {rows.shape[1]} trials)")
+    for name, mean in means.items():
+        assert NEES_BAND[0] <= mean <= NEES_BAND[1], (name, mean)

@@ -30,7 +30,7 @@ from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from drs_inekf.streams import TRUTH, Stream, TruthSample
 
-from conftest import oracle_metric_rows, stream_records
+from conftest import oracle_metric_rows, routed, stream_records
 
 SHORT_GAIT = GaitConfig(duration=2.4)
 ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
@@ -310,7 +310,7 @@ class TestYawConvergenceReferenceRun:
         last = None
         for rec in records:
             if not isinstance(rec, TruthSample):
-                est.step(rec)
+                est.step(routed(rec))
             else:
                 last = rec
         final_yaw = abs(error_vs_truth(est.state, last.element).yaw_deg)

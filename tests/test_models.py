@@ -18,7 +18,6 @@ from drs_inekf.liegroup import (
 from drs_inekf.models import (
     E3,
     GRAVITY,
-    ImuStep,
     NoiseParams,
     error_jacobian_A,
     innovation,
@@ -28,6 +27,7 @@ from drs_inekf.models import (
 )
 
 from conftest import (
+    ImuReading,
     embed,
     fd_error_jacobian,
     fd_measurement_jacobian,
@@ -45,12 +45,12 @@ ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
 class TestProcessDynamics:
     def test_static_equilibrium(self):
         x = identity()
-        u = ImuStep(0.0, 0.01, np.zeros(3), np.array([0.0, 0.0, 9.81]), np.zeros(3))
+        u = ImuReading(0.0, 0.01, np.zeros(3), np.array([0.0, 0.0, 9.81]), np.zeros(3))
         assert np.allclose(process_dynamics(x, u), np.zeros((6, 6)), atol=1e-15)
 
     def test_free_fall(self, rng):
         x = random_element(rng)
-        u = ImuStep(0.0, 0.01, np.zeros(3), np.zeros(3), np.zeros(3))
+        u = ImuReading(0.0, 0.01, np.zeros(3), np.zeros(3), np.zeros(3))
         d = process_dynamics(x, u)
         assert np.allclose(d[:3, 3], GRAVITY)
         assert np.allclose(d[:3, 4], x.vel)
@@ -112,14 +112,14 @@ class TestErrorJacobian:
         # The same structure falls out of the finite-difference flow at the
         # identity with zero contact velocity.
         u = random_imu(rng)
-        u = ImuStep(u.t, u.dt, u.gyro, u.accel, np.zeros(3))
+        u = ImuReading(u.t, u.dt, u.gyro, u.accel, np.zeros(3))
         assert np.max(np.abs(fd_error_jacobian(identity(), u) - expected)) < 1e-6
 
     def test_state_independence_fd_oracle(self, rng):
         a = error_jacobian_A()
         for _ in range(10):
             u = random_imu(rng)
-            u = ImuStep(u.t, u.dt, u.gyro, u.accel, np.zeros(3))
+            u = ImuReading(u.t, u.dt, u.gyro, u.accel, np.zeros(3))
             fd = fd_error_jacobian(random_element(rng), u)
             assert np.max(np.abs(fd - a)) < 1e-6
 
@@ -214,12 +214,13 @@ class TestOrientationMeasurement:
             assert np.allclose(m.H[:, 3:], 0.0)
 
     def test_noise_mapped_through_rotation(self, rng):
-        # N is the body-frame noise mapped into the world frame, R_hat V R_hat^T:
-        # for isotropic V = sigma^2 I that is V itself, whatever the estimate.
+        # The body-frame noise mapped into the world frame is R_hat V R_hat^T:
+        # for isotropic V = sigma^2 I that is V itself, whatever the estimate,
+        # so the measurement holds sigma^2 alone.
         xhat = random_element(rng)
         noise = NoiseParams(surface_orient_var=1e-3)
         m = orientation_measurement(np.eye(3), xhat.rot.T, noise)
-        assert np.allclose(m.N, xhat.rot @ (1e-3 * np.eye(3)) @ xhat.rot.T)
+        assert np.allclose(m.var * np.eye(3), xhat.rot @ (1e-3 * np.eye(3)) @ xhat.rot.T)
 
 
 class TestPositionMeasurement:

@@ -12,7 +12,7 @@ from drs_inekf.filter import (
     error_vs_truth,
 )
 from drs_inekf.liegroup import hat, rotation_defect, so3_exp, so3_log
-from drs_inekf.models import ImuStep, NoiseParams
+from drs_inekf.models import NoiseParams
 from drs_inekf.sim import (
     GaitConfig,
     Rates,
@@ -31,9 +31,11 @@ from drs_inekf.streams import (
 )
 
 from conftest import (
+    ImuReading,
     base_acc,
     foot_vel,
     omega_body,
+    routed,
     stream_records,
     streams_equal,
     surface_omega,
@@ -186,7 +188,7 @@ class TestSynthesizeSensors:
                           surge_amplitude=0.0, lean_amplitude_deg=0.0)
         truth = TruthTrajectory(gait, SurfaceConfig(pitch_amplitude=0.0))
         records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 0))
-        imu = [r for r in records if isinstance(r, ImuStep)]
+        imu = [r for r in records if isinstance(r, ImuReading)]
         for u in imu:
             assert np.allclose(u.gyro, 0.0, atol=1e-12)
             assert np.allclose(u.accel, [0.0, 0.0, 9.81], atol=1e-9)
@@ -298,7 +300,7 @@ class TestKeystone:
         terminal = None
         for rec in records:
             if not isinstance(rec, TruthSample):
-                est.step(rec)
+                est.step(routed(rec))
             else:
                 m = error_vs_truth(est.state, rec.element)
                 worst = max(worst, float(np.max(np.abs(m.xi))))
@@ -318,7 +320,7 @@ class TestKeystone:
                               (Variant.POSITION_ONLY,))
         for rec in records:
             if not isinstance(rec, TruthSample):
-                est.step(rec)
+                est.step(routed(rec))
             else:
                 m = error_vs_truth(est.state, rec.element)
                 assert np.max(np.abs(m.xi)) < 1e-5
