@@ -231,17 +231,20 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
 def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
     """Right-invariant correction with Joseph-form covariance update.
 
-    The measurement noise is m.var I, so it adds m.var I to the innovation
-    covariance and K (m.var I) K^T to the Joseph form.
+    P H^T and H P H^T read only the columns m.cols where H is nonzero: the
+    products left out are exact zeros, so both equal the dense ones bit for
+    bit. The noise m.var I adds m.var I to the innovation covariance and
+    K (m.var I) K^T to the Joseph form.
     """
     z = innovation(m, s.mean)
-    pht = s.cov @ _T(m.H)
-    sce = m.H @ pht + m.var * _EYE3 + epsilon * _EYE3
+    h = m.H[..., m.cols]
+    pht = s.cov[..., m.cols] @ _T(h)
+    sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + epsilon * _EYE3
     try:
         gain = _T(np.linalg.solve(_T(sce), _T(pht)))
     except np.linalg.LinAlgError as exc:
         raise FilterError(f"singular innovation covariance: {exc}") from exc
-    if not np.all(np.isfinite(gain)):
+    if not np.isfinite(gain).all():
         raise FilterError("non-finite Kalman gain (degenerate innovation covariance)")
     mean = compose(sek3_exp(_mv(gain, z)), s.mean)
     ikh = _EYE12 - gain @ m.H

@@ -59,18 +59,16 @@ def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (m @ v[..., None])[..., 0]
 
 
-# hat(v) row-major: entry i is v[_HAT_INDEX[i]] * _HAT_SIGN[i].
-_HAT_INDEX = np.array([0, 2, 1, 2, 0, 0, 1, 0, 0])
-_HAT_SIGN = np.array([0.0, -1.0, 1.0, 1.0, 0.0, -1.0, -1.0, 1.0, 0.0])
+# hat(v) row-major is v @ _HAT: each entry is one component of v times +-1.
+_HAT = np.zeros((3, 9))
+_HAT[[2, 1, 2, 0, 1, 0], [1, 2, 3, 5, 6, 7]] = [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+_HAT.setflags(write=False)
 
 
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix with hat(v) @ u == cross(v, u)."""
     v = np.asarray(v, dtype=float)
-    # order="C": a fancy-indexed batch may come out in another layout, and
-    # matmul takes another code path for it.
-    m = np.multiply(v[..., _HAT_INDEX], _HAT_SIGN, order="C")
-    return m.reshape(v.shape[:-1] + (3, 3))
+    return (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
 
 
 def vee(m: np.ndarray) -> np.ndarray:
@@ -102,7 +100,7 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def _exp_and_left_jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of v as matrices."""
     v = np.asarray(v, dtype=float)
-    a, b, c, _ = _gamma_coeffs(_norm(v))
+    a, b, c = _gamma_coeffs(_norm(v))
     k = hat(v)
     kk = k @ k
     b = b[..., None, None]
@@ -188,28 +186,28 @@ def _left_jacobian_inv(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return _EYE3 - 0.5 * k + e[..., None, None] * (k @ k)
 
 
-def _gamma_coeffs(theta):
-    """Series coefficients (a, b, c, g2b) shared by the Gamma matrices.
+def _gamma_coeffs(theta, n: int = 3):
+    """The first n (3 or 4) coefficients (a, b, c, g2b) of the Gamma matrices.
 
     With K = hat(v): Gamma_0 = exp = I + a K + b K^2,
     Gamma_1 = I + b K + c K^2 and Gamma_2 = I/2 + c K + g2b K^2.
     """
-    def series(t):
+    def series(t):  # per coefficient c0 - t^2 / c2 + t^4 / c4
         t2 = t * t
-        return (1.0 - t2 / 6.0 + t2 * t2 / 120.0,
-                0.5 - t2 / 24.0 + t2 * t2 / 720.0,
-                1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-                1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0)
+        t4 = t2 * t2
+        return tuple(c0 - t2 / c2 + t4 / c4 for c0, c2, c4 in (
+            (1.0, 6.0, 120.0), (0.5, 24.0, 720.0), (1.0 / 6.0, 120.0, 5040.0),
+            (1.0 / 24.0, 720.0, 40320.0))[:n])
 
     def closed(t):
         s = np.sin(t)
         s_half = np.sin(0.5 * t)
         one_minus_cos = 2.0 * s_half * s_half
         t2 = t * t
-        return (s / t, one_minus_cos / t2, (t - s) / (t2 * t),
-                (0.5 * t2 - one_minus_cos) / (t2 * t2))
+        abc = (s / t, one_minus_cos / t2, (t - s) / (t2 * t))
+        return abc if n == 3 else abc + ((0.5 * t2 - one_minus_cos) / (t2 * t2),)
 
-    return _by_angle(np.asarray(theta, dtype=float), series, closed)
+    return _by_angle(theta, series, closed)
 
 
 def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
@@ -221,7 +219,7 @@ def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
     formed.
     """
     v = np.asarray(v, dtype=float)
-    a, b, c, g2b = _gamma_coeffs(_norm(v))
+    a, b, c, g2b = _gamma_coeffs(_norm(v), 4)
     k = hat(v)
     g0 = _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
     ku = matvec(k, u)
@@ -286,7 +284,7 @@ def _tangent_cols(xi: np.ndarray) -> np.ndarray:
 
 
 def sek3_exp(xi: np.ndarray) -> GroupElement:
-    """Group exponential: columns are mapped through J_l of the rotation block."""
+    """Group exponential from a, b, c alone: columns mapped through J_l of xi_R."""
     xi = np.asarray(xi, dtype=float)
     rot, jl = _exp_and_left_jacobian(xi[..., :3])
     return GroupElement(rot, jl @ _tangent_cols(xi))

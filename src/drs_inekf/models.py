@@ -36,7 +36,6 @@ from .liegroup import (
 from .liegroup import matvec as _mv
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
-E3 = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -145,24 +144,27 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class InvariantMeasurement:
-    """Right-invariant measurement bundle (Y, b, H, var).
+    """Right-invariant measurement Y = X^-1 b + V, as the update reads it.
 
-    Y and b are 6-vectors of the form [vector; augmentation rows]; H is the
-    3x12 Jacobian of the innovation z = (X_hat Y - b)[:3] with respect to
-    the right-invariant error; var is the variance of the isotropic noise V,
-    whose X_hat-mapped covariance on the top three rows is var I in every
-    frame, as R_hat var I R_hat^T = var I.
+    X's bottom rows are [0 I], so Y = [y; w] and b = [b; w] share their
+    augmentation rows w, and the innovation z = (X_hat Y - b)[:3] reads
+    3-vectors only. H is its 3x12 Jacobian in the right-invariant error,
+    zero outside the state columns `cols` (slice(0, 12) for a dense H).
+    var is the variance of the isotropic noise V: its X_hat-mapped
+    covariance is var I in every frame, as R_hat var I R_hat^T = var I.
     """
 
-    Y: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
     b: np.ndarray
     H: np.ndarray
     var: float
+    cols: slice
 
 
 def innovation(m: InvariantMeasurement, xhat: GroupElement) -> np.ndarray:
-    """Top three rows of X_hat @ Y - b."""
-    return _mv(xhat.rot, m.Y[..., :3]) + _mv(xhat.cols, m.Y[..., 3:]) - m.b[..., :3]
+    """z = R_hat y + cols_hat w - b, the top three rows of X_hat Y - b."""
+    return _mv(xhat.rot, m.y) + _mv(xhat.cols, m.w) - m.b
 
 
 def error_jacobian_A() -> np.ndarray:
@@ -197,45 +199,41 @@ def state_transition(dt) -> np.ndarray:
     return np.eye(12) + a * dt + 0.5 * (a @ a) * dt * dt
 
 
+_ZERO3 = np.zeros(3)
+_POSITION_W = np.array([0.0, 1.0, -1.0])
+_POSITION_COLS = slice(XI_P.start, XI_D.stop)  # (xi_p, xi_d)
+_POSITION_H = np.zeros((3, 12))
+_POSITION_H[:, XI_P] = -np.eye(3)
+_POSITION_H[:, XI_D] = np.eye(3)
+# The orientation H = [hat(n_s) 0 0 0] is n_s @ this, row j [hat(e_j) 0 0 0].
+_ORIENTATION_H = np.concatenate([hat(np.eye(3)), np.zeros((3, 3, 9))], -1).reshape(3, 36)
+for _constant in (_ZERO3, _POSITION_W, _POSITION_H, _ORIENTATION_H):
+    _constant.setflags(write=False)
+
+
 def orientation_measurement(surface_rot: np.ndarray, foot_rot_in_base: np.ndarray,
                             noise: NoiseParams) -> InvariantMeasurement:
     """Surface-normal alignment measurement in right-invariant form.
 
     During secured flat-foot contact the foot normal and the surface normal
-    are parallel, giving Y = [foot_rot_in_base e3; 0] = X^-1 [surface_rot e3; 0].
-    Only xi_R is observed; the yaw component drops out exactly when the
-    surface normal is parallel to gravity.
+    are parallel, giving Y = [foot_rot_in_base e3; 0] = X^-1 [surface_rot e3; 0]:
+    y and b are the rotations' third columns, w = 0 and H = [hat(n_s) 0 0 0]
+    for n_s = surface_rot e3. Only xi_R is observed; the yaw component drops
+    out exactly when the surface normal is parallel to gravity.
     """
-    n_s = surface_rot @ E3
-    y = _augment(foot_rot_in_base @ E3, (0.0, 0.0, 0.0))
-    b = _augment(n_s, (0.0, 0.0, 0.0))
-    h = np.zeros(n_s.shape[:-1] + (3, 12))
-    h[..., XI_R] = hat(n_s)
-    return InvariantMeasurement(y, b, h, noise.surface_orient_var)
-
-
-_POSITION_B = np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0])
-_POSITION_H = np.zeros((3, 12))
-_POSITION_H[:, XI_P] = -np.eye(3)
-_POSITION_H[:, XI_D] = np.eye(3)
-for _constant in (_POSITION_B, _POSITION_H):
-    _constant.setflags(write=False)
-
-
-def _augment(v: np.ndarray, rows: tuple) -> np.ndarray:
-    """[v; rows] over leading batch axes."""
-    out = np.empty(v.shape[:-1] + (3 + len(rows),))
-    out[..., :3] = v
-    out[..., 3:] = rows
-    return out
+    n_s = surface_rot[..., 2]
+    h = (n_s @ _ORIENTATION_H).reshape(n_s.shape[:-1] + (3, 12))
+    return InvariantMeasurement(foot_rot_in_base[..., 2], _ZERO3, n_s, h,
+                                noise.surface_orient_var, XI_R)
 
 
 def position_measurement(hp: np.ndarray, noise: NoiseParams) -> InvariantMeasurement:
     """Leg-kinematics foot position measurement in right-invariant form.
 
     hp is the support-foot position relative to the base, in the base frame,
-    so hp = R^T (d - p) + noise and Y = [hp; 0, 1, -1], b = [0; 0, 1, -1].
+    so hp = R^T (d - p) + noise and Y = [hp; 0, 1, -1], b = [0; 0, 1, -1]:
+    y = hp, w = (0, 1, -1), b = 0 and H = [0 0 -I I], nonzero on (xi_p, xi_d).
     The innovation R_hat hp + p_hat - d_hat observes xi_d - xi_p.
     """
-    y = _augment(hp, (0.0, 1.0, -1.0))
-    return InvariantMeasurement(y, _POSITION_B, _POSITION_H, noise.fk_pos_var)
+    return InvariantMeasurement(hp, _POSITION_W, _ZERO3, _POSITION_H, noise.fk_pos_var,
+                                _POSITION_COLS)

@@ -19,11 +19,12 @@ from drs_inekf.liegroup import (
     gamma0_and_applied,
     hat,
     inverse,
+    matvec,
     project_to_rotation,
     sek3_exp,
     sek3_log,
 )
-from drs_inekf.filter import imu_terms
+from drs_inekf.filter import State, imu_terms
 from drs_inekf.models import GRAVITY, ImuStep, state_transition
 from drs_inekf.streams import (
     IMU,
@@ -252,7 +253,7 @@ def so3_gammas(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Gamma_m = sum_n hat(v)^n / (n + m)!; Gamma_0 = exp, Gamma_1 = J_l and
     Gamma_2 is the double integral term for the position update.
     """
-    a, b, c, g2b = _gamma_coeffs(math.sqrt(float(v @ v)))
+    a, b, c, g2b = _gamma_coeffs(np.sqrt(v @ v), 4)
     k = hat(v)
     k2 = k @ k
     eye = np.eye(3)
@@ -370,6 +371,27 @@ def oracle_update(mean, cov, y, b, h, n, epsilon):
     ikh = np.eye(12) - gain @ h
     return (compose(sek3_exp(gain @ z), mean),
             _sym(ikh @ cov @ ikh.T + gain @ n @ gain.T))
+
+
+def dense_update(s, m, epsilon):
+    """`filter.update` by the dense-Jacobian formulas, as a batched State.
+
+    P H^T as cov @ H^T over all 12 columns, H P H^T as H @ (P H^T), and the
+    innovation of the augmented 6-vectors Y = [y; w] and [b; w]. The update
+    that reads only m.cols of H must equal it bit for bit.
+    """
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+
+    y = np.concatenate(np.broadcast_arrays(m.y, m.w), axis=-1)
+    b = np.concatenate(np.broadcast_arrays(m.b, m.w), axis=-1)
+    z = matvec(s.mean.rot, y[..., :3]) + matvec(s.mean.cols, y[..., 3:]) - b[..., :3]
+    pht = s.cov @ t(m.H)
+    sce = m.H @ pht + m.var * np.eye(3) + epsilon * np.eye(3)
+    gain = t(np.linalg.solve(t(sce), t(pht)))
+    ikh = np.eye(12) - gain @ m.H
+    cov = ikh @ s.cov @ t(ikh) + (gain * m.var) @ t(gain)
+    return State(compose(sek3_exp(matvec(gain, z)), s.mean), 0.5 * (cov + t(cov)))
 
 
 def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,

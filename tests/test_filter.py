@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 import tracemalloc
@@ -13,12 +14,14 @@ from drs_inekf.filter import (
     StreamEstimator,
     UpdateSchedule,
     Variant,
+    _on_rows,
     apply_jump,
     error_vs_truth,
     propagate,
     update,
 )
 from drs_inekf.liegroup import (
+    XI_V,
     GroupElement,
     adjoint,
     compose,
@@ -50,6 +53,7 @@ from drs_inekf.streams import (
 
 from conftest import (
     ImuReading,
+    dense_update,
     embed,
     group_element,
     identity,
@@ -114,10 +118,9 @@ class TestPropagate:
 
 def simple_measurement(z_target):
     """Measurement on the velocity block with identity-at-origin innovation z."""
-    y = np.concatenate([z_target, np.zeros(3)])
     h = np.zeros((3, 12))
     h[:, 3:6] = np.eye(3)
-    return InvariantMeasurement(y, np.zeros(6), h, 1.0)
+    return InvariantMeasurement(z_target, np.zeros(3), np.zeros(3), h, 1.0, XI_V)
 
 
 def rel_err(got, want):
@@ -286,7 +289,7 @@ class TestUpdate:
             n_cov = var * np.eye(3)
             y = np.concatenate([rng.standard_normal(3), [0.0, 1.0, -1.0]])
             bvec = np.concatenate([rng.standard_normal(3), [0.0, 1.0, -1.0]])
-            m = InvariantMeasurement(y, bvec, h, var)
+            m = InvariantMeasurement(y[:3], y[3:], bvec[:3], h, var, slice(0, 12))
             s = State(xhat, cov)
             eps = 1e-15
 
@@ -303,13 +306,14 @@ class TestUpdate:
     def test_huge_noise_leaves_mean_unchanged(self, rng):
         xhat = random_element(rng)
         m = simple_measurement(np.array([1.0, -2.0, 0.5]))
-        m = InvariantMeasurement(m.Y, m.b, m.H, 1e12)
+        m = dataclasses.replace(m, var=1e12)
         s = State(xhat, np.eye(12))
         s2 = update(s, m, 1e-9)
         assert np.linalg.norm(embed(s2.mean) - embed(xhat)) < 1e-6
 
     def test_degenerate_innovation_covariance_raises(self):
-        m = InvariantMeasurement(np.zeros(6), np.zeros(6), np.zeros((3, 12)), 0.0)
+        m = InvariantMeasurement(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((3, 12)),
+                                 0.0, slice(0, 12))
         s = State(identity(), np.eye(12))
         with pytest.raises(FilterError):
             update(s, m, 0.0)
@@ -322,6 +326,56 @@ class TestUpdate:
             s = update(s, m, 1e-9)
             assert np.array_equal(s.cov, s.cov.T)
             assert np.min(np.linalg.eigvalsh(s.cov)) > -1e-10
+
+
+class TestDenseJacobianOracle:
+    # update reads only the columns m.cols where H is nonzero and the
+    # innovation's 3-vectors; the products it leaves out are exact zeros, so
+    # it equals the dense formulas (conftest.dense_update) bit for bit, at
+    # every batch shape and on the row slice an orientation update takes.
+    @staticmethod
+    def state(rng, shape):
+        means = [random_element(rng) for _ in range(int(np.prod(shape)))]
+        a = rng.standard_normal(shape + (12, 12))
+        cov = a @ np.swapaxes(a, -1, -2) / 12.0 + 0.1 * np.eye(12)
+        return State(GroupElement(np.reshape([m.rot for m in means], shape + (3, 3)),
+                                  np.reshape([m.cols for m in means], shape + (3, 3))),
+                     0.5 * (cov + np.swapaxes(cov, -1, -2)))
+
+    @staticmethod
+    def measurement(rng, kind, shape):
+        if kind == "position":
+            return position_measurement(rng.standard_normal(shape + (3,)), NoiseParams())
+        if kind == "orientation":
+            return orientation_measurement(so3_exp(0.3 * rng.standard_normal(shape + (3,))),
+                                           so3_exp(rng.standard_normal(shape + (3,))),
+                                           NoiseParams())
+        return InvariantMeasurement(*rng.standard_normal((3,) + shape + (3,)),
+                                    rng.standard_normal(shape + (3, 12)), 0.5, slice(0, 12))
+
+    @staticmethod
+    def assert_equal(got, want):
+        assert np.array_equal(got.mean.rot, want.mean.rot)
+        assert np.array_equal(got.mean.cols, want.mean.cols)
+        assert np.array_equal(got.cov, want.cov)
+
+    @pytest.mark.parametrize("kind", ["position", "orientation", "dense"])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)], ids=["one", "3", "2x2"])
+    def test_equals_dense_oracle(self, rng, kind, shape):
+        for _ in range(5):
+            s, m = self.state(rng, shape), self.measurement(rng, kind, shape)
+            self.assert_equal(update(s, m, 1e-9), dense_update(s, m, 1e-9))
+
+    @pytest.mark.parametrize("kind", ["position", "orientation"])
+    def test_row_slice_equals_dense_oracle(self, rng, kind):
+        # A (2, 2) state of variant rows and trial columns, updated on its
+        # (1, 2) second row as `StreamEstimator.step` does for one variant.
+        for _ in range(5):
+            s, m = self.state(rng, (2, 2)), self.measurement(rng, kind, (2,))
+            got = _on_rows(s, slice(1, 2), lambda part: update(part, m, 1e-9))
+            want = _on_rows(s, slice(1, 2), lambda part: dense_update(part, m, 1e-9))
+            self.assert_equal(got, want)
+            assert np.array_equal(got.cov[0], s.cov[0])
 
 
 class TestExactSymmetry:

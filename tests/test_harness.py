@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, seed, settings
 from hypothesis import strategies as st
 
 from drs_inekf import filter as filter_module
@@ -377,12 +377,23 @@ def assert_finite_and_psd(rows, cov):
     assert np.all(eig[:, 0] >= -1e-12 * eig[:, -1])
 
 
+# The fuzz test draws its 25 examples from this seed. `derandomize` would
+# derive one from the test method's source, decorators included, so any
+# change to its settings would draw other examples; pinned, the draw stays.
+FUZZ_SEED = int("f7e00d31841b5dc97641602f8d546d90f140cb3ed89cf7c9"
+                "4985c847b3c0a7812b3dda8babe9db1acdbd84c7e3edcd4d", 16)
+
+
 class TestEstimatorFuzz:
     # Valid scenarios of 1.2-2.4 s, sensors and filter on the same noise:
     # both variants keep every metric finite and end on a symmetric
     # covariance with no eigenvalue below rounding. An exact foot position
     # (fk_pos_var = 0) can break this; it is left to the test after this one.
-    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    # No shrink phase: a broken filter fails many examples, and shrinking them
+    # took minutes; the failing example is printed either way.
+    @seed(FUZZ_SEED)
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(seed=st.integers(0, 2**32 - 1),
            noise=st.builds(NoiseParams, VARIANCE, VARIANCE, VARIANCE,
                            st.floats(1e-8, 1e-2), VARIANCE, VARIANCE),

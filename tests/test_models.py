@@ -16,7 +16,6 @@ from drs_inekf.liegroup import (
     so3_exp,
 )
 from drs_inekf.models import (
-    E3,
     GRAVITY,
     NoiseParams,
     error_jacobian_A,
@@ -39,6 +38,7 @@ from conftest import (
     random_imu,
 )
 
+E3 = np.array([0.0, 0.0, 1.0])
 ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
 
 
@@ -166,10 +166,10 @@ class TestOrientationMeasurement:
         xhat = random_element(rng)
         rs = so3_exp(rng.standard_normal(3))
         m = orientation_measurement(rs, xhat.rot.T @ rs, ZERO)
-        assert abs(np.linalg.norm(m.Y[:3]) - 1.0) < 1e-12
-        assert abs(np.linalg.norm(m.b[:3]) - 1.0) < 1e-12
-        assert np.allclose(m.Y[3:], 0.0)
-        assert np.allclose(m.b[3:], 0.0)
+        assert abs(np.linalg.norm(m.y) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(m.b) - 1.0) < 1e-12
+        # The augmentation rows w, shared by Y = [y; w] and [b; w].
+        assert np.allclose(m.w, 0.0)
 
     def test_yaw_invisible_on_level_surface(self, rng):
         # Level surface: a pure yaw error produces exactly zero innovation,
@@ -231,9 +231,10 @@ class TestPositionMeasurement:
         assert np.linalg.norm(innovation(m, xhat)) < 1e-13
 
     def test_augmentation_pattern(self, rng):
+        # Y = [hp; w] and b = [0; w] share their augmentation rows w.
         m = position_measurement(np.zeros(3), ZERO)
-        assert np.allclose(m.Y[3:], [0.0, 1.0, -1.0])
-        assert np.allclose(m.b[3:], [0.0, 1.0, -1.0])
+        assert np.allclose(m.w, [0.0, 1.0, -1.0])
+        assert np.allclose(m.b, 0.0)
 
     def test_position_offset_innovation(self, rng):
         # Estimate position off by +0.1 in x, everything else exact:

@@ -73,15 +73,23 @@ MUTANTS = (
     ("fold-first-run-terms-of-block",
      "filter", "tuple(x[run] for x in runs)", "tuple(x[0] for x in runs)"),
     ("variance-dropped-from-S",
-     "filter", "sce = m.H @ pht + m.var * _EYE3 + epsilon * _EYE3",
-     "sce = m.H @ pht + epsilon * _EYE3"),
+     "filter", "sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + epsilon * _EYE3",
+     "sce = h @ pht[..., m.cols, :] + epsilon * _EYE3"),
     ("joseph-noise-term-dropped",
      "filter", "cov = _symmetrize(ikh @ s.cov @ _T(ikh) + (gain * m.var) @ _T(gain))",
      "cov = _symmetrize(ikh @ s.cov @ _T(ikh))"),
     ("builders-variances-swapped",
-     "models", "return InvariantMeasurement(y, b, h, noise.surface_orient_var)",
-     "return InvariantMeasurement(y, b, h, noise.fk_pos_var)"),
+     "models", "noise.surface_orient_var, XI_R)", "noise.fk_pos_var, XI_R)"),
     ("jump-noise-dropped", "filter", "if jump_pos_var:", "if False:"),
+    # The correction step's structure: the columns H is nonzero on, the
+    # surface normal and the exponential's left Jacobian.
+    ("position-block-on-wrong-columns",
+     "models", "slice(XI_P.start, XI_D.stop)", "slice(3, 9)"),
+    ("surface-normal-from-column-1", "models", "n_s = surface_rot[..., 2]",
+     "n_s = surface_rot[..., 1]"),
+    ("left-jacobian-b-c-swapped",
+     "liegroup", "_EYE3 + b * k + c[..., None, None] * kk",
+     "_EYE3 + c[..., None, None] * k + b * kk"),
 )
 
 
