@@ -67,7 +67,6 @@ from .streams import (
     FkOrientation,
     FkPosition,
     Stream,
-    StreamRecord,
     SurfacePose,
 )
 
@@ -133,7 +132,7 @@ _E0[0, 3:6] = _E0[1, 9:] = _E1[0, 6:9] = _EYE3
 _STILL = np.moveaxis([_E0 @ _T(_E0), _E0 @ _T(_E1) + _E1 @ _T(_E0), _E1 @ _T(_E1)], 1, -1)
 
 
-def imu_terms(dt, gyro, accel, contact_vel, first=None):
+def imu_terms(dt, gyro, accel, contact_vel, first):
     """Integration terms of runs of IMU intervals, composed ahead.
 
     Interval k maps the mean (R, cols = [v, p, d]) to (R G, R C + cols M +
@@ -159,8 +158,8 @@ def imu_terms(dt, gyro, accel, contact_vel, first=None):
     maps[..., 8] = contact_vel * col
     # Segmented inclusive scan: after the pass with hop h, each interval
     # holds the composition of the last 2h intervals of its run up to it.
-    first = np.zeros(n, bool) if first is None else np.array(first, bool)
-    first[0] = True
+    first = np.array(first, bool)
+    first[0] = True  # a block of intervals that opens inside a run starts one
     starts = np.flatnonzero(first)
     run = np.cumsum(first) - 1
     pos = np.arange(n) - starts[run]
@@ -346,8 +345,9 @@ class StreamEstimator:
         return (self.cfg.update_schedule is UpdateSchedule.EVERY_STEP
                 or self._contact_fresh)
 
-    def step(self, event: StreamRecord) -> None:
-        """Route one record or IMU run into `self.state`."""
+    def step(self, event) -> None:
+        """Route an IMU run (an ImuStep, from `fold`) or a SurfacePose,
+        FkOrientation, FkPosition or SwapEvent into `self.state`."""
         noise, epsilon = self.cfg.noise, self.cfg.epsilon
         if isinstance(event, ImuStep):
             self.state = propagate(self.state, event, noise)

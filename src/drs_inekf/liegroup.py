@@ -1,19 +1,17 @@
-"""SO(3) and SE_K(3) primitives, over any leading batch axes.
+"""SO(3) and SE_3(3) primitives, over any leading batch axes.
 
-A group element bundles a rotation matrix with K translation-like column
-vectors (here K = 3: base velocity, base position, support-foot position).
-Its matrix embedding is
+A group element bundles a rotation matrix with three column vectors: base
+velocity, base position and support-foot position. Its matrix embedding is
 
-    [ R  c_1 ... c_K ]
-    [ 0       I_K    ]
+    [ R  v  p  d ]
+    [ 0     I_3  ]
 
-Tangent vectors are (3 + 3K)-vectors in the fixed block order
-(xi_R, xi_1, ..., xi_K); for K = 3 that is (xi_R, xi_v, xi_p, xi_d).
-All angles are radians.
+Tangent vectors are 12-vectors in the fixed block order
+(xi_R, xi_v, xi_p, xi_d). All angles are radians.
 
 Every function accepts leading batch axes on its arguments (a stack of
 vectors (..., 3), of rotations (..., 3, 3), of elements with rot
-(..., 3, 3) and cols (..., 3, K)) and broadcasts them; an unbatched call
+(..., 3, 3) and cols (..., 3, 3)) and broadcasts them; an unbatched call
 is the batch of shape (). Each slice of a batched call is computed with
 the same operations, in the same order, as the unbatched call on that
 slice, so results do not depend on the batch they were computed in.
@@ -34,7 +32,7 @@ SMALL_ANGLE = 1e-6
 # diagonal-dominant extraction branch.
 _NEAR_PI = math.pi - 1e-3
 
-# Tangent block slices for K = 3.
+# Tangent block slices.
 XI_R = slice(0, 3)
 XI_V = slice(3, 6)
 XI_P = slice(6, 9)
@@ -246,14 +244,10 @@ def rotation_defect(rot: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Point on SE_K(3): rotation (..., 3, 3) plus K column vectors (..., 3, K)."""
+    """Point on SE_3(3): rotation (..., 3, 3) plus columns [v, p, d] (..., 3, 3)."""
 
     rot: np.ndarray
     cols: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.cols.shape[-1]
 
     @property
     def vel(self) -> np.ndarray:
@@ -278,9 +272,8 @@ def inverse(x: GroupElement) -> GroupElement:
 
 
 def _tangent_cols(xi: np.ndarray) -> np.ndarray:
-    """The translation blocks of tangent vectors as (..., 3, K) columns."""
-    k = (xi.shape[-1] - 3) // 3
-    return transposed(xi[..., 3:].reshape(xi.shape[:-1] + (k, 3)))
+    """The translation blocks of tangent vectors as (..., 3, 3) columns."""
+    return transposed(xi[..., 3:].reshape(xi.shape[:-1] + (3, 3)))
 
 
 def sek3_exp(xi: np.ndarray) -> GroupElement:
@@ -293,18 +286,17 @@ def sek3_exp(xi: np.ndarray) -> GroupElement:
 def sek3_log(x: GroupElement) -> np.ndarray:
     w, theta = _log_and_angle(x.rot)
     cols = transposed(_left_jacobian_inv(w, theta) @ x.cols)
-    return np.concatenate([w, cols.reshape(w.shape[:-1] + (3 * x.k,))], axis=-1)
+    return np.concatenate([w, cols.reshape(w.shape[:-1] + (9,))], axis=-1)
 
 
 def adjoint(x: GroupElement) -> np.ndarray:
     """Adjoint matrix: satisfies X xi^ X^-1 == (adjoint(X) xi)^."""
-    k = x.k
     rot = x.rot
     lead = rot.shape[:-2]
-    # As (1 + k) x (1 + k) blocks of 3 x 3: rot on the diagonal and
-    # hat(col_i) @ rot down the first block column.
-    ad = np.zeros(lead + (1 + k, 3, 1 + k, 3))
+    # As 4 x 4 blocks of 3 x 3: rot on the diagonal and hat(col_i) @ rot
+    # down the first block column.
+    ad = np.zeros(lead + (4, 3, 4, 3))
     ad[..., 1:, :, 0, :] = hat(transposed(x.cols)) @ rot[..., None, :, :]
-    diagonal = np.arange(1 + k)
+    diagonal = np.arange(4)
     ad[..., diagonal, :, diagonal, :] = rot
-    return ad.reshape(lead + (3 + 3 * k, 3 + 3 * k))
+    return ad.reshape(lead + (12, 12))

@@ -124,14 +124,14 @@ class TruthTrajectory:
     All evaluators accept scalar or 1-D arrays of times. Stance intervals
     are [n*step_period, (n+1)*step_period); foot_pos takes the stance
     index explicitly, an int or an array matching the times, so callers
-    control behaviour across swaps.
+    control behaviour across swaps. `phases` are the five oscillation
+    phases (surge, sway, bob, roll, pitch), in radians.
     """
 
-    def __init__(self, gait: GaitConfig, surf: SurfaceConfig,
-                 phases: np.ndarray | None = None):
+    def __init__(self, gait: GaitConfig, surf: SurfaceConfig, phases: np.ndarray):
         self.gait = gait
         self.surf = surf
-        self.phases = np.zeros(5) if phases is None else np.asarray(phases, float)
+        self.phases = np.asarray(phases, float)
         stride = 2.0 * gait.step_period
         self._w_sway = 2.0 * math.pi / stride
         self._w_bob = 2.0 * self._w_sway

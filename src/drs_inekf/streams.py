@@ -5,8 +5,9 @@ kind, plus the merged record order: the simulator builds one, the JSON
 Lines reader and writer convert one, the estimator folds one. Building a
 `Stream` is the one place that decides a stream is valid, however it was
 made; a bad record is named by its index, which `read_jsonl` turns into
-its line. The record classes (`ImuStep`, `FkPosition`, ...) only serve
-`StreamEstimator.step`.
+its line. The record classes (`SwapEvent`, `SurfacePose`, `FkOrientation`,
+`FkPosition`) only serve `StreamEstimator.step`; the IMU runs it also
+takes are the filter's own messages, built by `StreamEstimator.fold`.
 
 One record per line, `{"kind": ..., "t": ...}` plus the kind's fields, all
 required: JSON numbers (not true or false), and rotations as 9 row-major
@@ -29,12 +30,11 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
 from .liegroup import GroupElement, rotation_defect
-from .models import ImuStep
 
 # Timestamps closer than this are equal (IMU interval ends, record order).
 TIME_TOL = 1e-9
@@ -85,14 +85,10 @@ class SwapEvent:
 
 @dataclass(frozen=True)
 class TruthSample:  # the truth record class, by which bench/tracing.py names the kind
-    """Ground-truth state for evaluation."""
+    """Ground-truth state for evaluation: its time and the true element."""
 
     t: float
     element: GroupElement
-    stance: str  # a label of STANCES
-
-
-StreamRecord = Union[ImuStep, FkPosition, FkOrientation, SurfacePose, SwapEvent]
 
 
 # Record kind names; a kind's code is its index here.
@@ -182,8 +178,8 @@ class Stream:
     def __len__(self) -> int:
         return len(self.kinds)
 
-    def record(self, code: int, k: int) -> StreamRecord:
-        """Record `k` of kind `code`: swap, surface, fk_rot or fk_pos."""
+    def record(self, code: int, k: int):
+        """Record `k` of kind `code` (swap, surface, fk_rot or fk_pos) as its class."""
         c = self.columns[KINDS[code]]
         cls, name = _PAIRS[code]
         return cls(float(c["t"][k]), c[name][k])

@@ -29,7 +29,6 @@ from drs_inekf.models import GRAVITY, ImuStep, state_transition
 from drs_inekf.streams import (
     IMU,
     KINDS,
-    STANCES,
     TRUTH,
     FkOrientation,
     FkPosition,
@@ -62,7 +61,7 @@ class ImuReading:
 def imu_step(dt, gyro, accel, contact_vel) -> ImuStep:
     """The ImuStep of one run of intervals (time axis first), via imu_terms."""
     dt = np.asarray(dt, dtype=float)
-    intervals, runs = imu_terms(dt, gyro, accel, contact_vel)
+    intervals, runs = imu_terms(dt, gyro, accel, contact_vel, np.zeros(len(dt), bool))
     return ImuStep(dt, (intervals, tuple(x[0] for x in runs)))
 
 
@@ -88,16 +87,15 @@ def identity() -> GroupElement:
 
 
 def group_element(rot, vel, pos, foot) -> GroupElement:
-    """The K = 3 estimator state from its rotation and three columns."""
+    """The estimator state from its rotation and three columns."""
     return GroupElement(np.asarray(rot, dtype=float),
                         np.stack([vel, pos, foot], axis=-1).astype(float))
 
 
 def embed(x: GroupElement) -> np.ndarray:
-    """(3+K) x (3+K) matrix embedding, over leading batch axes."""
-    n = 3 + x.k
-    m = np.zeros(x.rot.shape[:-2] + (n, n))
-    m[..., range(3, n), range(3, n)] = 1.0
+    """6 x 6 matrix embedding, over leading batch axes."""
+    m = np.zeros(x.rot.shape[:-2] + (6, 6))
+    m[..., range(3, 6), range(3, 6)] = 1.0
     m[..., :3, :3] = x.rot
     m[..., :3, 3:] = x.cols
     return m
@@ -115,8 +113,7 @@ def is_close(a: GroupElement, b: GroupElement, tol: float = 1e-9) -> bool:
 def algebra_hat(xi: np.ndarray) -> np.ndarray:
     """Lie-algebra matrix of a tangent vector in the embedding."""
     xi = np.asarray(xi, dtype=float)
-    k = (xi.shape[-1] - 3) // 3
-    m = np.zeros(xi.shape[:-1] + (3 + k, 3 + k))
+    m = np.zeros(xi.shape[:-1] + (6, 6))
     m[..., :3, :3] = hat(xi[..., :3])
     m[..., :3, 3:] = _tangent_cols(xi)
     return m
@@ -204,8 +201,7 @@ def stream_records(stream):
         if code == TRUTH:
             records.append(TruthSample(
                 float(truth["t"][k]), group_element(truth["rot"][k], truth["vel"][k],
-                                                    truth["pos"][k], truth["foot"][k]),
-                STANCES[truth["stance"][k]]))
+                                                    truth["pos"][k], truth["foot"][k])))
         elif code == IMU:
             records.append(ImuReading(float(imu["t"][k]), float(imu["dt"][k]),
                                       imu["gyro"][k], imu["accel"][k],

@@ -46,7 +46,7 @@ ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
 
 def surface_state(t, cfg):
     """(R_s, omega_s) of the surface at time t, from the truth trajectory."""
-    truth = TruthTrajectory(GaitConfig(), cfg)
+    truth = TruthTrajectory(GaitConfig(), cfg, np.zeros(5))
     return truth.surface_rot(t), surface_omega(truth, t)
 
 
@@ -148,7 +148,7 @@ class TestTruthTrajectory:
     def test_static_surface_and_gait_keeps_foot_fixed(self):
         gait = GaitConfig(sway_amplitude=0.0, bob_amplitude=0.0,
                           surge_amplitude=0.0, lean_amplitude_deg=0.0)
-        truth = TruthTrajectory(gait, SurfaceConfig(pitch_amplitude=0.0))
+        truth = TruthTrajectory(gait, SurfaceConfig(pitch_amplitude=0.0), np.zeros(5))
         d0 = truth.foot_pos(0.0, 0)
         for t in np.linspace(0.0, truth.gait.step_period, 7):
             assert np.allclose(truth.foot_pos(t, 0), d0, atol=1e-15)
@@ -186,7 +186,7 @@ class TestSynthesizeSensors:
     def test_static_robot_on_level_surface_imu(self):
         gait = GaitConfig(duration=0.6, sway_amplitude=0.0, bob_amplitude=0.0,
                           surge_amplitude=0.0, lean_amplitude_deg=0.0)
-        truth = TruthTrajectory(gait, SurfaceConfig(pitch_amplitude=0.0))
+        truth = TruthTrajectory(gait, SurfaceConfig(pitch_amplitude=0.0), np.zeros(5))
         records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 0))
         imu = [r for r in records if isinstance(r, ImuReading)]
         for u in imu:

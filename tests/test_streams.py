@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from drs_inekf.harness import TrialConfig, run_trial
@@ -387,9 +387,20 @@ def corrupt_file(path, edits, move):
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
+# Each property draws its examples from the seed pinned on it. `derandomize`
+# alone would derive one from the test method's source, decorators included,
+# so any change to its settings would draw other examples. These are the
+# seeds it derived before they were pinned, so the examples stay the same.
+RECORD_SEED = int("e296538c53c4bb42b114752c178389a0c29046ed20eece74"
+                  "4fd26343f8c4a7568b1697117f20a9dc3de3e6f3004f8cd3", 16)
+LINE_SEED = int("f425655763baef9c44131c240b50a523f9e967d5771eaaf4"
+                "f72b9935e1b2a52e372392bbe00588230327fef819b60930", 16)
+ROUNDTRIP_SEED = int("00ee2bd9754b31774abf03ae72f3fe1c439a1ae4f77d5de7"
+                     "d1ffa2777ada6acc7a3bee4aeec79ecb5f28f0705fb24107", 16)
 
 
 class TestCorruptionProperties:
+    @seed(RECORD_SEED)
     @PROPERTY
     @given(corruptions())
     def test_stream_names_the_record(self, case):
@@ -398,6 +409,7 @@ class TestCorruptionProperties:
             corrupt_stream(edits, move)
         assert err.value.record == record
 
+    @seed(LINE_SEED)
     @settings(PROPERTY, max_examples=25)
     @given(corruptions())
     def test_file_names_the_line(self, tmp_path_factory, case):
@@ -406,6 +418,7 @@ class TestCorruptionProperties:
         with pytest.raises(StreamFormatError, match=rf"^line {record + 1}: {message}"):
             read_jsonl(path)
 
+    @seed(ROUNDTRIP_SEED)
     @settings(PROPERTY, max_examples=10)
     @given(st.integers(0, 2**32 - 1), st.sampled_from([0.6, 1.2, 2.4]))
     def test_write_of_read_back_is_byte_exact(self, tmp_path_factory, seed, duration):

@@ -90,6 +90,11 @@ MUTANTS = (
     ("left-jacobian-b-c-swapped",
      "liegroup", "_EYE3 + b * k + c[..., None, None] * kk",
      "_EYE3 + c[..., None, None] * k + b * kk"),
+    # A block of IMU intervals that opens inside a run, and the fixed
+    # SE_3(3) adjoint's last diagonal block (the one the jump noise enters).
+    ("block-start-not-a-run", "filter", "first[0] = True", "pass"),
+    ("adjoint-xi-d-block-dropped", "liegroup", "diagonal = np.arange(4)",
+     "diagonal = np.arange(3)"),
 )
 
 
