@@ -321,8 +321,8 @@ class StreamEstimator:
     The state may be a batch of members that see the same records in
     lockstep. `variants` names the variant of each index of the state's
     first axis (one variant for an unbatched state); orientation updates
-    reach only the proposed ones. Holds the latest known surface pose
-    (needed to form the orientation measurement) and the contact-freshness
+    reach only the proposed ones. Holds the latest surface pose (a Stream
+    has one before its first fk_rot record) and the contact-freshness
     flag used by the on-contact-only update schedule. One instance per
     estimation run; not shared across tasks.
     """
@@ -354,8 +354,7 @@ class StreamEstimator:
         elif isinstance(event, SurfacePose):
             self.surface_rot = event.rot
         elif isinstance(event, FkOrientation):
-            if (self._orient_rows is not None
-                    and self.surface_rot is not None and self._updates_enabled()):
+            if self._orient_rows is not None and self._updates_enabled():
                 m = orientation_measurement(self.surface_rot, event.rot, noise)
                 self.state = _on_rows(self.state, self._orient_rows,
                                       lambda s: update(s, m, epsilon))

@@ -124,54 +124,42 @@ class TruthTrajectory:
     All evaluators accept scalar or 1-D arrays of times. Stance intervals
     are [n*step_period, (n+1)*step_period); foot_pos takes the stance
     index explicitly, an int or an array matching the times, so callers
-    control behaviour across swaps. `phases` are the five oscillation
-    phases (surge, sway, bob, roll, pitch), in radians.
+    control behaviour across swaps. The base makes five oscillations
+    (surge, sway, bob, roll, pitch), `amplitude * sin(angular_freq * t +
+    phases)` each, in metres and radians.
     """
 
     def __init__(self, gait: GaitConfig, surf: SurfaceConfig, phases: np.ndarray):
         self.gait = gait
         self.surf = surf
         self.phases = np.asarray(phases, float)
-        stride = 2.0 * gait.step_period
-        self._w_sway = 2.0 * math.pi / stride
-        self._w_bob = 2.0 * self._w_sway
-        self._lean = math.radians(gait.lean_amplitude_deg)
+        w = 2.0 * math.pi / (2.0 * gait.step_period)  # once a stride (two steps)
+        lean = math.radians(gait.lean_amplitude_deg)
+        self.amplitude, self.angular_freq = np.array([
+            (gait.surge_amplitude, 2.0 * w), (gait.sway_amplitude, w),
+            (gait.bob_amplitude, 2.0 * w), (lean, w), (0.5 * lean, 2.0 * w)]).T
 
     # -- base ---------------------------------------------------------------
 
-    def _osc(self):
-        ph = self.phases
-        g = self.gait
-        surge = g.surge_amplitude, self._w_bob, ph[0]
-        sway = g.sway_amplitude, self._w_sway, ph[1]
-        bob = g.bob_amplitude, self._w_bob, ph[2]
-        return surge, sway, bob
+    def _angle(self, t, axes: slice):
+        """The oscillations `axes` at times t, their phase angles on a last axis."""
+        t = np.asarray(t, dtype=float)[..., None]
+        return self.angular_freq[axes] * t + self.phases[axes]
 
     def base_pos(self, t):
-        t = np.asarray(t, dtype=float)
-        (ax, wx, px), (ay, wy, py), (az, wz, pz) = self._osc()
-        return np.stack([ax * np.sin(wx * t + px),
-                         ay * np.sin(wy * t + py),
-                         self.gait.base_height + az * np.sin(wz * t + pz)], axis=-1)
+        pos = self.amplitude[:3] * np.sin(self._angle(t, slice(3)))
+        pos[..., 2] += self.gait.base_height
+        return pos
 
     def base_vel(self, t):
-        t = np.asarray(t, dtype=float)
-        (ax, wx, px), (ay, wy, py), (az, wz, pz) = self._osc()
-        return np.stack([ax * wx * np.cos(wx * t + px),
-                         ay * wy * np.cos(wy * t + py),
-                         az * wz * np.cos(wz * t + pz)], axis=-1)
-
-    def _roll_pitch(self, t):
-        roll = self._lean * np.sin(self._w_sway * t + self.phases[3])
-        pitch = 0.5 * self._lean * np.sin(self._w_bob * t + self.phases[4])
-        return roll, pitch
+        return self.amplitude[:3] * self.angular_freq[:3] * np.cos(self._angle(t, slice(3)))
 
     def base_rot(self, t):
         """R = Ry(pitch) Rx(roll); heading fixed, ZYX yaw exactly zero."""
-        t = np.asarray(t, dtype=float)
-        a, b = self._roll_pitch(t)
-        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-        out = np.zeros(t.shape + (3, 3))
+        roll_pitch = self.amplitude[3:] * np.sin(self._angle(t, slice(3, 5)))
+        c, s = np.cos(roll_pitch), np.sin(roll_pitch)
+        ca, cb, sa, sb = c[..., 0], c[..., 1], s[..., 0], s[..., 1]
+        out = np.zeros(np.shape(t) + (3, 3))
         out[..., 0, 0] = cb
         out[..., 0, 1] = sb * sa
         out[..., 0, 2] = sb * ca
@@ -290,7 +278,7 @@ def _sensor_columns(truth, noise, rates, seed) -> tuple:
         "swap": {"t": times[swaps],
                  "h_d": _mv(_T(rot[swaps]), foot_own[swaps] - foot_prev) + hd_n},
         "truth": {"t": times[kin], "rot": rot[kin], "vel": vel[kin], "pos": pos[kin],
-                  "foot": foot_own[kin], "stance": stance_idx[kin] % 2},
+                  "foot": foot_own[kin]},
         "surface": {"t": times[kin], "rot": rs[kin]},
         "fk_rot": {"t": times[kin], "rot": rot_k @ rs[kin] @ so3_exp(orient_n)},
         "fk_pos": {"t": times[kin],

@@ -20,7 +20,10 @@ precedes the kinematic updates, so the errors at a truth sample are prior
 errors. IMU intervals tile time (each starts where the previous one ends)
 with dt in (0, MAX_IMU_DT]. The stream clock starts at the first truth
 sample and adds each imu dt in record order; no record is more than
-TIME_TOL before it. A stream with no truth has no clock.
+TIME_TOL before it, nor past the end of the imu interval that follows it
+(past the clock, after the last imu record). A stream with no truth has
+no clock. No fk_rot record precedes the first surface record, whose pose
+its orientation measurement needs.
 """
 
 from __future__ import annotations
@@ -94,15 +97,13 @@ class TruthSample:  # the truth record class, by which bench/tracing.py names th
 # Record kind names; a kind's code is its index here.
 KINDS = ("swap", "truth", "surface", "fk_rot", "fk_pos", "imu")
 SWAP, TRUTH, SURFACE, FK_ROT, FK_POS, IMU = range(len(KINDS))
-STANCES = ("left", "right")  # truth stance labels
 
 # Per kind, its file fields after "kind", in file order, with the shape of
 # one record's value (rotations are 9 row-major reals): the columns of a
-# Stream, whose truth stance is held as an index into STANCES.
+# Stream. Other keys of a record are ignored.
 _FIELDS = {
     "swap": {"t": (), "h_d": (3,)},
-    "truth": {"t": (), "rot": (3, 3), "vel": (3,), "pos": (3,), "foot": (3,),
-              "stance": ()},
+    "truth": {"t": (), "rot": (3, 3), "vel": (3,), "pos": (3,), "foot": (3,)},
     "surface": {"t": (), "rot": (3, 3)},
     "fk_rot": {"t": (), "rot": (3, 3)},
     "fk_pos": {"t": (), "hp": (3,)},
@@ -111,7 +112,6 @@ _FIELDS = {
 # The record class and value column of each kind whose record is (t, value).
 _PAIRS = {SWAP: (SwapEvent, "h_d"), SURFACE: (SurfacePose, "rot"),
           FK_ROT: (FkOrientation, "rot"), FK_POS: (FkPosition, "hp")}
-_STANCE_CODE = {label: code for code, label in enumerate(STANCES)}
 # JSON integers are read as floats; NaN and Infinity too, which Stream rejects.
 _DECODER = json.JSONDecoder(parse_int=float)
 _BLOCK = 4096  # records of a kind parsed before they are converted to arrays
@@ -123,10 +123,10 @@ class Stream:
 
     `kinds` holds each record's kind code (its index in KINDS) in
     processing order. `columns[kind]` maps field names to arrays whose
-    first axis runs over that kind's records: the layout columns `t`, the
-    IMU `dt` and the truth `stance` (an index into STANCES) are 1-D; value
-    columns (`gyro`, `hp`, `rot`, ...) may carry a stream axis next, when
-    `stack` has put several streams with the same layout side by side.
+    first axis runs over that kind's records: the layout columns `t` and
+    the IMU `dt` are 1-D; value columns (`gyro`, `hp`, `rot`, ...) may
+    carry a stream axis next, when `stack` has put several streams with
+    the same layout side by side.
     Building one checks every rule of the module docstring, one column at a
     time, and names the first bad record by its index.
     """
@@ -140,10 +140,9 @@ class Stream:
             c, at = self.columns[kind], np.flatnonzero(kinds == code)
             times[at] = c["t"]
             for name, col in c.items():
-                if name != "stance":
-                    _first_bad(_each(np.isfinite(col)), at, lambda i: (
-                        f"field {name!r} must be {_what(_FIELDS[kind][name])}, "
-                        f"got {col[i].tolist()}"), "record")
+                _first_bad(_each(np.isfinite(col)), at, lambda i: (
+                    f"field {name!r} must be {_what(_FIELDS[kind][name])}, "
+                    f"got {col[i].tolist()}"), "record")
             if "rot" in c:  # det R as the triple product of its rows
                 defect, rows = rotation_defect(c["rot"]), np.moveaxis(c["rot"], -2, 0)
                 det = np.einsum("...i,...i->...", rows[0], np.cross(rows[1], rows[2]))
@@ -168,12 +167,25 @@ class Stream:
             f"ends there, the next imu record starts at t={t[i + 1]:.9g}"), "record")
         start = self.columns["truth"]["t"][:1]
         if len(start):
-            # cumsum adds in record order (not pairwise), as a running clock does.
-            clock = np.cumsum(np.concatenate([start, dt]))[np.cumsum(is_imu) - is_imu]
+            # cumsum adds in record order (not pairwise), as a running clock
+            # does; at each record, the clock and the end of the next imu
+            # interval (the clock again after the last one).
+            nxt = np.cumsum(is_imu) - is_imu
+            ticks = np.cumsum(np.concatenate([start, dt, [0.0]]))
+            clock, end = ticks[nxt], ticks[nxt + 1]
             _first_bad(times >= clock - TIME_TOL, range(len(kinds)), lambda i: (
                 f"out-of-order {KINDS[kinds[i]]} record at t={times[i]:.9g}: the "
                 f"stream clock (first truth time plus the imu dt before it) is at "
                 f"t={clock[i]:.9g}"), "record")
+            _first_bad(times <= end + TIME_TOL, range(len(kinds)), lambda i: (
+                f"early {KINDS[kinds[i]]} record at t={times[i]:.9g}: the stream "
+                f"clock is at t={clock[i]:.9g}, and " + (
+                    f"the next imu interval ends at t={end[i]:.9g}" if nxt[i] < len(dt)
+                    else "no imu interval follows")), "record")
+        fk_rot = np.flatnonzero(kinds == FK_ROT)
+        _first_bad(np.cumsum(kinds == SURFACE)[fk_rot] > 0, fk_rot, lambda i: (
+            f"fk_rot record at t={times[fk_rot[i]]:.9g} before the first surface "
+            f"record"), "record")
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -251,26 +263,12 @@ def _numbers(values: list, shape: tuple, lines, name: str) -> np.ndarray:
     return np.array(flat, dtype=float).reshape((len(values),) + shape)
 
 
-def _block(kind: str, fields: list, lines) -> dict:
-    """A block of a kind's records as arrays, from a value list per file field."""
-    block = {}
-    for (name, shape), values in zip(_FIELDS[kind].items(), fields):
-        if name != "stance":
-            block[name] = _numbers(values, shape, lines, name)
-            continue
-        codes = [_STANCE_CODE.get(v) if type(v) is str else None for v in values]
-        _first_bad([c is not None for c in codes], lines,
-                   lambda i: f"bad stance {values[i]!r}")
-        block[name] = np.array(codes, dtype=int)
-    return block
-
-
 def read_jsonl(path) -> Stream:
     """Parse a stream file into columns.
 
-    Each record's JSON, kind, fields, their types and shapes and the stance
-    are parsed here, and the values and the record order are checked by
-    building the Stream; a StreamFormatError names the line of a bad record.
+    Each record's JSON, kind, fields, their types and shapes are parsed
+    here, and the values and the record order are checked by building the
+    Stream; a StreamFormatError names the line of a bad record.
     Records are converted to arrays _BLOCK at a time, so few parsed values
     are held at once; a kind's blocks are dropped as its columns are joined.
     """
@@ -280,10 +278,11 @@ def read_jsonl(path) -> Stream:
     pending = {kind: [[] for _ in fields] for kind, fields in _FIELDS.items()}
     blocks = {kind: {name: [] for name in fields} for kind, fields in _FIELDS.items()}
 
-    def convert(kind):
+    def convert(kind):  # the pending records of a kind to a block of arrays
         fields, n = pending[kind], len(pending[kind][0])
-        for name, col in _block(kind, fields, lines[kind][len(lines[kind]) - n:]).items():
-            blocks[kind][name].append(col)
+        at = lines[kind][len(lines[kind]) - n:]
+        for (name, shape), values in zip(_FIELDS[kind].items(), fields):
+            blocks[kind][name].append(_numbers(values, shape, at, name))
         pending[kind] = [[] for _ in fields]
 
     with open(path) as fh:
@@ -327,19 +326,13 @@ def _lines(kind: str, columns: dict):
     """
     parts, numbers = [f'{{"kind": "{kind}"'], []
     for name, shape in _FIELDS[kind].items():
-        if name == "stance":
-            parts.append('"stance": "%s"')
-            continue
         n = math.prod(shape)
         value = "[" + ", ".join(["%r"] * n) + "]" if shape else "%r"
         parts.append(f'"{name}": {value}')
         numbers.append(columns[name].reshape(len(columns["t"]), n))
     numbers = np.concatenate(numbers, axis=1)
     template = ", ".join(parts) + "}\n"
-    if kind != "truth":
-        return (template % tuple(row.tolist()) for row in numbers)
-    return (template % (*row.tolist(), STANCES[code])
-            for row, code in zip(numbers, columns["stance"].tolist()))
+    return (template % tuple(row.tolist()) for row in numbers)
 
 
 def write_jsonl(stream: Stream, path) -> None:

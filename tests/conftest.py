@@ -148,23 +148,24 @@ def group_affine_residual(x1: GroupElement, x2: GroupElement, u: ImuReading,
     return float(np.linalg.norm(lhs - rhs))
 
 
+def _oscillations(truth, t):
+    """Each base oscillation's amplitude, angular frequency and angle at t."""
+    w = truth.angular_freq
+    return truth.amplitude, w, w * np.asarray(t, dtype=float)[..., None] + truth.phases
+
+
 def base_acc(truth, t):
     """World acceleration of the base (analytic)."""
-    t = np.asarray(t, dtype=float)
-    (ax, wx, px), (ay, wy, py), (az, wz, pz) = truth._osc()
-    return np.stack([-ax * wx * wx * np.sin(wx * t + px),
-                     -ay * wy * wy * np.sin(wy * t + py),
-                     -az * wz * wz * np.sin(wz * t + pz)], axis=-1)
+    amp, w, angle = _oscillations(truth, t)
+    return (-amp * w * w * np.sin(angle))[..., :3]
 
 
 def omega_body(truth, t):
     """Body-frame angular velocity of the base (analytic)."""
-    t = np.asarray(t, dtype=float)
-    a, _ = truth._roll_pitch(t)
-    lean, w_sway, w_bob, ph = truth._lean, truth._w_sway, truth._w_bob, truth.phases
-    da = lean * w_sway * np.cos(w_sway * t + ph[3])
-    db = 0.5 * lean * w_bob * np.cos(w_bob * t + ph[4])
-    return np.stack([da, db * np.cos(a), -db * np.sin(a)], axis=-1)
+    amp, w, angle = _oscillations(truth, t)
+    roll = amp[3] * np.sin(angle[..., 3])
+    d_roll, d_pitch = np.moveaxis((amp * w * np.cos(angle))[..., 3:], -1, 0)
+    return np.stack([d_roll, d_pitch * np.cos(roll), -d_pitch * np.sin(roll)], axis=-1)
 
 
 def surface_omega(truth, t):

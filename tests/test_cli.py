@@ -351,12 +351,41 @@ class TestEstimateCommand:
         assert (f"stream error: line {j + 2}: out-of-order fk_pos record at t=0: "
                 in capsys.readouterr().err)
 
+    def test_record_past_the_next_imu_interval_reports_line(self, tmp_path, capsys,
+                                                            sim_lines):
+        # Every swap a second late: the first is named at its own line.
+        lines = list(sim_lines)
+        swaps = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "swap"]
+        for i in swaps:
+            record = json.loads(lines[i])
+            record["t"] += 1.0
+            lines[i] = json.dumps(record) + "\n"
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("".join(lines))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert (f"stream error: line {swaps[0] + 1}: early swap record at t=1.6: "
+                in capsys.readouterr().err)
+
+    def test_stream_without_surface_reports_line(self, tmp_path, capsys, sim_lines):
+        # Without surface records the proposed filter has no surface normal:
+        # the first fk_rot record, now the stream's second line, is named.
+        lines = [line for line in sim_lines if json.loads(line)["kind"] != "surface"]
+        assert json.loads(lines[1])["kind"] == "fk_rot"
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("".join(lines))
+        code = main(["estimate", "--stream", str(stream), "--variant", "proposed",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert ("stream error: line 2: fk_rot record at t=0 before the first surface "
+                "record" in capsys.readouterr().err)
+
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"
         lines = [
             {"kind": "truth", "t": 0.0, "rot": [1, 0, 0, 0, 1, 0, 0, 0, 1],
-             "vel": [0, 0, 0], "pos": [0, 0, 0], "foot": [0, 0, 0],
-             "stance": "left"},
+             "vel": [0, 0, 0], "pos": [0, 0, 0], "foot": [0, 0, 0]},
             {"kind": "fk_pos", "t": 0.02, "hp": [0.0, 0.0, 0.0]},
             {"kind": "fk_pos", "t": 0.01, "hp": [0.0, 0.0, 0.0]},
         ]

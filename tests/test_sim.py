@@ -219,7 +219,6 @@ class TestSynthesizeSensors:
         assert len(stream.columns["swap"]["t"]) == 0
         assert not np.any(stream.kinds == SWAP)
         assert len(stream.columns["imu"]["t"]) == 160
-        assert np.all(stream.columns["truth"]["stance"] == 0)
 
     def test_tick_alignment_validation(self):
         with pytest.raises(ValueError, match="imu ticks"):

@@ -42,12 +42,12 @@ def sample_records(rng):
 
     return [
         {"kind": "truth", "t": 0.0, "rot": rot, "vel": vec(), "pos": vec(),
-         "foot": vec(), "stance": "left"},
+         "foot": vec()},
         {"kind": "surface", "t": 0.0, "rot": rot},
         {"kind": "fk_rot", "t": 0.0, "rot": rot},
         {"kind": "fk_pos", "t": 0.0, "hp": vec()},
         imu(0.0),
-        {"kind": "swap", "t": 0.6, "h_d": vec()},
+        {"kind": "swap", "t": 0.0025, "h_d": vec()},
         imu(0.0025),
     ]
 
@@ -81,12 +81,15 @@ def record_index(stream, kind, k):
 
 class TestRoundtrip:
     def test_dict_roundtrip_preserves_values(self, rng, tmp_path):
-        # Each record alone in a one-line file reads back with its kind,
-        # time and values, and is written back as the same line.
-        for d in sample_records(rng):
-            path = write_records(tmp_path / "one.jsonl", [d])
+        # Each record alone in a one-line file (an fk_rot record after the
+        # surface pose it needs) reads back with its kind, time and values,
+        # and is written back as the same lines.
+        records = sample_records(rng)
+        for d in records:
+            before = [records[1]] if d["kind"] == "fk_rot" else []
+            path = write_records(tmp_path / "one.jsonl", before + [d])
             stream = read_jsonl(path)
-            assert stream.kinds.tolist() == [KINDS.index(d["kind"])]
+            assert stream.kinds.tolist()[-1:] == [KINDS.index(d["kind"])]
             assert stream.columns[d["kind"]]["t"].tolist() == [d["t"]]
             write_jsonl(stream, tmp_path / "back.jsonl")
             assert (tmp_path / "back.jsonl").read_text() == path.read_text()
@@ -104,7 +107,6 @@ class TestRoundtrip:
         truth = back.columns["truth"]
         assert np.array_equal(truth["rot"].reshape(-1), records[0]["rot"])
         assert np.array_equal(truth["vel"][0], records[0]["vel"])
-        assert truth["stance"].tolist() == [0]
         write_jsonl(back, tmp_path / "again.jsonl")
         assert (tmp_path / "again.jsonl").read_text() == path.read_text()
 
@@ -121,6 +123,17 @@ class TestRoundtrip:
         write_jsonl(back, second)
         assert second.read_bytes() == first.read_bytes()
 
+    def test_stance_of_older_files_is_ignored(self, tmp_path):
+        # Truth lines once carried a "stance" label, which nothing read: a
+        # file that has it reads to the stream of the file without it.
+        write_jsonl(SHORT, tmp_path / "new.jsonl")
+        lines = (tmp_path / "new.jsonl").read_text().splitlines()
+        older = tmp_path / "older.jsonl"
+        older.write_text("".join(
+            line[:-1] + ', "stance": "left"}\n' if '"kind": "truth"' in line else line + "\n"
+            for line in lines))
+        assert older.read_text().count('"stance"') == len(SHORT.columns["truth"]["t"])
+        assert streams_equal(read_jsonl(older), SHORT)
 
     def test_blocks_join_and_keep_line_numbers(self, tmp_path, monkeypatch):
         # The reader converts records to arrays a block at a time. With tiny
@@ -191,14 +204,6 @@ class TestErrors:
         path = write_records(tmp_path / "bad.jsonl",
                              [{"kind": "fk_pos", "t": 0.0, "hp": [1.0, 2.0]}])
         with pytest.raises(StreamFormatError, match="line 1: .*hp"):
-            read_jsonl(path)
-
-    def test_bad_stance_rejected(self, tmp_path):
-        d = {"kind": "truth", "t": 0.0, "rot": [1, 0, 0, 0, 1, 0, 0, 0, 1],
-             "vel": [0, 0, 0], "pos": [0, 0, 0], "foot": [0, 0, 0],
-             "stance": "hopping"}
-        path = write_records(tmp_path / "bad.jsonl", [d])
-        with pytest.raises(StreamFormatError, match="line 1: .*stance"):
             read_jsonl(path)
 
 
@@ -284,18 +289,52 @@ class TestStreamChecks:
         with pytest.raises(ValueError, match="expected 3 streams"):
             Stream.stack([SHORT, SHORT], 3)
 
+    @pytest.mark.parametrize("kind, k, shift, message", [
+        ("swap", 0, 1.0, r"early swap record at t=1.6: the stream clock is at t=0.6, "
+                         r"and the next imu interval ends at t=0.6025"),
+        ("fk_pos", -1, 0.01, r"early fk_pos record at t=1.21: the stream clock is at "
+                             r"t=1.2, and no imu interval follows"),
+    ], ids=["swap-a-second-late", "after-the-last-imu"])
+    def test_record_past_the_next_imu_interval_raises(self, kind, k, shift, message):
+        columns = with_column(SHORT, kind, "t", lambda t: t + shift, k)
+        with pytest.raises(StreamFormatError, match=message) as err:
+            Stream(SHORT.kinds, columns)
+        assert err.value.record == record_index(SHORT, kind, k % len(
+            SHORT.columns[kind]["t"]))
+
+    def test_record_within_the_next_imu_interval_is_kept(self):
+        # 2 ms late is inside the 2.5 ms imu interval that follows the swap.
+        columns = with_column(SHORT, "swap", "t", lambda t: t + 0.002, 0)
+        assert len(Stream(SHORT.kinds, columns)) == len(SHORT)
+
     def test_stream_without_truth_has_no_clock(self):
-        # With no truth sample there is no clock, so nothing is out of order.
+        # With no truth sample there is no clock, so no record is out of
+        # order or early.
         truth = {name: col[:0] for name, col in SHORT.columns["truth"].items()}
         kinds = SHORT.kinds[SHORT.kinds != KINDS.index("truth")]
         columns = with_column(SHORT, "fk_pos", "t", lambda _: -0.5, 0)
+        columns["swap"] = {**columns["swap"], "t": columns["swap"]["t"] + 1.0}
         assert len(Stream(kinds, {**columns, "truth": truth})) == len(kinds)
+
+    @pytest.mark.parametrize("dropped", [slice(None), slice(1)],
+                             ids=["no-surface", "first-surface"])
+    def test_fk_rot_before_the_first_surface_raises(self, dropped):
+        # The orientation measurement needs a surface pose: without one
+        # before it, the first fk_rot record (at t = 0) is named.
+        surface = np.flatnonzero(SHORT.kinds == KINDS.index("surface"))[dropped]
+        kinds = np.delete(SHORT.kinds, surface)
+        columns = {**SHORT.columns, "surface": {
+            name: np.delete(col, np.arange(len(col))[dropped], axis=0)
+            for name, col in SHORT.columns["surface"].items()}}
+        with pytest.raises(StreamFormatError,
+                           match="fk_rot record at t=0 before the first surface") as err:
+            Stream(kinds, columns)
+        assert err.value.record == np.flatnonzero(kinds == KINDS.index("fk_rot"))[0]
 
 
 # -- property tests: any single corruption of a short stream is named ------------
 
-_FLOAT_COLUMNS = [(kind, name) for kind in KINDS for name in SHORT.columns[kind]
-                  if name != "stance"]
+_FLOAT_COLUMNS = [(kind, name) for kind in KINDS for name in SHORT.columns[kind]]
 
 
 def _moves(kinds):

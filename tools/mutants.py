@@ -95,6 +95,13 @@ MUTANTS = (
     ("block-start-not-a-run", "filter", "first[0] = True", "pass"),
     ("adjoint-xi-d-block-dropped", "liegroup", "diagonal = np.arange(4)",
      "diagonal = np.arange(3)"),
+    # A record past the end of the imu interval after it, and an fk_rot
+    # record with no surface pose before it.
+    ("stream-no-look-ahead-check",
+     "streams", "_first_bad(times <= end + TIME_TOL,", "_first_bad(times <= np.inf,"),
+    ("stream-fk-rot-before-surface-allowed",
+     "streams", "np.cumsum(kinds == SURFACE)[fk_rot] > 0",
+     "np.cumsum(kinds == SURFACE)[fk_rot] >= 0"),
 )
 
 
