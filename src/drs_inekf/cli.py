@@ -151,7 +151,7 @@ def cmd_sim(args) -> int:
     cfg = load_config(args.config)
     c = build_all(cfg, args.seed)
     truth = generate_truth(c.gait, c.surface, seed=args.seed)
-    stream = synthesize_sensors(truth, c.noise, c.rates, seed=args.seed)
+    stream = synthesize_sensors([truth], c.noise, c.rates, [args.seed])
     marks["simulate"] = time.perf_counter()
     _ensure_out_dir(args.out)
     write_jsonl(stream, args.out)

@@ -4,11 +4,12 @@ Each trial perturbs the true initial state by a sampled tangent offset,
 runs every filter variant over the same sensor stream, and records
 estimate-vs-truth metrics on the truth-sample grid. The trials of a
 worker's chunk and their variants run as one batch, in lockstep over
-their stacked streams. A campaign's results are one float array `rows`,
-axes VARIANTS x trial index x truth sample x METRIC_NAMES, with the truth
-times `t` beside it. Aggregation reduces the trial axis to percentile bands
-and the summaries used by the pass/fail gates (yaw observability
-dichotomy, roll/pitch/velocity convergence).
+their streams, synthesized side by side as one Stream. A campaign's
+results are one float array `rows`, axes VARIANTS x trial index x truth
+sample x METRIC_NAMES, with the truth times `t` beside it. Aggregation
+reduces the trial axis to percentile bands and the summaries used by the
+pass/fail gates (yaw observability dichotomy, roll/pitch/velocity
+convergence).
 """
 
 from __future__ import annotations
@@ -97,13 +98,14 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
 
     Trial j starts from the first truth sample perturbed by the tangent
     offset xi0[j] (exp(xi0[j]) @ X_true); axis 1 of the stream's value
-    columns runs over the trials (`Stream.stack`). One trial over an
-    unstacked stream may pass its offset as xi0 of shape (12,). The state's
-    batch axes are (variant, trial): the variant axis only for more than one
-    variant, the trial axis only for xi0 of shape (n, 12). So one variant of
-    one such trial runs unbatched, as small numpy operations run fastest.
-    Truth precedes the updates at its timestamp, so each metric row holds
-    the prior error there; metrics are evaluated _TRUTH_BLOCK samples at once.
+    columns runs over the trials (as `sim.synthesize_sensors` writes
+    them). One trial over a stream without that axis may pass its offset
+    as xi0 of shape (12,). The state's batch axes are (variant, trial):
+    the variant axis only for more than one variant, the trial axis only
+    for xi0 of shape (n, 12). So one variant of one such trial runs
+    unbatched, as small numpy operations run fastest. Truth precedes the
+    updates at its timestamp, so each metric row holds the prior error
+    there; metrics are evaluated _TRUTH_BLOCK samples at once.
     Returns the rows, axes (variant, trial, truth sample, metric) in the
     order `variants` x trial x truth time x METRIC_NAMES.
     """
@@ -168,11 +170,9 @@ def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray]:
     """One chunk of trials of every campaign, run as one batch: the truth
     times and the rows (surface, variant, trial, truth sample, metric)."""
     chunk, stream_seeds, trial_seeds, gait, surfaces, cfg, rates, tcfg = args
-    stream = Stream.stack(
-        (synthesize_sensors(generate_truth(gait, surf, seed=seed), cfg.noise, rates,
-                            seed=seed)
-         for surf in surfaces for seed in stream_seeds),
-        len(surfaces) * len(stream_seeds))
+    stream = synthesize_sensors([generate_truth(gait, surf, seed=seed)
+                                 for surf in surfaces for seed in stream_seeds],
+                                cfg.noise, rates, stream_seeds * len(surfaces))
     xi0 = np.array([sample_initial_error(np.random.default_rng(seed), tcfg)
                     for seed in trial_seeds])
     try:

@@ -209,18 +209,34 @@ def generate_truth(gait: GaitConfig, surf: SurfaceConfig,
     return TruthTrajectory(gait, surf, phases)
 
 
-def synthesize_sensors(truth: TruthTrajectory, noise: NoiseParams,
-                       rates: Rates = Rates(), seed: int = 0) -> Stream:
-    """Build the full sensor stream from a truth trajectory.
+def synthesize_sensors(truths: list[TruthTrajectory], noise: NoiseParams,
+                       rates: Rates, seeds: list[int]) -> Stream:
+    """Build the sensor streams of truths with one gait, side by side.
 
     IMU gyro/accel and the contact velocity are the exact inverses of the
     filter's discrete propagation between ticks (plus seeded noise), which
     makes the noiseless stream self-consistent end to end. Kinematic and
     surface records are emitted on the kinematics grid; swaps land on grid
-    ticks and are accompanied by a truth sample. The Stream is built, and so
-    checked, once the intermediates are freed, off the peak of memory.
+    ticks and are accompanied by a truth sample. Stream i, with truth i and
+    the noise of seed i, is written one at a time into axis 1 of the value
+    columns; the gait fixes the record layout they share. The Stream is
+    built, and so checked, once, after the last stream's intermediates are
+    freed, off the peak of memory.
     """
-    return Stream(*_sensor_columns(truth, noise, rates, seed))
+    columns = None
+    for i, (truth, seed) in enumerate(zip(truths, seeds, strict=True)):
+        if truth.gait != truths[0].gait:
+            raise ValueError("streams to synthesize together need one gait")
+        kinds, one = _sensor_columns(truth, noise, rates, seed)
+        if columns is None:
+            columns = {kind: {name: col if col.ndim == 1 else
+                              np.empty((len(col), len(truths)) + col.shape[1:])
+                              for name, col in c.items()} for kind, c in one.items()}
+        for kind, c in one.items():
+            for name, col in c.items():
+                if col.ndim > 1:
+                    columns[kind][name][:, i] = col
+    return Stream(kinds, columns)
 
 
 def _sensor_columns(truth, noise, rates, seed) -> tuple:

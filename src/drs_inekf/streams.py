@@ -19,10 +19,11 @@ follows the swap, so a jump and its evaluation sample pair up, and
 precedes the kinematic updates, so the errors at a truth sample are prior
 errors. IMU intervals tile time (each starts where the previous one ends)
 with dt in (0, MAX_IMU_DT]. The stream clock starts at the first truth
-sample and adds each imu dt in record order; no record is more than
-TIME_TOL before it, nor past the end of the imu interval that follows it
-(past the clock, after the last imu record). A stream with no truth has
-no clock. No fk_rot record precedes the first surface record, whose pose
+sample and adds each imu dt in record order; an imu record starts at
+the clock, within TIME_TOL, and no other record is more than TIME_TOL
+before it, nor past the end of the imu interval that follows it (past
+the clock, after the last imu record). A stream with no truth has no
+clock. No fk_rot record precedes the first surface record, whose pose
 its orientation measurement needs.
 """
 
@@ -33,7 +34,6 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable
 
 import numpy as np
 
@@ -125,8 +125,8 @@ class Stream:
     processing order. `columns[kind]` maps field names to arrays whose
     first axis runs over that kind's records: the layout columns `t` and
     the IMU `dt` are 1-D; value columns (`gyro`, `hp`, `rot`, ...) may
-    carry a stream axis next, when `stack` has put several streams with
-    the same layout side by side.
+    carry a stream axis next, for several streams with one record layout
+    side by side (as the simulator writes a batch of them).
     Building one checks every rule of the module docstring, one column at a
     time, and names the first bad record by its index.
     """
@@ -182,6 +182,9 @@ class Stream:
                 f"clock is at t={clock[i]:.9g}, and " + (
                     f"the next imu interval ends at t={end[i]:.9g}" if nxt[i] < len(dt)
                     else "no imu interval follows")), "record")
+            _first_bad(np.abs(t - clock[at]) <= TIME_TOL, at, lambda i: (
+                f"imu record at t={t[i]:.9g} off the stream clock at "
+                f"t={clock[at[i]]:.9g}"), "record")
         fk_rot = np.flatnonzero(kinds == FK_ROT)
         _first_bad(np.cumsum(kinds == SURFACE)[fk_rot] > 0, fk_rot, lambda i: (
             f"fk_rot record at t={times[fk_rot[i]]:.9g} before the first surface "
@@ -195,36 +198,6 @@ class Stream:
         c = self.columns[KINDS[code]]
         cls, name = _PAIRS[code]
         return cls(float(c["t"][k]), c[name][k])
-
-    @classmethod
-    def stack(cls, streams: Iterable[Stream], count: int) -> Stream:
-        """`count` streams with one record layout, side by side on a stream axis.
-
-        Each stream's values are copied in as it arrives, so a generator
-        of streams never has them all in memory at once. Not checked again.
-        """
-        columns = None
-        for i, stream in enumerate(streams):
-            if columns is None:
-                first = stream
-                columns = {kind: {name: col if col.ndim == 1 else
-                                  np.empty((len(col), count) + col.shape[1:])
-                                  for name, col in c.items()}
-                           for kind, c in stream.columns.items()}
-            elif not (np.array_equal(stream.kinds, first.kinds) and all(
-                    np.array_equal(col, columns[kind][name])
-                    for kind, c in stream.columns.items()
-                    for name, col in c.items() if col.ndim == 1)):
-                raise ValueError("streams to stack differ in record layout")
-            for kind, c in stream.columns.items():
-                for name, col in c.items():
-                    if col.ndim > 1:
-                        columns[kind][name][:, i] = col
-        if columns is None or i + 1 != count:
-            raise ValueError(f"expected {count} streams to stack")
-        stacked = cls.__new__(cls)
-        stacked.__dict__.update(kinds=first.kinds, columns=columns)
-        return stacked
 
 
 def _first_bad(ok, at, message, key="line") -> None:

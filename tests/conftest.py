@@ -26,12 +26,14 @@ from drs_inekf.liegroup import (
 )
 from drs_inekf.filter import State, imu_terms
 from drs_inekf.models import GRAVITY, ImuStep, state_transition
+from drs_inekf.sim import synthesize_sensors
 from drs_inekf.streams import (
     IMU,
     KINDS,
     TRUTH,
     FkOrientation,
     FkPosition,
+    Stream,
     SurfacePose,
     SwapEvent,
     TruthSample,
@@ -211,6 +213,18 @@ def stream_records(stream):
             records.append(stream.record(code, k))
         seen[code] += 1
     return records
+
+
+def stream_at(stream, i):
+    """Stream i of streams side by side: axis 1 of each value column."""
+    return Stream(stream.kinds, {
+        kind: {name: col if col.ndim == 1 else col[:, i] for name, col in c.items()}
+        for kind, c in stream.columns.items()})
+
+
+def one_stream(truth, noise, rates, seed):
+    """The stream `synthesize_sensors` writes for one truth, as stream 0 of a batch of one."""
+    return stream_at(synthesize_sensors([truth], noise, rates, [seed]), 0)
 
 
 def streams_equal(a, b) -> bool:

@@ -54,7 +54,6 @@ from drs_inekf.sim import (
     Rates,
     SurfaceConfig,
     generate_truth,
-    synthesize_sensors,
 )
 from drs_inekf.streams import TruthSample
 
@@ -67,6 +66,7 @@ from conftest import (
     group_affine_residual,
     identity,
     is_close,
+    one_stream,
     process_dynamics,
     random_element,
     random_imu,
@@ -254,7 +254,7 @@ def test_criterion_6_keystone_self_consistency():
     gait = GaitConfig()  # the default config: 30 s at 400 Hz IMU
     rates = Rates()
     truth = generate_truth(gait, SurfaceConfig(), seed=7)
-    records = stream_records(synthesize_sensors(
+    records = stream_records(one_stream(
         truth, NoiseParams(0, 0, 0, 0, 0, 0), rates, seed=7))
     first = next(r for r in records if isinstance(r, TruthSample))
     start = State(first.element, np.eye(12) * 1e-4)

@@ -368,6 +368,23 @@ class TestEstimateCommand:
         assert (f"stream error: line {swaps[0] + 1}: early swap record at t=1.6: "
                 in capsys.readouterr().err)
 
+    def test_imu_record_off_the_clock_reports_line(self, tmp_path, capsys, sim_lines):
+        # Every imu record 2 ms late: the intervals still tile time, but the
+        # first one starts off the clock, and its line is named.
+        lines = list(sim_lines)
+        imu = [i for i, line in enumerate(lines) if json.loads(line)["kind"] == "imu"]
+        for i in imu:
+            record = json.loads(lines[i])
+            record["t"] += 0.002
+            lines[i] = json.dumps(record) + "\n"
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text("".join(lines))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert (f"stream error: line {imu[0] + 1}: imu record at t=0.002 off the "
+                f"stream clock at t=0\n" in capsys.readouterr().err)
+
     def test_stream_without_surface_reports_line(self, tmp_path, capsys, sim_lines):
         # Without surface records the proposed filter has no surface normal:
         # the first fk_rot record, now the stream's second line, is named.

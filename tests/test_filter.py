@@ -38,7 +38,7 @@ from drs_inekf.models import (
     orientation_measurement,
     position_measurement,
 )
-from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
+from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth
 from drs_inekf.streams import (
     _FIELDS,
     IMU,
@@ -59,6 +59,7 @@ from conftest import (
     identity,
     imu_run,
     imu_step,
+    one_stream,
     oracle_propagate,
     oracle_run,
     random_element,
@@ -566,8 +567,8 @@ class TestStreamEstimator:
         noise = NoiseParams()
         n = 1300
         assert n > 2 * filter_module._TERMS_BLOCK
-        stream = synthesize_sensors(generate_truth(GaitConfig(duration=1.2),
-                                                   SurfaceConfig(), 2), noise, Rates(), 2)
+        stream = one_stream(generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 2),
+                            noise, Rates(), 2)
         imu = {name: np.resize(col, (n,) + col.shape[1:])
                for name, col in stream.columns["imu"].items()}
         imu["t"] = np.arange(n) * 0.0025
@@ -594,8 +595,8 @@ class TestStreamEstimator:
         # run: it pickles to the same size as after the stream with
         # unjittered dt, and its peak memory is within 1 MB of that one's.
         noise = NoiseParams()
-        full = synthesize_sensors(generate_truth(GaitConfig(duration=30.0),
-                                                 SurfaceConfig(), 3), noise, Rates(), 3)
+        full = one_stream(generate_truth(GaitConfig(duration=30.0), SurfaceConfig(), 3),
+                          noise, Rates(), 3)
         kept = ("imu", "surface")
         stream = Stream(full.kinds[np.isin(full.kinds, [KINDS.index(k) for k in kept])],
                         {kind: c if kind in kept else {name: col[:0] for name, col in c.items()}

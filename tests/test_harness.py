@@ -30,7 +30,7 @@ from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from drs_inekf.streams import TRUTH, Stream, TruthSample
 
-from conftest import oracle_metric_rows, routed, stream_records
+from conftest import one_stream, oracle_metric_rows, routed, stream_records
 
 SHORT_GAIT = GaitConfig(duration=2.4)
 ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
@@ -49,8 +49,7 @@ def one_campaign(tcfg, surface, noise, jobs=1):
 def short_stream(seed=1, noise=None, surface=None):
     noise = noise or NoiseParams(jump_pos_var=1e-6)
     surface = surface or SurfaceConfig()
-    return synthesize_sensors(generate_truth(SHORT_GAIT, surface, seed),
-                              noise, Rates(), seed)
+    return one_stream(generate_truth(SHORT_GAIT, surface, seed), noise, Rates(), seed)
 
 
 class TestNees:
@@ -171,7 +170,8 @@ class TestRunTrial:
         # stacked trials and both variants.
         tcfg = TrialConfig(n_trials=2)
         cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
-        stream = Stream.stack((short_stream(seed) for seed in (1, 2)), 2)
+        stream = synthesize_sensors([generate_truth(SHORT_GAIT, SurfaceConfig(), seed)
+                                     for seed in (1, 2)], cfg.noise, Rates(), [1, 2])
         xi0 = np.array([offset(3, tcfg), offset(4, tcfg)])
         want = run_trials(stream, tcfg, cfg, VARIANTS, xi0)
         assert want.shape == (len(VARIANTS), 2, 241, len(METRIC_NAMES))
@@ -298,7 +298,7 @@ class TestYawConvergenceReferenceRun:
 
         gait = GaitConfig(duration=12.0)
         noise = NoiseParams(jump_pos_var=1e-6)
-        records = stream_records(synthesize_sensors(
+        records = stream_records(one_stream(
             generate_truth(gait, SurfaceConfig(), 21), noise, Rates(), 21))
         first = next(r for r in records if isinstance(r, TruthSample))
         xi0 = np.zeros(12)
@@ -323,9 +323,8 @@ class TestLockstepEngine:
         # Both variants run in one batch; each must match the scalar
         # record-by-record fold within 1e-10 relative per metric value.
         noise = NoiseParams(jump_pos_var=1e-6)
-        stream = synthesize_sensors(generate_truth(GaitConfig(duration=6.0),
-                                                   SurfaceConfig(), 4),
-                                    noise, Rates(), 4)
+        stream = one_stream(generate_truth(GaitConfig(duration=6.0), SurfaceConfig(), 4),
+                            noise, Rates(), 4)
         tcfg = TrialConfig(n_trials=1)
         cfg = FilterConfig(noise=noise, update_schedule=schedule)
         xi0 = offset(13, tcfg)
@@ -358,7 +357,7 @@ def run_recorded(noise, pitch, belt, imu_ticks, seed):
 
     gait = GaitConfig(duration=imu_ticks / Rates().imu_hz)
     surface = SurfaceConfig(pitch_amplitude=pitch, belt_speed=belt)
-    stream = synthesize_sensors(generate_truth(gait, surface, seed), noise, Rates(), seed)
+    stream = one_stream(generate_truth(gait, surface, seed), noise, Rates(), seed)
     tcfg = TrialConfig(n_trials=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "StreamEstimator", Recording)

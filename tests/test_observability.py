@@ -20,7 +20,9 @@ from drs_inekf.models import (
     position_measurement,
     state_transition,
 )
-from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
+from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth
+
+from conftest import one_stream
 
 
 WINDOW = 40  # kinematic samples, 10 ms apart at the default rates
@@ -53,7 +55,7 @@ def observability_matrix(stream, variant: Variant) -> np.ndarray:
 def test_unobservable_dimension(pitch_amplitude, variant, unobservable):
     surface = (SurfaceConfig() if pitch_amplitude is None
                else SurfaceConfig(pitch_amplitude=pitch_amplitude))
-    stream = synthesize_sensors(generate_truth(GaitConfig(duration=1.2), surface, 3),
-                                NOISE, Rates(), 3)
+    stream = one_stream(generate_truth(GaitConfig(duration=1.2), surface, 3),
+                        NOISE, Rates(), 3)
     o = observability_matrix(stream, variant)
     assert 12 - np.linalg.matrix_rank(o) == unobservable

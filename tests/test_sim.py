@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,7 +36,9 @@ from conftest import (
     base_acc,
     foot_vel,
     omega_body,
+    one_stream,
     routed,
+    stream_at,
     stream_records,
     streams_equal,
     surface_omega,
@@ -169,7 +172,7 @@ class TestTruthTrajectory:
 
     def test_swap_times_grid(self):
         truth = generate_truth(GaitConfig(duration=3.0), SurfaceConfig(), 0)
-        stream = synthesize_sensors(truth, ZERO, Rates(), 0)
+        stream = one_stream(truth, ZERO, Rates(), 0)
         assert np.allclose(stream.columns["swap"]["t"], [0.6, 1.2, 1.8, 2.4])
 
 
@@ -177,9 +180,9 @@ class TestSynthesizeSensors:
     def test_deterministic_given_seed(self):
         gait = GaitConfig(duration=1.2)
         noise = NoiseParams(jump_pos_var=1e-6)
-        a = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
-        b = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
-        c = synthesize_sensors(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 10)
+        a = one_stream(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
+        b = one_stream(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 9)
+        c = one_stream(generate_truth(gait, SurfaceConfig(), 1), noise, Rates(), 10)
         assert streams_equal(a, b)
         assert not streams_equal(a, c)
 
@@ -187,7 +190,7 @@ class TestSynthesizeSensors:
         gait = GaitConfig(duration=0.6, sway_amplitude=0.0, bob_amplitude=0.0,
                           surge_amplitude=0.0, lean_amplitude_deg=0.0)
         truth = TruthTrajectory(gait, SurfaceConfig(pitch_amplitude=0.0), np.zeros(5))
-        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 0))
+        records = stream_records(one_stream(truth, ZERO, Rates(), 0))
         imu = [r for r in records if isinstance(r, ImuReading)]
         for u in imu:
             assert np.allclose(u.gyro, 0.0, atol=1e-12)
@@ -196,14 +199,14 @@ class TestSynthesizeSensors:
 
     def test_swaps_accompanied_by_truth(self):
         truth = generate_truth(GaitConfig(duration=2.4), SurfaceConfig(), 2)
-        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 2))
+        records = stream_records(one_stream(truth, ZERO, Rates(), 2))
         swap_times = [r.t for r in records if isinstance(r, SwapEvent)]
         truth_times = {r.t for r in records if isinstance(r, TruthSample)}
         assert swap_times == [0.6, 1.2, 1.8]
         assert all(t in truth_times for t in swap_times)
 
     def test_per_kind_timestamps_strictly_increase(self):
-        records = stream_records(synthesize_sensors(
+        records = stream_records(one_stream(
             generate_truth(GaitConfig(duration=1.8), SurfaceConfig(), 2),
             NoiseParams(), Rates(), 2))
         last = {}
@@ -215,20 +218,18 @@ class TestSynthesizeSensors:
 
     def test_gait_shorter_than_one_step_has_no_swaps(self):
         truth = generate_truth(GaitConfig(duration=0.4), SurfaceConfig(), 4)
-        stream = synthesize_sensors(truth, NoiseParams(), Rates(), 4)
+        stream = one_stream(truth, NoiseParams(), Rates(), 4)
         assert len(stream.columns["swap"]["t"]) == 0
         assert not np.any(stream.kinds == SWAP)
         assert len(stream.columns["imu"]["t"]) == 160
 
     def test_tick_alignment_validation(self):
         with pytest.raises(ValueError, match="imu ticks"):
-            synthesize_sensors(generate_truth(GaitConfig(step_period=0.1234),
-                                              SurfaceConfig(), 0),
-                               ZERO, Rates(), 0)
+            one_stream(generate_truth(GaitConfig(step_period=0.1234), SurfaceConfig(), 0),
+                       ZERO, Rates(), 0)
         with pytest.raises(ValueError, match="kinematics grid"):
-            synthesize_sensors(generate_truth(GaitConfig(step_period=0.0175),
-                                              SurfaceConfig(), 0),
-                               ZERO, Rates(imu_hz=400, kin_hz=100), 0)
+            one_stream(generate_truth(GaitConfig(step_period=0.0175), SurfaceConfig(), 0),
+                       ZERO, Rates(imu_hz=400, kin_hz=100), 0)
 
     def test_noise_has_configured_variance(self):
         # One 30 s stream without noise and with six distinct levels, from
@@ -243,7 +244,7 @@ class TestSynthesizeSensors:
                              surface_orient_var=2.56e-4, jump_pos_var=1.024e-3)
         rates = Rates()
         truth = generate_truth(GaitConfig(duration=30.0), SurfaceConfig(), 5)
-        clean, noisy = (synthesize_sensors(truth, noise, rates, 5).columns
+        clean, noisy = (one_stream(truth, noise, rates, 5).columns
                         for noise in (ZERO, levels))
 
         def delta(kind, name):
@@ -268,7 +269,7 @@ class TestSynthesizeSensors:
 
     def test_noiseless_fk_consistency(self):
         truth = generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 3)
-        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), 3))
+        records = stream_records(one_stream(truth, ZERO, Rates(), 3))
         latest_truth = None
         latest_surface = None
         for rec in records:
@@ -284,12 +285,65 @@ class TestSynthesizeSensors:
                 assert np.allclose(rec.rot, x.rot.T @ latest_surface.rot, atol=1e-12)
 
 
+class TestStreamsSideBySide:
+    """Streams of truths with one gait, written side by side on axis 1."""
+
+    GAIT = GaitConfig(duration=2.4)
+
+    def test_stream_i_is_its_batch_of_one(self):
+        # A rocking and a static surface, two seeds each, in a campaign
+        # chunk's order: stream i is bit for bit the stream of truth i alone.
+        noise = NoiseParams(jump_pos_var=1e-6)
+        surfaces = (SurfaceConfig(), SurfaceConfig(pitch_amplitude=0.0))
+        truths = [generate_truth(self.GAIT, surf, seed)
+                  for surf in surfaces for seed in (3, 4)]
+        seeds = [3, 4, 3, 4]
+        chunk = synthesize_sensors(truths, noise, Rates(), seeds)
+        assert chunk.columns["imu"]["gyro"].shape[1] == len(truths)
+        for i, (truth, seed) in enumerate(zip(truths, seeds)):
+            assert streams_equal(stream_at(chunk, i), one_stream(truth, noise, Rates(), seed))
+
+    @pytest.mark.parametrize("gait", [GaitConfig(duration=2.4, sway_amplitude=0.05),
+                                      GaitConfig(duration=1.2)],
+                             ids=["same-layout", "other-layout"])
+    def test_second_gait_raises(self, gait):
+        truths = [generate_truth(self.GAIT, SurfaceConfig(), 1),
+                  generate_truth(gait, SurfaceConfig(), 2)]
+        with pytest.raises(ValueError, match="one gait"):
+            synthesize_sensors(truths, ZERO, Rates(), [1, 2])
+
+    @pytest.mark.parametrize("seeds", [[], [1], [1, 2, 3]])
+    def test_mismatched_lengths_raise(self, seeds):
+        truth = generate_truth(self.GAIT, SurfaceConfig(), 1)
+        with pytest.raises(ValueError):
+            synthesize_sensors([truth, truth], ZERO, Rates(), seeds)
+
+    def test_streams_are_written_one_at_a_time(self):
+        # An 8-stream chunk peaks within its columns plus three times one
+        # stream's synthesis peak; intermediates of every stream at once
+        # would hold eight.
+        truths = [generate_truth(self.GAIT, SurfaceConfig(), seed) for seed in range(8)]
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                stream = synthesize_sensors(truths[:n], NoiseParams(), Rates(), list(range(n)))
+                return stream, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, one = peak(1)
+        chunk, eight = peak(8)
+        columns = sum(col.nbytes for c in chunk.columns.values() for col in c.values())
+        assert eight <= columns + 3 * one, (eight, columns, one)
+
+
 class TestKeystone:
     def test_noiseless_end_to_end_short(self):
         # Abbreviated version of the acceptance keystone: 6 s instead of 30.
         gait = GaitConfig(duration=6.0)
         truth = generate_truth(gait, SurfaceConfig(), seed=11)
-        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), seed=11))
+        records = stream_records(one_stream(truth, ZERO, Rates(), seed=11))
         first = next(r for r in records if isinstance(r, TruthSample))
         start = State(first.element, np.eye(12) * 1e-4)
         est = StreamEstimator(start,
@@ -311,7 +365,7 @@ class TestKeystone:
     def test_position_only_variant_also_consistent(self):
         gait = GaitConfig(duration=3.0)
         truth = generate_truth(gait, SurfaceConfig(), seed=12)
-        records = stream_records(synthesize_sensors(truth, ZERO, Rates(), seed=12))
+        records = stream_records(one_stream(truth, ZERO, Rates(), seed=12))
         first = next(r for r in records if isinstance(r, TruthSample))
         start = State(first.element, np.eye(12) * 1e-4)
         est = StreamEstimator(start,

@@ -26,7 +26,7 @@ from drs_inekf.streams import (
     write_jsonl,
 )
 
-from conftest import streams_equal
+from conftest import one_stream, stream_at, streams_equal
 
 
 def sample_records(rng):
@@ -59,9 +59,8 @@ def write_records(path, records):
 
 def sim_stream(seed=5, duration=1.2):
     """A short simulated stream; 1.2 s at the default rates holds every kind."""
-    return synthesize_sensors(generate_truth(GaitConfig(duration=duration),
-                                             SurfaceConfig(), seed),
-                              NoiseParams(), Rates(), seed)
+    return one_stream(generate_truth(GaitConfig(duration=duration), SurfaceConfig(), seed),
+                      NoiseParams(), Rates(), seed)
 
 
 SHORT = sim_stream()
@@ -111,13 +110,15 @@ class TestRoundtrip:
         assert (tmp_path / "again.jsonl").read_text() == path.read_text()
 
     def test_sim_stream_round_trips_byte_exact(self, tmp_path):
-        # 1.2 s at the default rates holds every record kind, a swap too.
-        stream = synthesize_sensors(
-            generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 5),
-            NoiseParams(), Rates(), 5)
+        # 1.2 s at the default rates holds every record kind, a swap too. The
+        # batch of one, as `sim` writes it, reads back without its stream axis.
+        batch = synthesize_sensors(
+            [generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 5)],
+            NoiseParams(), Rates(), [5])
+        stream = stream_at(batch, 0)
         assert all(len(stream.columns[kind]["t"]) for kind in KINDS)
         first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
-        write_jsonl(stream, first)
+        write_jsonl(batch, first)
         back = read_jsonl(first)
         assert streams_equal(back, stream)
         write_jsonl(back, second)
@@ -140,7 +141,7 @@ class TestRoundtrip:
         # blocks a stream still reads back exactly, and a bad value in a
         # later block names its own line.
         monkeypatch.setattr(streams, "_BLOCK", 7)
-        stream = synthesize_sensors(
+        stream = one_stream(
             generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 6),
             NoiseParams(), Rates(), 6)
         path = tmp_path / "s.jsonl"
@@ -183,7 +184,7 @@ class TestErrors:
 
     def test_imu_dt_checked_when_stream_is_built(self):
         # The last imu interval leaves no gap, so only the dt check sees it.
-        stream = synthesize_sensors(
+        stream = one_stream(
             generate_truth(GaitConfig(duration=1.2), SurfaceConfig(), 5),
             NoiseParams(), Rates(), 5)
         imu = dict(stream.columns["imu"])
@@ -257,8 +258,10 @@ class TestStreamChecks:
         assert err.value.record == record_index(SHORT, "fk_rot", 5)
 
     def test_stacked_stream_names_the_record(self):
-        # A bad value of one stream of a stack is found on its stream axis.
-        stacked = Stream.stack([SHORT, sim_stream(seed=6)], 2)
+        # A bad value of one stream of a batch is found on its stream axis.
+        stacked = synthesize_sensors([generate_truth(GaitConfig(duration=1.2),
+                                                     SurfaceConfig(), seed)
+                                      for seed in (5, 6)], NoiseParams(), Rates(), [5, 6])
         columns = with_column(stacked, "imu", "accel",
                               lambda a: np.where([[False] * 3, [False, True, False]],
                                                  np.inf, a), 9)
@@ -266,28 +269,24 @@ class TestStreamChecks:
             Stream(stacked.kinds, columns)
         assert err.value.record == record_index(SHORT, "imu", 9)
 
-    def test_stack_is_not_checked_again(self, monkeypatch):
-        # Its streams were checked when built: stacking runs no value check,
-        # and the stack is the stream that checked columns would build.
-        parts = [SHORT, sim_stream(seed=6)]
-        calls = []
-        monkeypatch.setattr(streams, "rotation_defect",
-                            lambda rot: calls.append(1) or np.zeros(rot.shape[:-2]))
-        stacked = Stream.stack(parts, 2)
-        assert calls == []
-        monkeypatch.undo()
-        assert streams_equal(stacked, Stream(stacked.kinds, stacked.columns))
-        for i, part in enumerate(parts):
-            for kind, c in part.columns.items():
-                for name, col in c.items():
-                    got = stacked.columns[kind][name]
-                    assert np.array_equal(got if col.ndim == 1 else got[:, i], col)
+    @pytest.mark.parametrize("shift, message", [
+        (0.002, r"imu record at t=0.002 off the stream clock at t=0$"),
+        (-0.002, r"out-of-order imu record at t=-0.002"),
+    ], ids=["2-ms-late", "2-ms-early"])
+    def test_imu_record_off_the_clock_raises(self, shift, message):
+        # Every imu interval moved by 2 ms leaves no gap between them, but
+        # the clock still starts at the first truth sample: the first imu
+        # record is named.
+        columns = {**SHORT.columns, "imu": {**SHORT.columns["imu"],
+                                            "t": SHORT.columns["imu"]["t"] + shift}}
+        with pytest.raises(StreamFormatError, match=message) as err:
+            Stream(SHORT.kinds, columns)
+        assert err.value.record == record_index(SHORT, "imu", 0)
 
-    def test_stack_rejects_differing_layouts(self):
-        with pytest.raises(ValueError, match="differ in record layout"):
-            Stream.stack([SHORT, sim_stream(duration=1.4)], 2)
-        with pytest.raises(ValueError, match="expected 3 streams"):
-            Stream.stack([SHORT, SHORT], 3)
+    def test_imu_record_within_time_tol_of_the_clock_is_kept(self):
+        columns = {**SHORT.columns, "imu": {
+            **SHORT.columns["imu"], "t": SHORT.columns["imu"]["t"] + 0.5 * streams.TIME_TOL}}
+        assert len(Stream(SHORT.kinds, columns)) == len(SHORT)
 
     @pytest.mark.parametrize("kind, k, shift, message", [
         ("swap", 0, 1.0, r"early swap record at t=1.6: the stream clock is at t=0.6, "

@@ -102,6 +102,12 @@ MUTANTS = (
     ("stream-fk-rot-before-surface-allowed",
      "streams", "np.cumsum(kinds == SURFACE)[fk_rot] > 0",
      "np.cumsum(kinds == SURFACE)[fk_rot] >= 0"),
+    # An imu record that starts off the stream clock, and streams of two
+    # gaits written side by side.
+    ("stream-no-imu-clock-check",
+     "streams", "_first_bad(np.abs(t - clock[at]) <= TIME_TOL,",
+     "_first_bad(np.abs(t - clock[at]) <= np.inf,"),
+    ("sim-second-gait-allowed", "sim", "if truth.gait != truths[0].gait:", "if False:"),
 )
 
 
