@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .filter import FilterConfig, Variant
+from .filter import Variant
 from .harness import (
     VARIANTS,
     TrialConfig,
@@ -48,12 +48,11 @@ EXIT_GATE = 4
 # The config document: one section per dataclass, whose `param` fields
 # hold each key's default, type and bounds.
 SECTIONS = {"surface": SurfaceConfig, "gait": GaitConfig, "rates": Rates,
-            "noise": NoiseParams, "filter": FilterConfig, "trials": TrialConfig}
+            "noise": NoiseParams, "trials": TrialConfig}
 
 DEFAULT_CONFIG: dict = json.loads(json.dumps(
     {name: {f.name: f.default for f in config_fields(cls)}
-     for name, cls in SECTIONS.items()},
-    default=lambda member: member.value))  # an Enum member as its value
+     for name, cls in SECTIONS.items()}))  # tuples as lists
 
 
 def _merge(defaults: dict, override: dict, path: str = "") -> dict:
@@ -136,11 +135,9 @@ def _ensure_out_dir(path: str) -> None:
 
 def build_all(cfg: dict, seed: int) -> argparse.Namespace:
     """Every section of a loaded config, built and checked, the gait on the tick grid."""
-    noise = build(cfg, "noise")
     c = argparse.Namespace(
         surface=build(cfg, "surface"), gait=build(cfg, "gait"),
-        rates=build(cfg, "rates"), noise=noise,
-        filter=build(cfg, "filter", noise=noise),
+        rates=build(cfg, "rates"), noise=build(cfg, "noise"),
         trials=build(cfg, "trials", master_seed=seed))
     c.gait.ticks(c.rates)
     return c
@@ -172,7 +169,7 @@ def cmd_estimate(args) -> int:
     stream = read_jsonl(args.stream)
     marks["read"] = time.perf_counter()
     # One variant, one trial, started exactly at the first truth sample.
-    rows = run_trial(stream, c.trials, c.filter, (variant,), np.zeros(12))
+    rows = run_trial(stream, c.trials, c.noise, (variant,), np.zeros(12))
     marks["estimate"] = time.perf_counter()
     _ensure_out_dir(args.out)
     t = stream.columns["truth"]["t"]
@@ -203,7 +200,7 @@ def cmd_montecarlo(args) -> int:
     if tcfg.static_control and c.surface.pitch_amplitude > 0.0:
         surfaces.append(dataclasses.replace(c.surface, pitch_amplitude=0.0))
         print(f"running {tcfg.n_trials} trials (static level control)")
-    (rocking, rows), *control = campaigns(tcfg, c.gait, surfaces, c.filter,
+    (rocking, rows), *control = campaigns(tcfg, c.gait, surfaces, c.noise,
                                           c.rates, jobs=args.jobs)
     static = control[0][0] if control else None
     marks["campaigns"] = time.perf_counter()

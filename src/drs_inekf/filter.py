@@ -53,10 +53,8 @@ from .models import (
     ImuStep,
     InvariantMeasurement,
     NoiseParams,
-    check_fields,
     innovation,
     orientation_measurement,
-    param,
     position_measurement,
     state_transition,
 )
@@ -71,6 +69,7 @@ from .streams import (
 )
 
 _ORTHO_TOL = 1e-9
+EPSILON = 1e-9  # regularisation of the innovation covariance and of NEES
 _TERMS_BLOCK = 512  # IMU intervals whose integration terms are computed together
 _IMU_INPUTS = ("dt", "gyro", "accel", "contact_vel")  # imu_terms' inputs
 _EYE3 = np.eye(3)
@@ -86,21 +85,6 @@ class FilterError(RuntimeError):
 class Variant(Enum):
     PROPOSED = "proposed"
     POSITION_ONLY = "position-only"
-
-
-class UpdateSchedule(Enum):
-    EVERY_STEP = "every-step"
-    ON_CONTACT_ONLY = "on-contact-only"
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    noise: NoiseParams
-    update_schedule: UpdateSchedule = param(UpdateSchedule.EVERY_STEP)
-    epsilon: float = param(1e-9, lo=1e-15)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -321,18 +305,17 @@ class StreamEstimator:
     The state may be a batch of members that see the same records in
     lockstep. `variants` names the variant of each index of the state's
     first axis (one variant for an unbatched state); orientation updates
-    reach only the proposed ones. Holds the latest surface pose (a Stream
-    has one before its first fk_rot record) and the contact-freshness
-    flag used by the on-contact-only update schedule. One instance per
-    estimation run; not shared across tasks.
+    reach only the proposed ones, and every kinematic record corrects each
+    member it reaches. Holds the latest surface pose (a Stream has one
+    before its first fk_rot record). One instance per estimation run; not
+    shared across tasks.
     """
 
-    def __init__(self, initial: State, cfg: FilterConfig,
+    def __init__(self, initial: State, noise: NoiseParams,
                  variants: tuple[Variant, ...]):
         self.state = initial
-        self.cfg = cfg
+        self.noise = noise
         self.surface_rot: np.ndarray | None = None
-        self._contact_fresh = True
         # Members that take orientation updates: all, none, or one row.
         self._orient_rows = None
         if set(variants) == {Variant.PROPOSED}:
@@ -341,37 +324,30 @@ class StreamEstimator:
             row = variants.index(Variant.PROPOSED)
             self._orient_rows = slice(row, row + 1)
 
-    def _updates_enabled(self) -> bool:
-        return (self.cfg.update_schedule is UpdateSchedule.EVERY_STEP
-                or self._contact_fresh)
-
     def step(self, event) -> None:
         """Route an IMU run (an ImuStep, from `fold`) or a SurfacePose,
         FkOrientation, FkPosition or SwapEvent into `self.state`."""
-        noise, epsilon = self.cfg.noise, self.cfg.epsilon
+        noise = self.noise
         if isinstance(event, ImuStep):
             self.state = propagate(self.state, event, noise)
         elif isinstance(event, SurfacePose):
             self.surface_rot = event.rot
         elif isinstance(event, FkOrientation):
-            if self._orient_rows is not None and self._updates_enabled():
+            if self._orient_rows is not None:
                 m = orientation_measurement(self.surface_rot, event.rot, noise)
                 self.state = _on_rows(self.state, self._orient_rows,
-                                      lambda s: update(s, m, epsilon))
+                                      lambda s: update(s, m, EPSILON))
         elif isinstance(event, FkPosition):
-            if self._updates_enabled():
-                self.state = update(self.state, position_measurement(event.hp, noise),
-                                    epsilon)
-            self._contact_fresh = False
+            self.state = update(self.state, position_measurement(event.hp, noise), EPSILON)
         else:  # a SwapEvent
             self.state = apply_jump(self.state, event.h_d, noise.jump_pos_var)
-            self._contact_fresh = True
 
     def fold(self, stream: Stream):
         """Route a columnar stream through `step`, each IMU run at once.
 
         A generator: yields the index of each truth sample (not routed)
-        while the state is the estimate at its time. A run of consecutive
+        while the state is the estimate at its time. A FilterError names
+        the record that raised it by its kind and time. A run of consecutive
         IMU records is one ImuStep of at most _TERMS_BLOCK intervals, whose
         integration terms are computed ahead _TERMS_BLOCK intervals at once:
         such a step is a run of its terms block, the block's runs taken in
@@ -388,8 +364,12 @@ class StreamEstimator:
                 yield from range(k, seen[code])
                 continue
             if code != IMU:
-                for i in range(k, seen[code]):
-                    self.step(stream.record(code, i))
+                try:
+                    for i in range(k, seen[code]):
+                        self.step(stream.record(code, i))
+                except FilterError as exc:  # within a kind, a time names one record
+                    t = stream.columns[KINDS[code]]["t"][i]
+                    raise FilterError(f"{KINDS[code]} record at t={t:.9g}: {exc}") from exc
                 continue
             for a in range(k, seen[code], _TERMS_BLOCK):
                 b = min(a + _TERMS_BLOCK, seen[code])

@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .filter import FilterConfig, State, StreamEstimator, Variant, error_vs_truth
+from .filter import EPSILON, State, StreamEstimator, Variant, error_vs_truth
 from .liegroup import GroupElement, compose, sek3_exp
 from .liegroup import dot as _dot
-from .models import check_fields, param
+from .models import NoiseParams, check_fields, param
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from .streams import Stream, StreamFormatError
 
@@ -92,7 +92,7 @@ def nees(xi: np.ndarray, cov: np.ndarray, epsilon: float) -> np.ndarray:
     return _dot(xi, sol[..., 0])
 
 
-def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
+def run_trials(stream: Stream, tcfg: TrialConfig, noise: NoiseParams,
                variants: tuple[Variant, ...], xi0: np.ndarray) -> np.ndarray:
     """Run every variant of every trial over a stream, in lockstep.
 
@@ -120,7 +120,7 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
         GroupElement(np.broadcast_to(mean0.rot, batch + (3, 3)).copy(),
                      np.broadcast_to(mean0.cols, batch + (3, 3)).copy()),
         np.broadcast_to(initial_covariance(tcfg), batch + (12, 12)).copy()),
-        cfg, variants)
+        noise, variants)
     rows = np.empty((len(t),) + batch + (len(METRIC_NAMES),))
     rot, cols, cov = (np.empty((_TRUTH_BLOCK,) + batch + shape)
                       for shape in ((3, 3), (3, 3), (12, 12)))
@@ -138,14 +138,14 @@ def run_trials(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
                                axis=-1)[expand]))
         rows[ticks] = np.stack([m.pos_err, m.vel_err, np.abs(m.roll_deg),
                                 np.abs(m.pitch_deg), np.abs(m.yaw_deg),
-                                nees(m.xi, cov[:n], cfg.epsilon)], axis=-1)
+                                nees(m.xi, cov[:n], EPSILON)], axis=-1)
     return np.moveaxis(rows, 0, -2).reshape(len(variants), -1, len(t), len(METRIC_NAMES))
 
 
-def run_trial(stream: Stream, tcfg: TrialConfig, cfg: FilterConfig,
+def run_trial(stream: Stream, tcfg: TrialConfig, noise: NoiseParams,
               variants: tuple[Variant, ...], xi0: np.ndarray) -> np.ndarray:
     """Run every variant over one stream from the truth perturbed by xi0: rows[:, 0]."""
-    return run_trials(stream, tcfg, cfg, variants, xi0)[:, 0]
+    return run_trials(stream, tcfg, noise, variants, xi0)[:, 0]
 
 
 @dataclass
@@ -169,14 +169,14 @@ def aggregate(t: np.ndarray, rows: np.ndarray) -> AggregateReport:
 def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray]:
     """One chunk of trials of every campaign, run as one batch: the truth
     times and the rows (surface, variant, trial, truth sample, metric)."""
-    chunk, stream_seeds, trial_seeds, gait, surfaces, cfg, rates, tcfg = args
+    chunk, stream_seeds, trial_seeds, gait, surfaces, noise, rates, tcfg = args
     stream = synthesize_sensors([generate_truth(gait, surf, seed=seed)
                                  for surf in surfaces for seed in stream_seeds],
-                                cfg.noise, rates, stream_seeds * len(surfaces))
+                                noise, rates, stream_seeds * len(surfaces))
     xi0 = np.array([sample_initial_error(np.random.default_rng(seed), tcfg)
                     for seed in trial_seeds])
     try:
-        rows = run_trials(stream, tcfg, cfg, VARIANTS, np.tile(xi0, (len(surfaces), 1)))
+        rows = run_trials(stream, tcfg, noise, VARIANTS, np.tile(xi0, (len(surfaces), 1)))
     except Exception as exc:
         raise RuntimeError(f"trials {chunk[0]}..{chunk[-1]} failed: {exc}") from exc
     rows = rows.reshape((len(VARIANTS), len(surfaces), len(chunk)) + rows.shape[2:])
@@ -184,7 +184,7 @@ def _chunk_worker(args) -> tuple[np.ndarray, np.ndarray]:
 
 
 def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig],
-              cfg: FilterConfig, rates: Rates = Rates(), jobs: int = 1,
+              noise: NoiseParams, rates: Rates = Rates(), jobs: int = 1,
               ) -> list[tuple[AggregateReport, np.ndarray]]:
     """One Monte Carlo campaign per surface, all with the same trial seeds.
 
@@ -193,7 +193,7 @@ def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig]
     and independent of execution order, worker count and of which campaigns
     run together. The trials are split into `jobs` (at least 1) contiguous
     chunks; a worker runs its chunk of every campaign as one batch. The
-    streams are synthesized with the filter's noise model. Each campaign
+    streams are synthesized with the filter's noise model `noise`. Each campaign
     comes as its report and its rows (variant, trial, truth sample, metric).
     """
     seq = np.random.SeedSequence(tcfg.master_seed)
@@ -201,7 +201,7 @@ def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig]
                       for child in seq.spawn(tcfg.n_trials)])
     chunks = np.array_split(np.arange(tcfg.n_trials), min(jobs, tcfg.n_trials))
     args = [(chunk.tolist(), seeds[chunk, 0].tolist(), seeds[chunk, 1].tolist(),
-             gait, list(surfaces), cfg, rates, tcfg)
+             gait, list(surfaces), noise, rates, tcfg)
             for chunk in chunks]
     if len(args) > 1:
         with multiprocessing.Pool(len(args)) as pool:

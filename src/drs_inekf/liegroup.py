@@ -238,7 +238,8 @@ def project_to_rotation(m: np.ndarray) -> np.ndarray:
 
 def rotation_defect(rot: np.ndarray) -> np.ndarray:
     """Frobenius distance of rot^T rot from the identity."""
-    d = transposed(rot) @ rot - _EYE3
+    d = transposed(rot) @ rot
+    d -= _EYE3  # in place: no second temporary the size of rot
     return np.sqrt(np.einsum("...ij,...ij->...", d, d))
 
 

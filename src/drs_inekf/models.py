@@ -82,15 +82,11 @@ def _as_type(hint, value):
         if isinstance(value, bool):
             return value
         expected = "true or false"
-    elif typing.get_origin(hint) is tuple:
+    else:  # a tuple of reals
         n = len(typing.get_args(hint))
         if isinstance(value, (list, tuple)) and len(value) == n:
             return tuple(_real(v) for v in value)
         expected = f"{n} numbers"
-    else:  # an Enum: a member or a member's value
-        if value in list(hint) + [m.value for m in hint]:
-            return hint(value)
-        expected = f"one of [{', '.join(m.value for m in hint)}]"
     raise ValueError(f"expected {expected}, got {value!r}")
 
 
@@ -102,8 +98,8 @@ def check_fields(obj) -> None:
     """Check the `param` fields of a frozen dataclass; store them converted.
 
     By annotation, a float must be a finite real and not a bool, an int an
-    integral real, a bool a JSON boolean, a tuple that many finite reals
-    and an Enum a member or a member's value. Errors read `field: reason`.
+    integral real, a bool a JSON boolean and a tuple that many finite
+    reals. Errors read `field: reason`.
     """
     hints = typing.get_type_hints(type(obj))
     for f in config_fields(obj):

@@ -405,18 +405,16 @@ def dense_update(s, m, epsilon):
     return State(compose(sek3_exp(matvec(gain, z)), s.mean), 0.5 * (cov + t(cov)))
 
 
-def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
-                       epsilon):
+def oracle_metric_rows(records, mean, cov, noise, proposed, epsilon):
     """Metric rows (pos, vel, |roll|, |pitch|, |yaw| in deg, NEES) per truth."""
-    surface, fresh, rows = None, True, []
+    surface, rows = None, []
     for rec in records:
-        enabled = fresh or not on_contact_only
         if isinstance(rec, ImuReading):
             mean, cov = oracle_propagate(mean, cov, rec, noise)
         elif isinstance(rec, SurfacePose):
             surface = rec.rot
         elif isinstance(rec, FkOrientation):
-            if proposed and enabled:
+            if proposed:
                 n_s = surface @ np.array([0.0, 0.0, 1.0])
                 h = np.zeros((3, 12))
                 h[:, 0:3] = hat(n_s)
@@ -425,15 +423,13 @@ def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
                 mean, cov = oracle_update(mean, cov, y, np.concatenate(
                     [n_s, np.zeros(3)]), h, n, epsilon)
         elif isinstance(rec, FkPosition):
-            if enabled:
-                h = np.zeros((3, 12))
-                h[:, 6:9] = -np.eye(3)
-                h[:, 9:12] = np.eye(3)
-                n = mean.rot @ (noise.fk_pos_var * np.eye(3)) @ mean.rot.T
-                mean, cov = oracle_update(
-                    mean, cov, np.concatenate([rec.hp, [0.0, 1.0, -1.0]]),
-                    np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]), h, n, epsilon)
-            fresh = False
+            h = np.zeros((3, 12))
+            h[:, 6:9] = -np.eye(3)
+            h[:, 9:12] = np.eye(3)
+            n = mean.rot @ (noise.fk_pos_var * np.eye(3)) @ mean.rot.T
+            mean, cov = oracle_update(
+                mean, cov, np.concatenate([rec.hp, [0.0, 1.0, -1.0]]),
+                np.array([0.0, 0.0, 0.0, 0.0, 1.0, -1.0]), h, n, epsilon)
         elif isinstance(rec, SwapEvent):
             cols = mean.cols.copy()
             cols[:, 2] = mean.foot + mean.rot @ rec.h_d
@@ -443,7 +439,6 @@ def oracle_metric_rows(records, mean, cov, noise, proposed, on_contact_only,
                 q = np.zeros((12, 12))
                 q[XI_D, XI_D] = noise.jump_pos_var * np.eye(3)
                 cov = _sym(cov + ad @ q @ ad.T)
-            fresh = True
         elif isinstance(rec, TruthSample):
             truth = rec.element
             xi = sek3_log(compose(mean, inverse(truth)))

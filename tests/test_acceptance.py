@@ -18,7 +18,6 @@ from scipy.linalg import expm
 
 from drs_inekf.cli import main
 from drs_inekf.filter import (
-    FilterConfig,
     State,
     StreamEstimator,
     Variant,
@@ -94,9 +93,8 @@ def mc_results():
     static_surface = SurfaceConfig(pitch_amplitude=0.0)
     tcfg = TrialConfig(n_trials=100, master_seed=2024)
     started = time.time()
-    cfg = FilterConfig(noise=noise)
-    rocking = campaigns(tcfg, gait, [rocking_surface], cfg, rates, jobs=JOBS)[0]
-    static = campaigns(tcfg, gait, [static_surface], cfg, rates, jobs=JOBS)[0]
+    rocking = campaigns(tcfg, gait, [rocking_surface], noise, rates, jobs=JOBS)[0]
+    static = campaigns(tcfg, gait, [static_surface], noise, rates, jobs=JOBS)[0]
     wall = time.time() - started
     print(f"\n[info] Monte Carlo: 2 x {tcfg.n_trials} trials x "
           f"{gait.duration:.0f} s, jobs={JOBS}, wall {wall:.0f} s")
@@ -258,8 +256,7 @@ def test_criterion_6_keystone_self_consistency():
         truth, NoiseParams(0, 0, 0, 0, 0, 0), rates, seed=7))
     first = next(r for r in records if isinstance(r, TruthSample))
     start = State(first.element, np.eye(12) * 1e-4)
-    est = StreamEstimator(start, FilterConfig(noise=NoiseParams()),
-                          (Variant.PROPOSED,))
+    est = StreamEstimator(start, NoiseParams(), (Variant.PROPOSED,))
     worst = np.zeros(12)
     worst_pos = worst_vel = 0.0
     for rec in records:

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from drs_inekf import filter as filter_module
 from drs_inekf.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -38,10 +39,9 @@ def assert_stages(manifest_path, names):
     assert all(v >= 0.0 for v in stages.values())
     assert sum(stages.values()) <= manifest["duration_s"] + 0.005
 
-# The shipped default config, as `--print-config` printed it when the
-# defaults moved into the config dataclasses.
+# The shipped default config, as `--print-config` prints it: five
+# sections, one per config dataclass.
 DEFAULT_DOCUMENT = {
-    "filter": {"epsilon": 1e-09, "update_schedule": "every-step"},
     "gait": {"base_height": 0.95, "bob_amplitude": 0.015, "duration": 30.0,
              "lean_amplitude_deg": 3.0, "stance_width": 0.2,
              "step_length": 0.25, "step_period": 0.6,
@@ -60,7 +60,6 @@ DEFAULT_DOCUMENT = {
 
 # Each value fails the typed field check; `section.field` must be named.
 BAD_VALUES = [
-    ("filter", "epsilon", float("nan")),
     ("gait", "duration", float("inf")),
     ("surface", "pitch_amplitude", float("nan")),
     ("rates", "imu_hz", 400.7),
@@ -137,10 +136,14 @@ class TestSimCommand:
         assert "surface.pitch_amplitude" in capsys.readouterr().err
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"surface": {"pitch_amp": 0.1}})
-        assert main(["sim", "--config", cfg,
-                     "--out", str(tmp_path / "x.jsonl")]) == EXIT_CONFIG
-        assert "surface.pitch_amp" in capsys.readouterr().err
+        # A misspelt key, and a `filter` section: the filter is configured
+        # by the noise section alone.
+        for overrides, where in (({"surface": {"pitch_amp": 0.1}}, "surface.pitch_amp"),
+                                 ({"filter": {"epsilon": 1e-9}}, "filter")):
+            cfg = write_config(tmp_path, overrides)
+            assert main(["sim", "--config", cfg,
+                         "--out", str(tmp_path / "x.jsonl")]) == EXIT_CONFIG
+            assert f"config error: {where}: unknown field" in capsys.readouterr().err
 
     def test_print_config(self, capsys):
         assert main(["sim", "--print-config"]) == EXIT_OK
@@ -182,8 +185,7 @@ class TestConfigChecks:
 
     # sim checks the sections it does not use too, so it never records a
     # config that montecarlo would reject.
-    @pytest.mark.parametrize("section, key, value",
-                             [("filter", "epsilon", -1), ("trials", "n_trials", 0)])
+    @pytest.mark.parametrize("section, key, value", [("trials", "n_trials", 0)])
     def test_sim_checks_every_section(self, tmp_path, capsys, section, key, value):
         cfg = write_config(tmp_path, {section: {key: value}})
         out = tmp_path / "s.jsonl"
@@ -397,6 +399,30 @@ class TestEstimateCommand:
         assert code == EXIT_DATA
         assert ("stream error: line 2: fk_rot record at t=0 before the first surface "
                 "record" in capsys.readouterr().err)
+
+    def test_failed_update_names_its_record(self, tmp_path, capsys, sim_lines,
+                                            monkeypatch):
+        # The 100th correction fails as a singular innovation covariance
+        # would: the message names that record's kind and time.
+        calls, update = [], filter_module.update
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 100:
+                raise filter_module.FilterError("singular innovation covariance")
+            return update(*args)
+
+        monkeypatch.setattr(filter_module, "update", failing)
+        stream = tmp_path / "s.jsonl"
+        stream.write_text("".join(sim_lines))
+        code = main(["estimate", "--stream", str(stream), "--variant", "proposed",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        corrections = [r for r in map(json.loads, sim_lines)
+                       if r["kind"] in ("fk_rot", "fk_pos")]
+        kind, t = corrections[99]["kind"], corrections[99]["t"]
+        assert (f"error: {kind} record at t={t:.9g}: singular innovation covariance\n"
+                in capsys.readouterr().err)
 
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"

@@ -8,11 +8,10 @@ import pytest
 
 from drs_inekf import filter as filter_module
 from drs_inekf.filter import (
-    FilterConfig,
+    EPSILON,
     FilterError,
     State,
     StreamEstimator,
-    UpdateSchedule,
     Variant,
     _on_rows,
     apply_jump,
@@ -227,8 +226,7 @@ class TestClosedFormRun:
         calls = []
         monkeypatch.setattr(filter_module, "propagate",
                             lambda *args: calls.append(1) or propagate(*args))
-        est = StreamEstimator(s, FilterConfig(noise=noise),
-                              (Variant.PROPOSED, Variant.POSITION_ONLY))
+        est = StreamEstimator(s, noise, (Variant.PROPOSED, Variant.POSITION_ONLY))
         assert list(est.fold(imu_only_stream(dt, *inputs))) == []
         assert len(calls) == -(-n // filter_module._TERMS_BLOCK)
         for i, j in np.ndindex(2, 3):
@@ -502,15 +500,14 @@ def make_stream(rng, n_imu=40, kin_every=4):
 class TestStreamEstimator:
     def test_empty_stream_is_identity(self, rng):
         s = make_state(rng)
-        est = StreamEstimator(s, FilterConfig(noise=NoiseParams()),
-                              PROPOSED)
+        est = StreamEstimator(s, NoiseParams(), PROPOSED)
         assert step_all(est, []) is s
 
     def test_propagation_only_equals_fold(self, rng):
         noise = NoiseParams()
         steps = [random_imu(rng, t=k * 0.0025) for k in range(100)]
         s = make_state(rng)
-        est = StreamEstimator(s, FilterConfig(noise=noise), PROPOSED)
+        est = StreamEstimator(s, noise, PROPOSED)
         folded = s
         for u in steps:
             folded = propagate(folded, imu_run([u]), noise)
@@ -520,11 +517,10 @@ class TestStreamEstimator:
 
     def test_mixed_stream_equals_manual_sequencing(self, rng):
         noise = NoiseParams(jump_pos_var=1e-5)
-        cfg = FilterConfig(noise=noise, epsilon=1e-9)
         records = make_stream(rng)
         s0 = make_state(rng)
 
-        est = StreamEstimator(State(s0.mean, s0.cov.copy()), cfg, PROPOSED)
+        est = StreamEstimator(State(s0.mean, s0.cov.copy()), noise, PROPOSED)
         streamed = step_all(est, records)
 
         manual = State(s0.mean, s0.cov.copy())
@@ -536,10 +532,10 @@ class TestStreamEstimator:
                 surface = rec.rot
             elif isinstance(rec, FkOrientation):
                 m = orientation_measurement(surface, rec.rot, noise)
-                manual = update(manual, m, cfg.epsilon)
+                manual = update(manual, m, EPSILON)
             elif isinstance(rec, FkPosition):
                 m = position_measurement(rec.hp, noise)
-                manual = update(manual, m, cfg.epsilon)
+                manual = update(manual, m, EPSILON)
             elif isinstance(rec, SwapEvent):
                 manual = apply_jump(manual, rec.h_d, noise.jump_pos_var)
         assert np.array_equal(streamed.mean.rot, manual.mean.rot)
@@ -549,13 +545,11 @@ class TestStreamEstimator:
     def test_position_only_skips_orientation_updates(self, rng):
         records = make_stream(rng)
         s0 = make_state(rng)
-        base_cfg = FilterConfig(noise=NoiseParams())
+        noise = NoiseParams()
         position_only = (Variant.POSITION_ONLY,)
-        est = StreamEstimator(State(s0.mean, s0.cov.copy()), base_cfg,
-                              position_only)
+        est = StreamEstimator(State(s0.mean, s0.cov.copy()), noise, position_only)
         with_orient = [r for r in records if not isinstance(r, FkOrientation)]
-        est2 = StreamEstimator(State(s0.mean, s0.cov.copy()), base_cfg,
-                               position_only)
+        est2 = StreamEstimator(State(s0.mean, s0.cov.copy()), noise, position_only)
         a = step_all(est, records)
         b = step_all(est2, with_orient)
         assert np.array_equal(a.cov, b.cov)
@@ -576,13 +570,12 @@ class TestStreamEstimator:
         only = Stream(np.full(n, IMU, dtype=np.int8),
                       {**{kind: {name: col[:0] for name, col in c.items()}
                           for kind, c in stream.columns.items()}, "imu": imu})
-        cfg = FilterConfig(noise=noise)
         s0 = make_state(rng)
-        est = StreamEstimator(s0, cfg, PROPOSED)
+        est = StreamEstimator(s0, noise, PROPOSED)
         assert list(est.fold(only)) == []
         steps = [ImuReading(imu["t"][k], imu["dt"][k], imu["gyro"][k], imu["accel"][k],
                             imu["contact_vel"][k]) for k in range(n)]
-        assert_states_close(est.state, step_all(StreamEstimator(s0, cfg, PROPOSED),
+        assert_states_close(est.state, step_all(StreamEstimator(s0, noise, PROPOSED),
                                                 steps))
 
     def test_jittered_dt_holds_no_per_run_state(self, rng):
@@ -608,7 +601,7 @@ class TestStreamEstimator:
         s0 = make_state(rng)
         sizes, peaks = [], []
         for folded in (stream, jittered):
-            est = StreamEstimator(s0, FilterConfig(noise=noise), PROPOSED)
+            est = StreamEstimator(s0, noise, PROPOSED)
             tracemalloc.start()
             try:
                 for _ in est.fold(folded):
@@ -619,22 +612,6 @@ class TestStreamEstimator:
             sizes.append(len(pickle.dumps(vars(est))))
         assert sizes[0] == sizes[1]
         assert peaks[1] <= peaks[0] + 1e6, peaks
-
-    def test_on_contact_only_schedule(self, rng):
-        noise = NoiseParams()
-        cfg = FilterConfig(noise=noise,
-                           update_schedule=UpdateSchedule.ON_CONTACT_ONLY)
-        s0 = make_state(rng)
-        est = StreamEstimator(State(s0.mean, s0.cov.copy()), cfg, PROPOSED)
-        # first kinematic sample after init is used ...
-        est.step(FkPosition(0.0, np.zeros(3)))
-        cov_after_first = est.state.cov.copy()
-        # ... but subsequent ones are skipped until the next swap
-        est.step(FkPosition(0.01, np.zeros(3)))
-        assert np.array_equal(est.state.cov, cov_after_first)
-        est.step(SwapEvent(0.02, np.zeros(3)))
-        est.step(FkPosition(0.03, np.zeros(3)))
-        assert not np.array_equal(est.state.cov, cov_after_first)
 
 
 class TestInvariantErrorPropagation:
@@ -685,9 +662,8 @@ class TestInvariantErrorPropagation:
 class TestLongRunHygiene:
     def test_covariance_symmetric_psd_over_many_mixed_steps(self, rng):
         noise = NoiseParams(jump_pos_var=1e-6)
-        cfg = FilterConfig(noise=noise)
         s = make_state(rng, cov_scale=0.05)
-        est = StreamEstimator(s, cfg, PROPOSED)
+        est = StreamEstimator(s, noise, PROPOSED)
         surf = so3_exp(np.array([0.0, 0.05, 0.0]))
         est.step(SurfacePose(0.0, surf))
         n_steps = 100_000

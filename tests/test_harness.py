@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from drs_inekf import filter as filter_module
 from drs_inekf import harness, plots
-from drs_inekf.filter import FilterConfig, StreamEstimator, UpdateSchedule, Variant
+from drs_inekf.filter import EPSILON, StreamEstimator, Variant
 from drs_inekf.harness import (
     METRIC_NAMES,
     PERCENTILES,
@@ -42,8 +42,7 @@ def offset(seed, tcfg):
 
 
 def one_campaign(tcfg, surface, noise, jobs=1):
-    return campaigns(tcfg, SHORT_GAIT, [surface], FilterConfig(noise=noise), Rates(),
-                     jobs=jobs)[0]
+    return campaigns(tcfg, SHORT_GAIT, [surface], noise, Rates(), jobs=jobs)[0]
 
 
 def short_stream(seed=1, noise=None, surface=None):
@@ -130,12 +129,11 @@ class TestRunTrial:
         records = short_stream()
         noise = NoiseParams(jump_pos_var=1e-6)
         tcfg = TrialConfig(n_trials=1)
-        cfg = FilterConfig(noise=noise)
-        a = run_trial(records, tcfg, cfg, VARIANTS, offset(77, tcfg))
-        b = run_trial(records, tcfg, cfg, VARIANTS, offset(77, tcfg))
+        a = run_trial(records, tcfg, noise, VARIANTS, offset(77, tcfg))
+        b = run_trial(records, tcfg, noise, VARIANTS, offset(77, tcfg))
         assert a.shape == (len(VARIANTS), 241, len(METRIC_NAMES))
         assert np.array_equal(a, b)
-        c = run_trial(records, tcfg, cfg, VARIANTS, offset(78, tcfg))
+        c = run_trial(records, tcfg, noise, VARIANTS, offset(78, tcfg))
         prop = VARIANTS.index(Variant.PROPOSED)
         assert not np.array_equal(a[prop], c[prop])
 
@@ -146,8 +144,7 @@ class TestRunTrial:
                            pos_range=0.0, foot_range=0.0)
         # nonzero assumed noise, noiseless data, exact start
         noise = NoiseParams()
-        rows = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
-                         offset(5, tcfg))
+        rows = run_trial(records, tcfg, noise, VARIANTS, offset(5, tcfg))
         for table in rows:
             for name in ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err"):
                 assert np.max(table[:, METRIC_NAMES.index(name)]) < 1e-5
@@ -156,8 +153,7 @@ class TestRunTrial:
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
-        rows = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
-                         offset(1, tcfg))
+        rows = run_trial(records, tcfg, noise, VARIANTS, offset(1, tcfg))
         t = records.columns["truth"]["t"]
         assert rows.shape[1] == len(t)
         assert t[0] == 0.0
@@ -169,15 +165,15 @@ class TestRunTrial:
         # (241 samples: full blocks and a partial one), for a batch of two
         # stacked trials and both variants.
         tcfg = TrialConfig(n_trials=2)
-        cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
+        noise = NoiseParams(jump_pos_var=1e-6)
         stream = synthesize_sensors([generate_truth(SHORT_GAIT, SurfaceConfig(), seed)
-                                     for seed in (1, 2)], cfg.noise, Rates(), [1, 2])
+                                     for seed in (1, 2)], noise, Rates(), [1, 2])
         xi0 = np.array([offset(3, tcfg), offset(4, tcfg)])
-        want = run_trials(stream, tcfg, cfg, VARIANTS, xi0)
+        want = run_trials(stream, tcfg, noise, VARIANTS, xi0)
         assert want.shape == (len(VARIANTS), 2, 241, len(METRIC_NAMES))
         for block in (1, 7):
             monkeypatch.setattr(harness, "_TRUTH_BLOCK", block)
-            got = run_trials(stream, tcfg, cfg, VARIANTS, xi0)
+            got = run_trials(stream, tcfg, noise, VARIANTS, xi0)
             assert np.array_equal(got, want)
 
     def test_imu_runs_across_terms_blocks(self, monkeypatch):
@@ -187,11 +183,11 @@ class TestRunTrial:
         # rounding of the covariance step: 1e-10 relative per metric, the
         # bound of the lockstep engine against the scalar oracle.
         tcfg = TrialConfig(n_trials=1)
-        cfg = FilterConfig(noise=NoiseParams(jump_pos_var=1e-6))
+        noise = NoiseParams(jump_pos_var=1e-6)
         stream = short_stream()
-        want = run_trial(stream, tcfg, cfg, VARIANTS, offset(5, tcfg))
+        want = run_trial(stream, tcfg, noise, VARIANTS, offset(5, tcfg))
         monkeypatch.setattr(filter_module, "_TERMS_BLOCK", 3)
-        got = run_trial(stream, tcfg, cfg, VARIANTS, offset(5, tcfg))
+        got = run_trial(stream, tcfg, noise, VARIANTS, offset(5, tcfg))
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b).max(axis=0) <= 1e-10 * np.abs(b).max(axis=0))
 
@@ -204,8 +200,7 @@ class TestRunTrial:
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams()
         with pytest.raises(ValueError, match="truth"):
-            run_trial(records, tcfg, FilterConfig(noise=noise), (Variant.PROPOSED,),
-                      offset(1, tcfg))
+            run_trial(records, tcfg, noise, (Variant.PROPOSED,), offset(1, tcfg))
 
 
 def per_variant_metric_reductions(t, rows):
@@ -224,8 +219,7 @@ class TestAggregation:
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
-        rows = run_trial(records, tcfg, FilterConfig(noise=noise), VARIANTS,
-                         offset(3, tcfg))
+        rows = run_trial(records, tcfg, noise, VARIANTS, offset(3, tcfg))
         report = aggregate(records.columns["truth"]["t"], rows[:, None])
         assert report.bands.shape == (3,) + rows.shape
         for i in range(len(VARIANTS)):
@@ -276,8 +270,7 @@ class TestAggregation:
         records = short_stream()
         tcfg = TrialConfig(n_trials=1)
         noise = NoiseParams(jump_pos_var=1e-6)
-        cfg = FilterConfig(noise=noise)
-        rows = np.stack([run_trial(records, tcfg, cfg, VARIANTS, offset(s, tcfg))
+        rows = np.stack([run_trial(records, tcfg, noise, VARIANTS, offset(s, tcfg))
                          for s in (1, 2, 3, 4, 5)], axis=1)
         t = records.columns["truth"]["t"]
         fwd = aggregate(t, rows)
@@ -305,8 +298,7 @@ class TestYawConvergenceReferenceRun:
         xi0[2] = np.radians(30.0)
         mean0 = compose(sek3_exp(xi0), first.element)
         est = StreamEstimator(
-            State(mean0, initial_covariance(TrialConfig())),
-            FilterConfig(noise=noise), (Variant.PROPOSED,))
+            State(mean0, initial_covariance(TrialConfig())), noise, (Variant.PROPOSED,))
         last = None
         for rec in records:
             if not isinstance(rec, TruthSample):
@@ -318,25 +310,22 @@ class TestYawConvergenceReferenceRun:
 
 
 class TestLockstepEngine:
-    @pytest.mark.parametrize("schedule", list(UpdateSchedule))
-    def test_matches_scalar_oracle(self, schedule):
+    def test_matches_scalar_oracle(self):
         # Both variants run in one batch; each must match the scalar
         # record-by-record fold within 1e-10 relative per metric value.
         noise = NoiseParams(jump_pos_var=1e-6)
         stream = one_stream(generate_truth(GaitConfig(duration=6.0), SurfaceConfig(), 4),
                             noise, Rates(), 4)
         tcfg = TrialConfig(n_trials=1)
-        cfg = FilterConfig(noise=noise, update_schedule=schedule)
         xi0 = offset(13, tcfg)
-        rows = run_trial(stream, tcfg, cfg, VARIANTS, xi0)
+        rows = run_trial(stream, tcfg, noise, VARIANTS, xi0)
         records = stream_records(stream)
         first = next(r for r in records if isinstance(r, TruthSample))
         mean0 = compose(sek3_exp(xi0), first.element)
         for variant, got in zip(VARIANTS, rows):
             want = oracle_metric_rows(
                 records, mean0, initial_covariance(tcfg), noise,
-                variant is Variant.PROPOSED,
-                schedule is UpdateSchedule.ON_CONTACT_ONLY, cfg.epsilon)
+                variant is Variant.PROPOSED, EPSILON)
             assert got.shape == want.shape == (601, len(METRIC_NAMES))
             err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
             assert err.max() <= 1e-10, (variant, err.max())
@@ -361,8 +350,7 @@ def run_recorded(noise, pitch, belt, imu_ticks, seed):
     tcfg = TrialConfig(n_trials=1)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "StreamEstimator", Recording)
-        rows = run_trial(stream, tcfg, FilterConfig(noise=noise), VARIANTS,
-                         offset(seed, tcfg))
+        rows = run_trial(stream, tcfg, noise, VARIANTS, offset(seed, tcfg))
     assert rows.shape == (len(VARIANTS), len(stream.columns["truth"]["t"]),
                           len(METRIC_NAMES))
     return rows, estimators[0].state.cov
@@ -431,8 +419,7 @@ class TestMonteCarlo:
         tcfg = TrialConfig(n_trials=2, master_seed=4)
         noise = NoiseParams(jump_pos_var=1e-6)
         surfaces = [SurfaceConfig(), SurfaceConfig(pitch_amplitude=0.0)]
-        together = campaigns(tcfg, SHORT_GAIT, surfaces, FilterConfig(noise=noise),
-                             Rates())
+        together = campaigns(tcfg, SHORT_GAIT, surfaces, noise, Rates())
         for surface, (_, rows) in zip(surfaces, together):
             _, apart = one_campaign(tcfg, surface, noise)
             assert rows.shape == apart.shape == (len(VARIANTS), 2, 241, len(METRIC_NAMES))

@@ -6,7 +6,6 @@ import pytest
 from scipy.stats import chi2
 
 from drs_inekf.filter import (
-    FilterConfig,
     State,
     StreamEstimator,
     Variant,
@@ -26,6 +25,7 @@ from drs_inekf.streams import (
     SWAP,
     FkOrientation,
     FkPosition,
+    Stream,
     SurfacePose,
     SwapEvent,
     TruthSample,
@@ -337,6 +337,23 @@ class TestStreamsSideBySide:
         columns = sum(col.nbytes for c in chunk.columns.values() for col in c.values())
         assert eight <= columns + 3 * one, (eight, columns, one)
 
+    def test_checks_hold_at_most_two_rotation_columns(self):
+        # Building the Stream of an 8-stream x 6 s chunk checks every
+        # rotation of the chunk at once; its temporaries peak within twice
+        # the truth rotation column (R^T R - I made in place, not copied).
+        gait = GaitConfig(duration=6.0)
+        stream = synthesize_sensors([generate_truth(gait, SurfaceConfig(), seed)
+                                     for seed in range(8)], NoiseParams(), Rates(),
+                                    list(range(8)))
+        tracemalloc.start()
+        try:
+            Stream(stream.kinds, stream.columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rot = stream.columns["truth"]["rot"].nbytes
+        assert peak <= 2 * rot, (peak, rot)
+
 
 class TestKeystone:
     def test_noiseless_end_to_end_short(self):
@@ -346,9 +363,7 @@ class TestKeystone:
         records = stream_records(one_stream(truth, ZERO, Rates(), seed=11))
         first = next(r for r in records if isinstance(r, TruthSample))
         start = State(first.element, np.eye(12) * 1e-4)
-        est = StreamEstimator(start,
-                              FilterConfig(noise=NoiseParams()),
-                              (Variant.PROPOSED,))
+        est = StreamEstimator(start, NoiseParams(), (Variant.PROPOSED,))
         worst = 0.0
         terminal = None
         for rec in records:
@@ -368,9 +383,7 @@ class TestKeystone:
         records = stream_records(one_stream(truth, ZERO, Rates(), seed=12))
         first = next(r for r in records if isinstance(r, TruthSample))
         start = State(first.element, np.eye(12) * 1e-4)
-        est = StreamEstimator(start,
-                              FilterConfig(noise=NoiseParams()),
-                              (Variant.POSITION_ONLY,))
+        est = StreamEstimator(start, NoiseParams(), (Variant.POSITION_ONLY,))
         for rec in records:
             if not isinstance(rec, TruthSample):
                 est.step(routed(rec))

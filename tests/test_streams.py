@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from drs_inekf.harness import TrialConfig, run_trial
-from drs_inekf.filter import FilterConfig, Variant
+from drs_inekf.filter import Variant
 from drs_inekf.liegroup import so3_exp
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import (
@@ -246,8 +246,7 @@ class TestStreamChecks:
         n = len(SHORT.columns[kind]["t"])
         with pytest.raises(StreamFormatError, match=message) as err:
             run_trial(Stream(SHORT.kinds, columns), TrialConfig(n_trials=1),
-                      FilterConfig(noise=NoiseParams()),
-                      (Variant.PROPOSED,), np.zeros(12))
+                      NoiseParams(), (Variant.PROPOSED,), np.zeros(12))
         assert err.value.record == record_index(SHORT, kind, k % n)
 
     def test_reflection_rejected(self):

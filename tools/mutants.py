@@ -7,7 +7,9 @@ prints the tests that fail under it, or SURVIVED. The tests that share the
 Monte Carlo fixture (acceptance criteria 7, 8 and 10) are left out: a
 mutant run costs about 45 s on two CPUs without them. It exits 1 if any
 mutant survives, and 2 if a mutant's text is no longer in the sources or
-the unmutated suite fails.
+the unmutated suite fails. `stale_mutants` is that text check alone; the
+tier-1 suite runs it too (tests/test_mutants.py), and the mutant runs
+leave that test out, as every mutant fails it.
 
     python tools/mutants.py
 """
@@ -23,9 +25,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = Path("src") / "drs_inekf"  # the mutated sources, under a checkout
 DESELECT = tuple(f"tests/test_acceptance.py::test_criterion_{name}" for name in (
     "7_yaw_observability_dichotomy", "8_observable_state_convergence",
-    "10_nees_consistency"))
+    "10_nees_consistency")) + ("tests/test_mutants.py",)
 TIMEOUT_S = 900  # a mutant that hangs the suite counts as killed
 
 # (name, module of src/drs_inekf, original text, mutated text). Each original
@@ -108,6 +111,10 @@ MUTANTS = (
      "streams", "_first_bad(np.abs(t - clock[at]) <= TIME_TOL,",
      "_first_bad(np.abs(t - clock[at]) <= np.inf,"),
     ("sim-second-gait-allowed", "sim", "if truth.gait != truths[0].gait:", "if False:"),
+    # A failed correction that does not name its record.
+    ("fold-failure-without-record",
+     "filter", 'raise FilterError(f"{KINDS[code]} record at t={t:.9g}: {exc}") from exc',
+     "raise"),
 )
 
 
@@ -138,15 +145,25 @@ def _failures(copy: Path) -> tuple[list[str], float]:
     return failed, time.monotonic() - started
 
 
+def stale_mutants(root: Path = ROOT) -> list[str]:
+    """A line per mutant whose original text does not occur exactly once in
+    its module of the checkout at `root`."""
+    stale = []
+    for name, module, original, _ in MUTANTS:
+        count = (root / PACKAGE / f"{module}.py").read_text().count(original)
+        if count != 1:
+            stale.append(f"{name}: its text occurs {count} times in {module}.py")
+    return stale
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="drs-inekf-mutants-") as tmp:
         copy = Path(tmp) / "repo"
         _copy(copy)
-        for name, module, original, _ in MUTANTS:
-            count = (copy / "src" / "drs_inekf" / f"{module}.py").read_text().count(original)
-            if count != 1:
-                print(f"{name}: its text occurs {count} times in {module}.py", file=sys.stderr)
-                return 2
+        stale = stale_mutants(copy)
+        if stale:
+            print("\n".join(stale), file=sys.stderr)
+            return 2
         failed, wall = _failures(copy)
         print(f"unmutated: {len(failed)} failing, {wall:.0f} s", flush=True)
         if failed:
@@ -154,7 +171,7 @@ def main() -> int:
             return 2
         survived = []
         for name, module, original, mutated in MUTANTS:
-            path = copy / "src" / "drs_inekf" / f"{module}.py"
+            path = copy / PACKAGE / f"{module}.py"
             source = path.read_text()
             path.write_text(source.replace(original, mutated))
             failed, wall = _failures(copy)
