@@ -24,7 +24,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .filter import Variant
+from .filter import FilterError, Variant
 from .harness import (
     VARIANTS,
     TrialConfig,
@@ -37,7 +37,7 @@ from .harness import (
 from .models import ConfigError, NoiseParams, config_fields
 from .plots import write_report_svgs
 from .sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from .streams import StreamFormatError, read_jsonl, write_jsonl
+from .streams import StreamFormatError, read_jsonl, record_line, write_jsonl
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -169,7 +169,10 @@ def cmd_estimate(args) -> int:
     stream = read_jsonl(args.stream)
     marks["read"] = time.perf_counter()
     # One variant, one trial, started exactly at the first truth sample.
-    rows = run_trial(stream, c.trials, c.noise, (variant,), np.zeros(12))
+    try:
+        rows = run_trial(stream, c.trials, c.noise, (variant,), np.zeros(12))
+    except FilterError as exc:  # named by its line, as a stream error is
+        raise FilterError(f"line {record_line(args.stream, exc.record)}: {exc}") from exc
     marks["estimate"] = time.perf_counter()
     _ensure_out_dir(args.out)
     t = stream.columns["truth"]["t"]

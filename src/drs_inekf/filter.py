@@ -79,7 +79,12 @@ _EYE12.setflags(write=False)
 
 
 class FilterError(RuntimeError):
-    """Numerically degenerate update (singular innovation covariance)."""
+    """Numerically degenerate update (singular innovation covariance); from
+    `StreamEstimator.fold`, `record` is the failing record's index in stream order."""
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 class Variant(Enum):
@@ -347,7 +352,8 @@ class StreamEstimator:
 
         A generator: yields the index of each truth sample (not routed)
         while the state is the estimate at its time. A FilterError names
-        the record that raised it by its kind and time. A run of consecutive
+        the record that raised it by its kind and time, and carries its
+        index in stream order as `record`. A run of consecutive
         IMU records is one ImuStep of at most _TERMS_BLOCK intervals, whose
         integration terms are computed ahead _TERMS_BLOCK intervals at once:
         such a step is a run of its terms block, the block's runs taken in
@@ -369,7 +375,8 @@ class StreamEstimator:
                         self.step(stream.record(code, i))
                 except FilterError as exc:  # within a kind, a time names one record
                     t = stream.columns[KINDS[code]]["t"][i]
-                    raise FilterError(f"{KINDS[code]} record at t={t:.9g}: {exc}") from exc
+                    message = f"{KINDS[code]} record at t={t:.9g}: {exc}"
+                    raise FilterError(message, first + i - k) from exc
                 continue
             for a in range(k, seen[code], _TERMS_BLOCK):
                 b = min(a + _TERMS_BLOCK, seen[code])

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 MAX_PITCH_AMPLITUDE = 0.3  # rad
+_BLOCK = 2048  # IMU intervals synthesized at once
 
 
 @dataclass(frozen=True)
@@ -219,9 +220,11 @@ def synthesize_sensors(truths: list[TruthTrajectory], noise: NoiseParams,
     surface records are emitted on the kinematics grid; swaps land on grid
     ticks and are accompanied by a truth sample. Stream i, with truth i and
     the noise of seed i, is written one at a time into axis 1 of the value
-    columns; the gait fixes the record layout they share. The Stream is
-    built, and so checked, once, after the last stream's intermediates are
-    freed, off the peak of memory.
+    columns; the gait fixes the record layout they share. A stream's IMU
+    records are synthesized _BLOCK intervals at a time and its other records
+    from the truth at their own ticks, so no intermediate spans the stream;
+    its own columns are freed once written. The Stream is built, and so
+    checked, once.
     """
     columns = None
     for i, (truth, seed) in enumerate(zip(truths, seeds, strict=True)):
@@ -236,13 +239,13 @@ def synthesize_sensors(truths: list[TruthTrajectory], noise: NoiseParams,
             for name, col in c.items():
                 if col.ndim > 1:
                     columns[kind][name][:, i] = col
+        del one  # before the next stream, or the check, is made
     return Stream(kinds, columns)
 
 
 def _sensor_columns(truth, noise, rates, seed) -> tuple:
-    gait, surf = truth.gait, truth.surf
     dt = 1.0 / rates.imu_hz
-    n_imu, kin_stride, swap_stride = gait.ticks(rates)
+    n_imu, kin_stride, swap_stride = truth.gait.ticks(rates)
 
     ticks = np.arange(n_imu + 1)
     times = ticks / rates.imu_hz
@@ -252,34 +255,31 @@ def _sensor_columns(truth, noise, rates, seed) -> tuple:
     # (no swap at the final tick even if it lands on a stance boundary).
     stance_idx = np.minimum(ticks // swap_stride, len(swaps))
 
-    rot = truth.base_rot(times)          # (N+1, 3, 3)
-    vel = truth.base_vel(times)
-    pos = truth.base_pos(times)
-    rs = truth.surface_rot(times)
-    # Each tick's foot with its own stance; at the next tick with the same
-    # stance, that tick's own foot, but at a swap tick the previous stance's.
-    foot_own = truth.foot_pos(times, stance_idx)
-    foot_prev = truth.foot_pos(times[swaps], stance_idx[swaps - 1])
-    foot_next = foot_own[1:].copy()
-    foot_next[swaps - 1] = foot_prev
-
-    # Exact-inverse IMU synthesis: gyro from the tick-to-tick rotation,
-    # accel from the velocity increment through Gamma_1, contact velocity
-    # from the foot displacement within the step's stance interval.
-    gyro = so3_log(_T(rot[:-1]) @ rot[1:]) / dt
-    jl = so3_left_jacobian(gyro * dt)
-    rhs = vel[1:] - vel[:-1] - GRAVITY * dt
-    accel = np.linalg.solve(rot[:-1] @ jl * dt, rhs[..., None])[..., 0]
-    contact_vel = (foot_next - foot_own[:-1]) / dt
-
     # Isotropic noise, each axis with the field's variance (a density over dt).
     rng = np.random.default_rng(seed)
-    gyro_n = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.gyro_density / dt)
-    accel_n = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.accel_density / dt)
-    cvel_n = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.contact_vel_density / dt)
+    gyro = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.gyro_density / dt)
+    accel = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.accel_density / dt)
+    cvel = rng.standard_normal((n_imu, 3)) * math.sqrt(noise.contact_vel_density / dt)
     fk_n = rng.standard_normal((len(kin), 3)) * math.sqrt(noise.fk_pos_var)
     orient_n = rng.standard_normal((len(kin), 3)) * math.sqrt(noise.surface_orient_var)
     hd_n = rng.standard_normal((len(swaps), 3)) * math.sqrt(noise.jump_pos_var)
+
+    # Exact-inverse IMU synthesis, added to the noise _BLOCK intervals at a
+    # time from the truth at their ticks: gyro from the tick-to-tick
+    # rotation, accel from the velocity increment through Gamma_1, contact
+    # velocity from the foot displacement within the interval's stance (at
+    # a swap tick, the previous stance's foot).
+    for a in range(0, n_imu, _BLOCK):
+        b = min(a + _BLOCK, n_imu)
+        t = times[a:b + 1]
+        rot, vel = truth.base_rot(t), truth.base_vel(t)
+        w = so3_log(_T(rot[:-1]) @ rot[1:]) / dt
+        jl = so3_left_jacobian(w * dt)
+        rhs = vel[1:] - vel[:-1] - GRAVITY * dt
+        gyro[a:b] += w
+        accel[a:b] += np.linalg.solve(rot[:-1] @ jl * dt, rhs[..., None])[..., 0]
+        cvel[a:b] += (truth.foot_pos(t[1:], stance_idx[a:b])
+                      - truth.foot_pos(t[:-1], stance_idx[a:b])) / dt
 
     # Records present at each tick, in the co-timestamp order of KINDS.
     present = np.zeros((n_imu + 1, len(KINDS)), dtype=bool)
@@ -289,18 +289,20 @@ def _sensor_columns(truth, noise, rates, seed) -> tuple:
     present[:-1, IMU] = True
     kinds = np.nonzero(present)[1].astype(np.int8)
 
-    rot_k = _T(rot[kin])
+    # The other records from the truth at their own ticks.
+    t_kin, t_swap = times[kin], times[swaps]
+    rot, pos, rs = truth.base_rot(t_kin), truth.base_pos(t_kin), truth.surface_rot(t_kin)
+    foot = truth.foot_pos(t_kin, stance_idx[kin])
+    foot_prev = truth.foot_pos(t_swap, stance_idx[swaps - 1])
     columns = {
-        "swap": {"t": times[swaps],
-                 "h_d": _mv(_T(rot[swaps]), foot_own[swaps] - foot_prev) + hd_n},
-        "truth": {"t": times[kin], "rot": rot[kin], "vel": vel[kin], "pos": pos[kin],
-                  "foot": foot_own[kin]},
-        "surface": {"t": times[kin], "rot": rs[kin]},
-        "fk_rot": {"t": times[kin], "rot": rot_k @ rs[kin] @ so3_exp(orient_n)},
-        "fk_pos": {"t": times[kin],
-                   "hp": _mv(rot_k, foot_own[kin] - pos[kin]) + fk_n},
+        "swap": {"t": t_swap, "h_d": _mv(_T(truth.base_rot(t_swap)), truth.foot_pos(
+            t_swap, stance_idx[swaps]) - foot_prev) + hd_n},
+        "truth": {"t": t_kin, "rot": rot, "vel": truth.base_vel(t_kin), "pos": pos,
+                  "foot": foot},
+        "surface": {"t": t_kin, "rot": rs},
+        "fk_rot": {"t": t_kin, "rot": _T(rot) @ rs @ so3_exp(orient_n)},
+        "fk_pos": {"t": t_kin, "hp": _mv(_T(rot), foot - pos) + fk_n},
         "imu": {"t": times[:-1], "dt": np.full(n_imu, dt),
-                "gyro": gyro + gyro_n, "accel": accel + accel_n,
-                "contact_vel": contact_vel + cvel_n},
+                "gyro": gyro, "accel": accel, "contact_vel": cvel},
     }
     return kinds, columns

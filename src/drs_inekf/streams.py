@@ -33,7 +33,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -114,7 +114,7 @@ _PAIRS = {SWAP: (SwapEvent, "h_d"), SURFACE: (SurfacePose, "rot"),
           FK_ROT: (FkOrientation, "rot"), FK_POS: (FkPosition, "hp")}
 # JSON integers are read as floats; NaN and Infinity too, which Stream rejects.
 _DECODER = json.JSONDecoder(parse_int=float)
-_BLOCK = 4096  # records of a kind parsed before they are converted to arrays
+_BLOCK = 512  # records of a kind parsed before they are converted to arrays
 
 
 @dataclass(frozen=True)
@@ -246,17 +246,15 @@ def read_jsonl(path) -> Stream:
     are held at once; a kind's blocks are dropped as its columns are joined.
     """
     decode = _DECODER.decode
-    kinds, record_lines = array("b"), array("l")
-    lines = {kind: array("l") for kind in KINDS}  # the line of each record
+    kinds = array("b")
+    lines = {kind: array("l") for kind in KINDS}  # the line of each pending record
     pending = {kind: [[] for _ in fields] for kind, fields in _FIELDS.items()}
     blocks = {kind: {name: [] for name in fields} for kind, fields in _FIELDS.items()}
 
     def convert(kind):  # the pending records of a kind to a block of arrays
-        fields, n = pending[kind], len(pending[kind][0])
-        at = lines[kind][len(lines[kind]) - n:]
-        for (name, shape), values in zip(_FIELDS[kind].items(), fields):
-            blocks[kind][name].append(_numbers(values, shape, at, name))
-        pending[kind] = [[] for _ in fields]
+        for (name, shape), values in zip(_FIELDS[kind].items(), pending[kind]):
+            blocks[kind][name].append(_numbers(values, shape, lines[kind], name))
+        pending[kind], lines[kind] = [[] for _ in _FIELDS[kind]], array("l")
 
     with open(path) as fh:
         for line_no, text in enumerate(fh, start=1):
@@ -279,7 +277,6 @@ def read_jsonl(path) -> Stream:
                 values.append(value)
             kinds.append(KINDS.index(kind))
             lines[kind].append(line_no)
-            record_lines.append(line_no)
             if len(fields[0]) == _BLOCK:
                 convert(kind)
     for kind in KINDS:
@@ -289,7 +286,15 @@ def read_jsonl(path) -> Stream:
     try:
         return Stream(np.array(kinds, dtype=np.int8), columns)
     except StreamFormatError as exc:
-        raise StreamFormatError(str(exc), record_lines[exc.record]) from None
+        raise StreamFormatError(str(exc), record_line(path, exc.record)) from None
+
+
+def record_line(path, record: int) -> int:
+    """The file line of record `record` (its index in stream order) of a file
+    that `read_jsonl` read: its records are its non-blank lines, in order."""
+    with open(path) as fh:
+        lines = (n for n, text in enumerate(fh, start=1) if text.strip())
+        return next(islice(lines, record, None))
 
 
 def _lines(kind: str, columns: dict):

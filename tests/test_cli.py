@@ -403,7 +403,8 @@ class TestEstimateCommand:
     def test_failed_update_names_its_record(self, tmp_path, capsys, sim_lines,
                                             monkeypatch):
         # The 100th correction fails as a singular innovation covariance
-        # would: the message names that record's kind and time.
+        # would: the message names that record's line, kind and time. A
+        # blank line, which holds no record, comes before it.
         calls, update = [], filter_module.update
 
         def failing(*args):
@@ -414,15 +415,17 @@ class TestEstimateCommand:
 
         monkeypatch.setattr(filter_module, "update", failing)
         stream = tmp_path / "s.jsonl"
-        stream.write_text("".join(sim_lines))
+        lines = [sim_lines[0], "\n", *sim_lines[1:]]
+        stream.write_text("".join(lines))
         code = main(["estimate", "--stream", str(stream), "--variant", "proposed",
                      "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
-        corrections = [r for r in map(json.loads, sim_lines)
-                       if r["kind"] in ("fk_rot", "fk_pos")]
-        kind, t = corrections[99]["kind"], corrections[99]["t"]
-        assert (f"error: {kind} record at t={t:.9g}: singular innovation covariance\n"
-                in capsys.readouterr().err)
+        records = {n: json.loads(text) for n, text in enumerate(lines, start=1)
+                   if text.strip()}
+        line = [n for n, r in records.items() if r["kind"] in ("fk_rot", "fk_pos")][99]
+        kind, t = records[line]["kind"], records[line]["t"]
+        assert (f"error: line {line}: {kind} record at t={t:.9g}: singular innovation "
+                "covariance\n" in capsys.readouterr().err)
 
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from drs_inekf import sim
 from drs_inekf.filter import (
     State,
     StreamEstimator,
@@ -353,6 +354,45 @@ class TestStreamsSideBySide:
             tracemalloc.stop()
         rot = stream.columns["truth"]["rot"].nbytes
         assert peak <= 2 * rot, (peak, rot)
+
+
+class TestBlocks:
+    """IMU records are synthesized sim._BLOCK intervals at a time."""
+
+    @pytest.mark.parametrize("gait", [GaitConfig(duration=2.4),
+                                      GaitConfig(duration=2.4, step_period=0.56)],
+                             ids=["swaps-inside-blocks", "swaps-on-block-edges"])
+    def test_blocks_of_seven_equal_one_block(self, gait, monkeypatch):
+        # 960 intervals are 137 blocks of 7 and one of 1; at a 0.56 s step
+        # every swap tick (a multiple of 224) is a block edge. A belt and a
+        # pivot move the feet within their stance.
+        surf = SurfaceConfig(belt_speed=0.4, pivot=(0.2, -0.1, 0.05))
+        truth = generate_truth(gait, surf, 9)
+
+        def columns(block):
+            monkeypatch.setattr(sim, "_BLOCK", block)
+            stream = synthesize_sensors([truth], NoiseParams(), Rates(), [9])
+            return stream.kinds, stream.columns
+
+        (kinds, blocked), (kinds_one, one) = columns(7), columns(960)
+        assert kinds.tobytes() == kinds_one.tobytes()
+        for kind, c in one.items():
+            for name, col in c.items():
+                assert blocked[kind][name].tobytes() == col.tobytes(), (kind, name)
+
+    def test_synthesis_peaks_within_three_times_the_stream(self):
+        # No intermediate spans the stream: a 30 s stream's synthesis peaks
+        # within three times the bytes of its columns (the whole-stream form
+        # read 4.6).
+        truth = generate_truth(GaitConfig(), SurfaceConfig(), 3)
+        tracemalloc.start()
+        try:
+            stream = synthesize_sensors([truth], NoiseParams(), Rates(), [3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = {id(col): col.nbytes for c in stream.columns.values() for col in c.values()}
+        assert peak <= 3 * sum(columns.values()), (peak, sum(columns.values()))
 
 
 class TestKeystone:

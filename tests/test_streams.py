@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestRoundtrip:
         path.write_text("".join(lines))
         with pytest.raises(StreamFormatError, match=f"line {i + 1}: field 'gyro'"):
             read_jsonl(path)
+
+    def test_reader_peaks_within_four_times_the_stream(self, tmp_path):
+        # Records are converted to arrays _BLOCK per kind at a time, so the
+        # parsed values held at once stay few: reading a 10 s stream peaks
+        # within four times the bytes of its columns (blocks of 4096 read 6.6).
+        path = tmp_path / "s.jsonl"
+        write_jsonl(one_stream(generate_truth(GaitConfig(duration=10.0), SurfaceConfig(), 2),
+                               NoiseParams(), Rates(), 2), path)
+        tracemalloc.start()
+        try:
+            stream = read_jsonl(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = sum(col.nbytes for c in stream.columns.values() for col in c.values())
+        assert peak <= 4 * columns, (peak, columns)
 
 
 class TestErrors:

@@ -113,8 +113,12 @@ MUTANTS = (
     ("sim-second-gait-allowed", "sim", "if truth.gait != truths[0].gait:", "if False:"),
     # A failed correction that does not name its record.
     ("fold-failure-without-record",
-     "filter", 'raise FilterError(f"{KINDS[code]} record at t={t:.9g}: {exc}") from exc',
-     "raise"),
+     "filter", "raise FilterError(message, first + i - k) from exc", "raise"),
+    # The next tick's foot of an IMU interval with the next tick's stance
+    # (across a swap, the new foot), and a record's line counting blank lines.
+    ("sim-next-foot-of-next-stance", "sim", "truth.foot_pos(t[1:], stance_idx[a:b])",
+     "truth.foot_pos(t[1:], stance_idx[a + 1:b + 1])"),
+    ("record-line-counts-blank-lines", "streams", "if text.strip())", "if True)"),
 )
 
 
