@@ -45,7 +45,6 @@ from .liegroup import (
     sek3_exp,
     sek3_log,
 )
-from .liegroup import dot as _dot
 from .liegroup import matvec as _mv
 from .liegroup import transposed as _T
 from .models import (
@@ -216,18 +215,18 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
     return State(mean, cov)
 
 
-def update(s: State, m: InvariantMeasurement, epsilon: float) -> State:
+def update(s: State, m: InvariantMeasurement) -> State:
     """Right-invariant correction with Joseph-form covariance update.
 
     P H^T and H P H^T read only the columns m.cols where H is nonzero: the
     products left out are exact zeros, so both equal the dense ones bit for
     bit. The noise m.var I adds m.var I to the innovation covariance and
-    K (m.var I) K^T to the Joseph form.
+    K (m.var I) K^T to the Joseph form; EPSILON I regularises the former.
     """
     z = innovation(m, s.mean)
     h = m.H[..., m.cols]
     pht = s.cov[..., m.cols] @ _T(h)
-    sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + epsilon * _EYE3
+    sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3
     try:
         gain = _T(np.linalg.solve(_T(sce), _T(pht)))
     except np.linalg.LinAlgError as exc:
@@ -270,38 +269,11 @@ def _on_rows(s: State, rows: slice, step) -> State:
     return State(GroupElement(rot, cols), cov)
 
 
-@dataclass
-class ErrorMetrics:
-    """Estimate-vs-truth errors: invariant tangent plus reporting scalars.
-
-    Each field has the state's batch axes (xi one more, of length 12).
-    """
-
-    xi: np.ndarray
-    pos_err: np.ndarray
-    vel_err: np.ndarray
-    roll_deg: np.ndarray
-    pitch_deg: np.ndarray
-    yaw_deg: np.ndarray
-
-
-def error_vs_truth(s: State, truth: GroupElement) -> ErrorMetrics:
-    """xi = log(mean truth^-1) plus norm/Euler scalars (ZYX convention)."""
-    err = compose(s.mean, inverse(truth))
-    xi = sek3_log(err)
-    rot_err = err.rot
-    yaw = np.arctan2(rot_err[..., 1, 0], rot_err[..., 0, 0])
-    pitch = -np.arcsin(np.clip(rot_err[..., 2, 0], -1.0, 1.0))
-    roll = np.arctan2(rot_err[..., 2, 1], rot_err[..., 2, 2])
-    pos, vel = s.mean.pos - truth.pos, s.mean.vel - truth.vel
-    return ErrorMetrics(
-        xi=xi,
-        pos_err=np.sqrt(_dot(pos, pos)),
-        vel_err=np.sqrt(_dot(vel, vel)),
-        roll_deg=np.degrees(roll),
-        pitch_deg=np.degrees(pitch),
-        yaw_deg=np.degrees(yaw),
-    )
+def error_vs_truth(mean: GroupElement,
+                   truth: GroupElement) -> tuple[GroupElement, np.ndarray]:
+    """The invariant error of mean against truth: mean truth^-1 and its log xi."""
+    err = compose(mean, inverse(truth))
+    return err, sek3_log(err)
 
 
 class StreamEstimator:
@@ -341,9 +313,9 @@ class StreamEstimator:
             if self._orient_rows is not None:
                 m = orientation_measurement(self.surface_rot, event.rot, noise)
                 self.state = _on_rows(self.state, self._orient_rows,
-                                      lambda s: update(s, m, EPSILON))
+                                      lambda s: update(s, m))
         elif isinstance(event, FkPosition):
-            self.state = update(self.state, position_measurement(event.hp, noise), EPSILON)
+            self.state = update(self.state, position_measurement(event.hp, noise))
         else:  # a SwapEvent
             self.state = apply_jump(self.state, event.h_d, noise.jump_pos_var)
 

@@ -81,15 +81,38 @@ def initial_covariance(tcfg: TrialConfig) -> np.ndarray:
     return np.diag(_half_widths(tcfg) ** 2 / 3.0)
 
 
-def nees(xi: np.ndarray, cov: np.ndarray, epsilon: float) -> np.ndarray:
-    """Normalized estimation error squared xi^T cov^-1 xi (regularized)."""
+def nees(xi: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """Normalized estimation error squared xi^T (cov + EPSILON I)^-1 xi."""
     try:
-        sol = np.linalg.solve(cov + epsilon * np.eye(xi.shape[-1]), xi[..., None])
+        sol = np.linalg.solve(cov + EPSILON * np.eye(xi.shape[-1]), xi[..., None])
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular covariance in nees: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise ValueError("singular covariance in nees")
     return _dot(xi, sol[..., 0])
+
+
+def metric_rows(mean: GroupElement, cov: np.ndarray, truth: GroupElement) -> np.ndarray:
+    """The METRIC_NAMES columns of estimates (mean, cov) against the truth.
+
+    Position and velocity error norms, the |roll|, |pitch| and |yaw| of the
+    rotation error mean.rot truth.rot^T in degrees (ZYX convention), and the
+    NEES of the invariant error xi; one row per member, on the last axis.
+    """
+    err, xi = error_vs_truth(mean, truth)
+    r = err.rot
+    angles = (np.arctan2(r[..., 2, 1], r[..., 2, 2]),
+              -np.arcsin(np.clip(r[..., 2, 0], -1.0, 1.0)),
+              np.arctan2(r[..., 1, 0], r[..., 0, 0]))
+    pos, vel = mean.pos - truth.pos, mean.vel - truth.vel
+    return np.stack([np.sqrt(_dot(pos, pos)), np.sqrt(_dot(vel, vel)),
+                     *(np.abs(np.degrees(a)) for a in angles), nees(xi, cov)], axis=-1)
+
+
+def _truth_element(truth: dict, ticks, expand=()) -> GroupElement:
+    """The true states at `ticks` of a stream's truth columns, indexed by `expand`."""
+    return GroupElement(truth["rot"][ticks][expand], np.stack(
+        [truth[k][ticks] for k in ("vel", "pos", "foot")], axis=-1)[expand])
 
 
 def run_trials(stream: Stream, tcfg: TrialConfig, noise: NoiseParams,
@@ -105,7 +128,7 @@ def run_trials(stream: Stream, tcfg: TrialConfig, noise: NoiseParams,
     for xi0 of shape (n, 12). So one variant of one such trial runs
     unbatched, as small numpy operations run fastest. Truth precedes the
     updates at its timestamp, so each metric row holds the prior error
-    there; metrics are evaluated _TRUTH_BLOCK samples at once.
+    there; `metric_rows` evaluates them _TRUTH_BLOCK samples at once.
     Returns the rows, axes (variant, trial, truth sample, metric) in the
     order `variants` x trial x truth time x METRIC_NAMES.
     """
@@ -113,8 +136,7 @@ def run_trials(stream: Stream, tcfg: TrialConfig, noise: NoiseParams,
     t = truth["t"]
     if not len(t):
         raise StreamFormatError("stream contains no truth records")
-    mean0 = compose(sek3_exp(xi0), GroupElement(truth["rot"][0], np.stack(
-        [truth[k][0] for k in ("vel", "pos", "foot")], axis=-1)))
+    mean0 = compose(sek3_exp(xi0), _truth_element(truth, 0))
     batch = ((len(variants),) if len(variants) > 1 else ()) + xi0.shape[:-1]
     est = StreamEstimator(State(
         GroupElement(np.broadcast_to(mean0.rot, batch + (3, 3)).copy(),
@@ -132,13 +154,8 @@ def run_trials(stream: Stream, tcfg: TrialConfig, noise: NoiseParams,
         if j + 1 < _TRUTH_BLOCK and i + 1 < len(t):
             continue
         ticks, n = slice(i - j, i + 1), j + 1
-        m = error_vs_truth(State(GroupElement(rot[:n], cols[:n]), cov[:n]),
-                           GroupElement(truth["rot"][ticks][expand], np.stack(
-                               [truth[k][ticks] for k in ("vel", "pos", "foot")],
-                               axis=-1)[expand]))
-        rows[ticks] = np.stack([m.pos_err, m.vel_err, np.abs(m.roll_deg),
-                                np.abs(m.pitch_deg), np.abs(m.yaw_deg),
-                                nees(m.xi, cov[:n], EPSILON)], axis=-1)
+        rows[ticks] = metric_rows(GroupElement(rot[:n], cols[:n]), cov[:n],
+                                  _truth_element(truth, ticks, expand))
     return np.moveaxis(rows, 0, -2).reshape(len(variants), -1, len(t), len(METRIC_NAMES))
 
 

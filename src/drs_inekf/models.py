@@ -146,8 +146,8 @@ class InvariantMeasurement:
     augmentation rows w, and the innovation z = (X_hat Y - b)[:3] reads
     3-vectors only. H is its 3x12 Jacobian in the right-invariant error,
     zero outside the state columns `cols` (slice(0, 12) for a dense H).
-    var is the variance of the isotropic noise V: its X_hat-mapped
-    covariance is var I in every frame, as R_hat var I R_hat^T = var I.
+    var (at least VAR_FLOOR) is the variance of the isotropic noise V: its
+    X_hat-mapped covariance is var I in every frame, as R_hat var I R_hat^T = var I.
     """
 
     y: np.ndarray
@@ -195,6 +195,10 @@ def state_transition(dt) -> np.ndarray:
     return np.eye(12) + a * dt + 0.5 * (a @ a) * dt * dt
 
 
+# The least variance a measurement's noise has in the filter. With an exact
+# measurement (variance 0), the update's absolute regularisation alone let
+# H P H^T shrink to rounding level and the covariance go indefinite.
+VAR_FLOOR = 1e-7
 _ZERO3 = np.zeros(3)
 _POSITION_W = np.array([0.0, 1.0, -1.0])
 _POSITION_COLS = slice(XI_P.start, XI_D.stop)  # (xi_p, xi_d)
@@ -220,7 +224,7 @@ def orientation_measurement(surface_rot: np.ndarray, foot_rot_in_base: np.ndarra
     n_s = surface_rot[..., 2]
     h = (n_s @ _ORIENTATION_H).reshape(n_s.shape[:-1] + (3, 12))
     return InvariantMeasurement(foot_rot_in_base[..., 2], _ZERO3, n_s, h,
-                                noise.surface_orient_var, XI_R)
+                                max(noise.surface_orient_var, VAR_FLOOR), XI_R)
 
 
 def position_measurement(hp: np.ndarray, noise: NoiseParams) -> InvariantMeasurement:
@@ -231,5 +235,5 @@ def position_measurement(hp: np.ndarray, noise: NoiseParams) -> InvariantMeasure
     y = hp, w = (0, 1, -1), b = 0 and H = [0 0 -I I], nonzero on (xi_p, xi_d).
     The innovation R_hat hp + p_hat - d_hat observes xi_d - xi_p.
     """
-    return InvariantMeasurement(hp, _POSITION_W, _ZERO3, _POSITION_H, noise.fk_pos_var,
-                                _POSITION_COLS)
+    return InvariantMeasurement(hp, _POSITION_W, _ZERO3, _POSITION_H,
+                                max(noise.fk_pos_var, VAR_FLOOR), _POSITION_COLS)

@@ -8,7 +8,6 @@ import pytest
 
 from drs_inekf import filter as filter_module
 from drs_inekf.filter import (
-    EPSILON,
     FilterError,
     State,
     StreamEstimator,
@@ -265,20 +264,22 @@ class TestUpdate:
         hp = xhat.rot.T @ (xhat.foot - xhat.pos)
         m = position_measurement(hp, NoiseParams())
         s = State(xhat, np.eye(12) * 0.1)
-        s2 = update(s, m, 1e-9)
+        s2 = update(s, m)
         assert np.linalg.norm(embed(s2.mean) - embed(xhat)) < 1e-12
         assert np.trace(s2.cov) < np.trace(s.cov)
 
-    def test_scalar_slice_matches_textbook_gain(self):
+    def test_scalar_slice_matches_textbook_gain(self, monkeypatch):
         # 1-D analogue: P = 1, N = 1, H = 1, z = 1 gives K = 0.5.
+        monkeypatch.setattr(filter_module, "EPSILON", 1e-15)
         s = State(identity(), np.eye(12))
-        s2 = update(s, simple_measurement(np.array([1.0, 0.0, 0.0])), 1e-15)
+        s2 = update(s, simple_measurement(np.array([1.0, 0.0, 0.0])))
         assert abs(s2.mean.vel[0] - 0.5) < 1e-9
         assert abs(s2.cov[3, 3] - 0.5) < 1e-9
 
-    def test_matches_information_form_oracle(self, rng):
+    def test_matches_information_form_oracle(self, rng, monkeypatch):
         # Full 12-D update against an independently coded information-filter
         # step (inverse-covariance composition).
+        monkeypatch.setattr(filter_module, "EPSILON", 1e-15)
         for _ in range(20):
             xhat = random_element(rng)
             a = rng.standard_normal((12, 12))
@@ -290,9 +291,8 @@ class TestUpdate:
             bvec = np.concatenate([rng.standard_normal(3), [0.0, 1.0, -1.0]])
             m = InvariantMeasurement(y[:3], y[3:], bvec[:3], h, var, slice(0, 12))
             s = State(xhat, cov)
-            eps = 1e-15
 
-            s2 = update(s, m, eps)
+            s2 = update(s, m)
 
             z = xhat.rot @ y[:3] + xhat.cols @ y[3:] - bvec[:3]
             info = np.linalg.inv(cov) + h.T @ np.linalg.inv(n_cov) @ h
@@ -307,22 +307,23 @@ class TestUpdate:
         m = simple_measurement(np.array([1.0, -2.0, 0.5]))
         m = dataclasses.replace(m, var=1e12)
         s = State(xhat, np.eye(12))
-        s2 = update(s, m, 1e-9)
+        s2 = update(s, m)
         assert np.linalg.norm(embed(s2.mean) - embed(xhat)) < 1e-6
 
-    def test_degenerate_innovation_covariance_raises(self):
+    def test_degenerate_innovation_covariance_raises(self, monkeypatch):
+        monkeypatch.setattr(filter_module, "EPSILON", 0.0)
         m = InvariantMeasurement(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((3, 12)),
                                  0.0, slice(0, 12))
         s = State(identity(), np.eye(12))
         with pytest.raises(FilterError):
-            update(s, m, 0.0)
+            update(s, m)
 
     def test_covariance_stays_symmetric_psd(self, rng):
         s = State(random_element(rng), np.eye(12) * 0.5)
         for _ in range(50):
             hp = s.mean.rot.T @ (s.mean.foot - s.mean.pos) + rng.standard_normal(3) * 0.01
             m = position_measurement(hp, NoiseParams())
-            s = update(s, m, 1e-9)
+            s = update(s, m)
             assert np.array_equal(s.cov, s.cov.T)
             assert np.min(np.linalg.eigvalsh(s.cov)) > -1e-10
 
@@ -363,7 +364,7 @@ class TestDenseJacobianOracle:
     def test_equals_dense_oracle(self, rng, kind, shape):
         for _ in range(5):
             s, m = self.state(rng, shape), self.measurement(rng, kind, shape)
-            self.assert_equal(update(s, m, 1e-9), dense_update(s, m, 1e-9))
+            self.assert_equal(update(s, m), dense_update(s, m, 1e-9))
 
     @pytest.mark.parametrize("kind", ["position", "orientation"])
     def test_row_slice_equals_dense_oracle(self, rng, kind):
@@ -371,7 +372,7 @@ class TestDenseJacobianOracle:
         # (1, 2) second row as `StreamEstimator.step` does for one variant.
         for _ in range(5):
             s, m = self.state(rng, (2, 2)), self.measurement(rng, kind, (2,))
-            got = _on_rows(s, slice(1, 2), lambda part: update(part, m, 1e-9))
+            got = _on_rows(s, slice(1, 2), lambda part: update(part, m))
             want = _on_rows(s, slice(1, 2), lambda part: dense_update(part, m, 1e-9))
             self.assert_equal(got, want)
             assert np.array_equal(got.cov[0], s.cov[0])
@@ -395,10 +396,10 @@ class TestExactSymmetry:
             lambda s: propagate(s, imu_run([ImuReading(0.0, 0.0025, gyro, 3.0 * accel,
                                                        0.3 * contact_vel)]), noise),
             lambda s: update(s, position_measurement(
-                rng.standard_normal(shape + (3,)), noise), 1e-9),
+                rng.standard_normal(shape + (3,)), noise)),
             lambda s: update(s, orientation_measurement(
                 so3_exp(0.1 * rng.standard_normal(shape + (3,))),
-                so3_exp(rng.standard_normal(shape + (3,))), noise), 1e-9),
+                so3_exp(rng.standard_normal(shape + (3,))), noise)),
             lambda s: apply_jump(s, 0.2 * rng.standard_normal(shape + (3,)), 1e-3),
         ]
         for step in steps:
@@ -457,27 +458,20 @@ class TestApplyJump:
 
 
 class TestErrorVsTruth:
-    def test_exact_estimate_gives_zeros(self, rng):
+    # The metric table built from this error is tested in test_harness.py.
+    def test_exact_estimate_gives_zero_error(self, rng):
         truth = random_element(rng)
-        m = error_vs_truth(State(truth, np.eye(12)), truth)
-        assert np.linalg.norm(m.xi) < 1e-12
-        assert m.pos_err == 0.0 and m.vel_err == 0.0
-        assert abs(m.roll_deg) < 1e-12 and abs(m.yaw_deg) < 1e-12
-
-    def test_pure_yaw_offset(self, rng):
-        truth = random_element(rng)
-        yaw = so3_exp(np.array([0.0, 0.0, math.radians(10.0)]))
-        est = GroupElement(yaw @ truth.rot, yaw @ truth.cols)
-        m = error_vs_truth(State(est, np.eye(12)), truth)
-        assert m.yaw_deg == pytest.approx(10.0, abs=1e-10)
-        assert abs(m.roll_deg) < 1e-10 and abs(m.pitch_deg) < 1e-10
+        err, xi = error_vs_truth(truth, truth)
+        assert np.linalg.norm(xi) < 1e-12
+        assert np.allclose(embed(err), np.eye(6), rtol=0.0, atol=1e-12)
 
     def test_xi_satisfies_roundtrip(self, rng):
         truth = random_element(rng)
         est = random_element(rng)
-        m = error_vs_truth(State(est, np.eye(12)), truth)
-        rebuilt = compose(sek3_exp(m.xi), truth)
+        err, xi = error_vs_truth(est, truth)
+        rebuilt = compose(sek3_exp(xi), truth)
         assert np.linalg.norm(embed(rebuilt) - embed(est)) < 1e-10
+        assert np.linalg.norm(embed(compose(err, truth)) - embed(est)) < 1e-10
 
 
 def make_stream(rng, n_imu=40, kin_every=4):
@@ -532,10 +526,10 @@ class TestStreamEstimator:
                 surface = rec.rot
             elif isinstance(rec, FkOrientation):
                 m = orientation_measurement(surface, rec.rot, noise)
-                manual = update(manual, m, EPSILON)
+                manual = update(manual, m)
             elif isinstance(rec, FkPosition):
                 m = position_measurement(rec.hp, noise)
-                manual = update(manual, m, EPSILON)
+                manual = update(manual, m)
             elif isinstance(rec, SwapEvent):
                 manual = apply_jump(manual, rec.h_d, noise.jump_pos_var)
         assert np.array_equal(streamed.mean.rot, manual.mean.rot)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from drs_inekf import filter as filter_module
 from drs_inekf import harness, plots
-from drs_inekf.filter import EPSILON, StreamEstimator, Variant
+from drs_inekf.filter import EPSILON, State, StreamEstimator, Variant
 from drs_inekf.harness import (
     METRIC_NAMES,
     PERCENTILES,
@@ -18,6 +18,7 @@ from drs_inekf.harness import (
     campaigns,
     evaluate_gates,
     initial_covariance,
+    metric_rows,
     nees,
     run_trial,
     run_trials,
@@ -25,12 +26,12 @@ from drs_inekf.harness import (
     write_aggregate_csv,
     write_trial_csv,
 )
-from drs_inekf.liegroup import compose, sek3_exp
+from drs_inekf.liegroup import GroupElement, compose, sek3_exp, so3_exp
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
 from drs_inekf.streams import TRUTH, Stream, TruthSample
 
-from conftest import one_stream, oracle_metric_rows, routed, stream_records
+from conftest import one_stream, oracle_metric_rows, random_element, routed, stream_records
 
 SHORT_GAIT = GaitConfig(duration=2.4)
 ZERO = NoiseParams(0, 0, 0, 0, 0, 0)
@@ -53,13 +54,14 @@ def short_stream(seed=1, noise=None, surface=None):
 
 class TestNees:
     def test_zero_error(self):
-        assert nees(np.zeros(12), np.eye(12), 1e-9) == 0.0
+        assert nees(np.zeros(12), np.eye(12)) == 0.0
 
-    def test_unit_vector_identity_cov(self):
+    def test_unit_vector_identity_cov(self, monkeypatch):
         xi = np.zeros(12)
         xi[4] = 1.0
-        assert nees(xi, np.eye(12), 0.0) == pytest.approx(1.0, rel=1e-12)
-        assert nees(xi, np.eye(12), 1e-9) == pytest.approx(1.0, rel=1e-8)
+        assert nees(xi, np.eye(12)) == pytest.approx(1.0, rel=1e-8)
+        monkeypatch.setattr(harness, "EPSILON", 0.0)
+        assert nees(xi, np.eye(12)) == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_solve_oracle(self, rng):
         for _ in range(50):
@@ -67,13 +69,38 @@ class TestNees:
             cov = a @ a.T + 0.5 * np.eye(12)
             xi = rng.standard_normal(12)
             oracle = float(xi @ np.linalg.inv(cov + 1e-9 * np.eye(12)) @ xi)
-            assert nees(xi, cov, 1e-9) == pytest.approx(oracle, rel=1e-9)
+            assert nees(xi, cov) == pytest.approx(oracle, rel=1e-9)
 
-    def test_singular_covariance_raises(self):
+    def test_singular_covariance_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "EPSILON", 0.0)
         xi = np.ones(12)
         bad = np.full((12, 12), np.nan)
         with pytest.raises(ValueError):
-            nees(xi, bad, 0.0)
+            nees(xi, bad)
+
+
+class TestMetricRows:
+    # The columns of METRIC_NAMES from the invariant error: norms, and the
+    # ZYX angles of the rotation error in degrees, taken absolute.
+    @staticmethod
+    def row(est, truth):
+        return dict(zip(METRIC_NAMES, metric_rows(est, np.eye(12), truth)))
+
+    def test_exact_estimate_gives_zeros(self, rng):
+        truth = random_element(rng)
+        m = self.row(truth, truth)
+        assert m["nees"] < 1e-24
+        assert m["pos_err"] == 0.0 and m["vel_err"] == 0.0
+        assert m["roll_err"] < 1e-12 and m["yaw_err"] < 1e-12
+
+    def test_pure_yaw_offset(self, rng):
+        truth = random_element(rng)
+        for degrees in (10.0, -10.0):
+            yaw = so3_exp(np.array([0.0, 0.0, math.radians(degrees)]))
+            est = GroupElement(yaw @ truth.rot, yaw @ truth.cols)
+            m = self.row(est, truth)
+            assert m["yaw_err"] == pytest.approx(10.0, abs=1e-10)
+            assert m["roll_err"] < 1e-10 and m["pitch_err"] < 1e-10
 
 
 class TestSampling:
@@ -284,11 +311,6 @@ class TestYawConvergenceReferenceRun:
         # Reference-run check, threshold frozen: a pure 30 deg initial yaw
         # error on the rocking surface ends at least 10x smaller under the
         # proposed filter within 12 s.
-        import numpy as np
-
-        from drs_inekf.filter import State, StreamEstimator, error_vs_truth
-        from drs_inekf.liegroup import compose, sek3_exp
-
         gait = GaitConfig(duration=12.0)
         noise = NoiseParams(jump_pos_var=1e-6)
         records = stream_records(one_stream(
@@ -305,7 +327,8 @@ class TestYawConvergenceReferenceRun:
                 est.step(routed(rec))
             else:
                 last = rec
-        final_yaw = abs(error_vs_truth(est.state, last.element).yaw_deg)
+        final_yaw = metric_rows(est.state.mean, est.state.cov,
+                                last.element)[METRIC_NAMES.index("yaw_err")]
         assert final_yaw <= 3.0, final_yaw
 
 
@@ -374,8 +397,8 @@ FUZZ_SEED = int("f7e00d31841b5dc97641602f8d546d90f140cb3ed89cf7c9"
 class TestEstimatorFuzz:
     # Valid scenarios of 1.2-2.4 s, sensors and filter on the same noise:
     # both variants keep every metric finite and end on a symmetric
-    # covariance with no eigenvalue below rounding. An exact foot position
-    # (fk_pos_var = 0) can break this; it is left to the test after this one.
+    # covariance with no eigenvalue below rounding, exact measurements
+    # (a variance of 0) included.
     # No shrink phase: a broken filter fails many examples, and shrinking them
     # took minutes; the failing example is printed either way.
     @seed(FUZZ_SEED)
@@ -383,20 +406,24 @@ class TestEstimatorFuzz:
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(seed=st.integers(0, 2**32 - 1),
            noise=st.builds(NoiseParams, VARIANCE, VARIANCE, VARIANCE,
-                           st.floats(1e-8, 1e-2), VARIANCE, VARIANCE),
+                           VARIANCE, VARIANCE, VARIANCE),
            pitch=st.floats(0.0, 0.3), belt=st.floats(-1.0, 1.0),
            imu_ticks=st.integers(480, 960))
     def test_metrics_finite_and_covariance_psd(self, seed, noise, pitch, belt, imu_ticks):
         assert_finite_and_psd(*run_recorded(noise, pitch, belt, imu_ticks, seed))
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "known defect: with fk_pos_var = 0 the filter's foot-position update "
-        "is regularized only by epsilon, the mean diverges and the covariance "
-        "goes indefinite"))
     def test_exact_foot_positions_keep_the_covariance_psd(self):
         # The smallest case the fuzz test found with fk_pos_var = 0 allowed.
         noise = NoiseParams(0.0078125, 0.0, 0.0, 0.0, 0.0, 0.0)
         assert_finite_and_psd(*run_recorded(noise, 0.0, 1.0, 480, 0))
+
+    def test_exact_measurements_on_a_rocking_surface_keep_the_covariance_psd(self):
+        # The case above on the default rocking surface (pitch amplitude 3
+        # deg). Without models.VAR_FLOOR both cases went indefinite.
+        noise = NoiseParams(0.0078125, 0.0, 0.0, 0.0, 0.0, 0.0)
+        rows, cov = run_recorded(noise, math.radians(3.0), 1.0, 480, 0)
+        assert_finite_and_psd(rows, cov)
+        assert np.linalg.eigvalsh(cov).min() >= 0.0
 
 
 class TestMonteCarlo:

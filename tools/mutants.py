@@ -76,13 +76,14 @@ MUTANTS = (
     ("fold-first-run-terms-of-block",
      "filter", "tuple(x[run] for x in runs)", "tuple(x[0] for x in runs)"),
     ("variance-dropped-from-S",
-     "filter", "sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + epsilon * _EYE3",
-     "sce = h @ pht[..., m.cols, :] + epsilon * _EYE3"),
+     "filter", "sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3",
+     "sce = h @ pht[..., m.cols, :] + EPSILON * _EYE3"),
     ("joseph-noise-term-dropped",
      "filter", "cov = _symmetrize(ikh @ s.cov @ _T(ikh) + (gain * m.var) @ _T(gain))",
      "cov = _symmetrize(ikh @ s.cov @ _T(ikh))"),
     ("builders-variances-swapped",
-     "models", "noise.surface_orient_var, XI_R)", "noise.fk_pos_var, XI_R)"),
+     "models", "max(noise.surface_orient_var, VAR_FLOOR), XI_R)",
+     "max(noise.fk_pos_var, VAR_FLOOR), XI_R)"),
     ("jump-noise-dropped", "filter", "if jump_pos_var:", "if False:"),
     # The correction step's structure: the columns H is nonzero on, the
     # surface normal and the exponential's left Jacobian.
@@ -119,6 +120,15 @@ MUTANTS = (
     ("sim-next-foot-of-next-stance", "sim", "truth.foot_pos(t[1:], stance_idx[a:b])",
      "truth.foot_pos(t[1:], stance_idx[a + 1:b + 1])"),
     ("record-line-counts-blank-lines", "streams", "if text.strip())", "if True)"),
+    # The metric table: yaw read from the roll entries of the rotation error,
+    # and the angles left in radians. An exact measurement without the floor
+    # on its variance.
+    ("metric-yaw-from-roll-entries",
+     "harness", "np.arctan2(r[..., 1, 0], r[..., 0, 0])",
+     "np.arctan2(r[..., 2, 1], r[..., 2, 2])"),
+    ("metric-angles-in-radians",
+     "harness", "*(np.abs(np.degrees(a)) for a in angles)", "*(np.abs(a) for a in angles)"),
+    ("measurement-variance-floor-dropped", "models", "VAR_FLOOR = 1e-7", "VAR_FLOOR = 0.0"),
 )
 
 
