@@ -55,24 +55,12 @@ DEFAULT_CONFIG: dict = json.loads(json.dumps(
      for name, cls in SECTIONS.items()}))  # tuples as lists
 
 
-def _merge(defaults: dict, override: dict, path: str = "") -> dict:
-    out = dict(defaults)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in defaults:
-            raise ConfigError(f"{where}: unknown field")
-        if isinstance(defaults[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where}: expected an object")
-            out[key] = _merge(defaults[key], value, where)
-        else:
-            out[key] = value
-    return out
-
-
 def load_config(path: str | None) -> dict:
+    """The default document, with the sections of the JSON file at `path`
+    merged over it key by key (no path: the defaults)."""
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))
     if path is None:
-        return json.loads(json.dumps(DEFAULT_CONFIG))
+        return cfg
     try:
         with open(path) as fh:
             user = json.load(fh)
@@ -82,19 +70,16 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
-
-
-def build(cfg: dict, section: str, **extra):
-    """Section `section` of a loaded config as its dataclass.
-
-    The dataclass checks its own fields; its errors gain the section name,
-    so they read `section.field: reason`.
-    """
-    try:
-        return SECTIONS[section](**cfg[section], **extra)
-    except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from exc
+    for name, section in user.items():
+        if name not in cfg:
+            raise ConfigError(f"{name}: unknown field")
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name}: expected an object")
+        for key, value in section.items():
+            if key not in cfg[name]:
+                raise ConfigError(f"{name}.{key}: unknown field")
+            cfg[name][key] = value
+    return cfg
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -134,37 +119,35 @@ def _ensure_out_dir(path: str) -> None:
 
 
 def build_all(cfg: dict, seed: int) -> argparse.Namespace:
-    """Every section of a loaded config, built and checked, the gait on the tick grid."""
-    c = argparse.Namespace(
-        surface=build(cfg, "surface"), gait=build(cfg, "gait"),
-        rates=build(cfg, "rates"), noise=build(cfg, "noise"),
-        trials=build(cfg, "trials", master_seed=seed))
+    """Every section of a loaded config as its dataclass, the gait on the tick grid.
+
+    Each dataclass checks its own fields; its errors gain the section name,
+    so they read `section.field: reason`.
+    """
+    c, extra = argparse.Namespace(), {"trials": {"master_seed": seed}}
+    for name, cls in SECTIONS.items():
+        try:
+            setattr(c, name, cls(**cfg[name], **extra.get(name, {})))
+        except ValueError as exc:
+            raise ConfigError(f"{name}.{exc}") from exc
     c.gait.ticks(c.rates)
     return c
 
 
-def cmd_sim(args) -> int:
-    marks = {"start": time.perf_counter()}
-    cfg = load_config(args.config)
-    c = build_all(cfg, args.seed)
+def cmd_sim(args, c, marks):
     truth = generate_truth(c.gait, c.surface, seed=args.seed)
     stream = synthesize_sensors([truth], c.noise, c.rates, [args.seed])
     marks["simulate"] = time.perf_counter()
     _ensure_out_dir(args.out)
     write_jsonl(stream, args.out)
     marks["write"] = time.perf_counter()
-    write_manifest(args.out + ".manifest.json", "sim", cfg, args.seed,
-                   [args.out], marks)
     print(f"wrote {len(stream)} records to {args.out}")
-    return EXIT_OK
+    return EXIT_OK, args.out + ".manifest.json", [args.out]
 
 
-def cmd_estimate(args) -> int:
-    marks = {"start": time.perf_counter()}
+def cmd_estimate(args, c, marks):
     if args.stream is None:
         raise ConfigError("estimate needs --stream")
-    cfg = load_config(args.config)
-    c = build_all(cfg, args.seed)
     variant = Variant(args.variant)
     stream = read_jsonl(args.stream)
     marks["read"] = time.perf_counter()
@@ -178,25 +161,15 @@ def cmd_estimate(args) -> int:
     t = stream.columns["truth"]["t"]
     write_trial_csv(args.out, t, (variant,), rows)
     marks["write"] = time.perf_counter()
-    write_manifest(args.out + ".manifest.json", "estimate", cfg, args.seed,
-                   [args.out], marks)
     print(f"wrote metrics for {len(t)} truth samples to {args.out}")
-    return EXIT_OK
+    return EXIT_OK, args.out + ".manifest.json", [args.out]
 
 
-def cmd_montecarlo(args) -> int:
-    marks = {"start": time.perf_counter()}
+def cmd_montecarlo(args, c, marks):
     if args.jobs < 1:
         raise ConfigError(f"--jobs: must be >= 1, got {args.jobs}")
-    cfg = load_config(args.config)
-    c = build_all(cfg, args.seed)
-    tcfg = c.trials
-    out_dir = args.out
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        os.makedirs(os.path.join(out_dir, "trials"), exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
+    tcfg, out_dir = c.trials, args.out
+    os.makedirs(os.path.join(out_dir, "trials"), exist_ok=True)
 
     surfaces = [c.surface]
     print(f"running {tcfg.n_trials} trials (rocking surface), jobs={args.jobs}")
@@ -237,13 +210,12 @@ def cmd_montecarlo(args) -> int:
           "detail": g.detail} for g in gates], indent=2) + "\n")
     outputs.append(gates_path)
     marks["outputs"] = time.perf_counter()
-    write_manifest(os.path.join(out_dir, "manifest.json"), "montecarlo", cfg,
-                   args.seed, outputs, marks)
+    manifest = os.path.join(out_dir, "manifest.json")
     if failed:
         print(f"\nFAILED gates: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_GATE
+        return EXIT_GATE, manifest, outputs
     print("\nall gates passed")
-    return EXIT_OK
+    return EXIT_OK, manifest, outputs
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -283,13 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "print_config", False):
+    """Run one command in the frame every command shares: start the stage
+    clock, load the config document, build and check its sections, run the
+    command, and write the manifest it names (after a gate failure too).
+
+    A command `cmd_*(args, sections, marks)` adds the end time of each of
+    its stages to `marks` and returns its exit code, its manifest's path
+    and its outputs.
+    """
+    args = build_parser().parse_args(argv)
+    if args.print_config:
         print(json.dumps(DEFAULT_CONFIG, indent=2, sort_keys=True))
         return EXIT_OK
+    marks = {"start": time.perf_counter()}
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        code, manifest, outputs = args.func(args, build_all(cfg, args.seed), marks)
+        write_manifest(manifest, args.command, cfg, args.seed, outputs, marks)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -22,9 +22,11 @@ with dt in (0, MAX_IMU_DT]. The stream clock starts at the first truth
 sample and adds each imu dt in record order; an imu record starts at
 the clock, within TIME_TOL, and no other record is more than TIME_TOL
 before it, nor past the end of the imu interval that follows it (past
-the clock, after the last imu record). A stream with no truth has no
-clock. No fk_rot record precedes the first surface record, whose pose
-its orientation measurement needs.
+the clock, after the last imu record). The first record is a truth
+record: the estimate starts from the truth the stream opens with, so no
+record (a swap at that time, say) comes before it. No fk_rot record
+precedes the first surface record, whose pose its orientation
+measurement needs.
 """
 
 from __future__ import annotations
@@ -165,26 +167,30 @@ class Stream:
         _first_bad(np.abs(t[:-1] + dt[:-1] - t[1:]) <= TIME_TOL, at[1:], lambda i: (
             f"imu gap at t={t[i] + dt[i]:.9g}: the imu interval from t={t[i]:.9g} "
             f"ends there, the next imu record starts at t={t[i + 1]:.9g}"), "record")
-        start = self.columns["truth"]["t"][:1]
-        if len(start):
-            # cumsum adds in record order (not pairwise), as a running clock
-            # does; at each record, the clock and the end of the next imu
-            # interval (the clock again after the last one).
-            nxt = np.cumsum(is_imu) - is_imu
-            ticks = np.cumsum(np.concatenate([start, dt, [0.0]]))
-            clock, end = ticks[nxt], ticks[nxt + 1]
-            _first_bad(times >= clock - TIME_TOL, range(len(kinds)), lambda i: (
-                f"out-of-order {KINDS[kinds[i]]} record at t={times[i]:.9g}: the "
-                f"stream clock (first truth time plus the imu dt before it) is at "
-                f"t={clock[i]:.9g}"), "record")
-            _first_bad(times <= end + TIME_TOL, range(len(kinds)), lambda i: (
-                f"early {KINDS[kinds[i]]} record at t={times[i]:.9g}: the stream "
-                f"clock is at t={clock[i]:.9g}, and " + (
-                    f"the next imu interval ends at t={end[i]:.9g}" if nxt[i] < len(dt)
-                    else "no imu interval follows")), "record")
-            _first_bad(np.abs(t - clock[at]) <= TIME_TOL, at, lambda i: (
-                f"imu record at t={t[i]:.9g} off the stream clock at "
-                f"t={clock[at[i]]:.9g}"), "record")
+        # The clock starts at the first record, which must be truth (checked
+        # below). cumsum adds in record order (not pairwise), as a running
+        # clock does; at each record, the clock and the end of the next imu
+        # interval (the clock again after the last one).
+        nxt = np.cumsum(is_imu) - is_imu
+        ticks = np.cumsum(np.concatenate([times[:1], dt, [0.0]]))
+        clock, end = ticks[nxt], ticks[nxt + 1]
+        _first_bad(times >= clock - TIME_TOL, range(len(kinds)), lambda i: (
+            f"out-of-order {KINDS[kinds[i]]} record at t={times[i]:.9g}: the "
+            f"stream clock (first record's time plus the imu dt before it) is at "
+            f"t={clock[i]:.9g}"), "record")
+        _first_bad(times <= end + TIME_TOL, range(len(kinds)), lambda i: (
+            f"early {KINDS[kinds[i]]} record at t={times[i]:.9g}: the stream "
+            f"clock is at t={clock[i]:.9g}, and " + (
+                f"the next imu interval ends at t={end[i]:.9g}" if nxt[i] < len(dt)
+                else "no imu interval follows")), "record")
+        _first_bad(np.abs(t - clock[at]) <= TIME_TOL, at, lambda i: (
+            f"imu record at t={t[i]:.9g} off the stream clock at "
+            f"t={clock[at[i]]:.9g}"), "record")
+        if not len(kinds):
+            raise StreamFormatError("no records: a stream opens with a truth record")
+        if kinds[0] != TRUTH:
+            raise StreamFormatError(f"{KINDS[kinds[0]]} record at t={times[0]:.9g} "
+                                    f"before the first truth record", record=0)
         fk_rot = np.flatnonzero(kinds == FK_ROT)
         _first_bad(np.cumsum(kinds == SURFACE)[fk_rot] > 0, fk_rot, lambda i: (
             f"fk_rot record at t={times[fk_rot[i]]:.9g} before the first surface "
@@ -285,8 +291,9 @@ def read_jsonl(path) -> Stream:
                       for name, parts in blocks.pop(kind).items()} for kind in KINDS}
     try:
         return Stream(np.array(kinds, dtype=np.int8), columns)
-    except StreamFormatError as exc:
-        raise StreamFormatError(str(exc), record_line(path, exc.record)) from None
+    except StreamFormatError as exc:  # an empty stream names no record
+        line = None if exc.record is None else record_line(path, exc.record)
+        raise StreamFormatError(str(exc), line) from None
 
 
 def record_line(path, record: int) -> int:

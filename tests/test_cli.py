@@ -427,6 +427,29 @@ class TestEstimateCommand:
         assert (f"error: line {line}: {kind} record at t={t:.9g}: singular innovation "
                 "covariance\n" in capsys.readouterr().err)
 
+    def test_swap_before_the_first_truth_reports_line(self, tmp_path, capsys, sim_lines):
+        # A swap at the first truth time sorts before that truth sample, so
+        # its jump would move the state the truth sample starts the filter
+        # from: the swap, on line 1, is named.
+        swap = {"kind": "swap", "t": 0.0, "h_d": [0.0, 0.25, 0.0]}
+        stream = tmp_path / "bad.jsonl"
+        stream.write_text(json.dumps(swap) + "\n" + "".join(sim_lines))
+        code = main(["estimate", "--stream", str(stream),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+        assert ("stream error: line 1: swap record at t=0 before the first truth "
+                "record\n" in capsys.readouterr().err)
+
+    def test_empty_stream_exits_with_data_error(self, tmp_path, capsys):
+        # A blank line holds no record, so the stream has no first truth sample.
+        stream = tmp_path / "empty.jsonl"
+        stream.write_text("\n")
+        out = tmp_path / "m.csv"
+        code = main(["estimate", "--stream", str(stream), "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "stream error: no records: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_order_stream_reports_line(self, tmp_path, capsys):
         stream = tmp_path / "bad.jsonl"
         lines = [
@@ -476,6 +499,8 @@ class TestMonteCarloCommand:
         code = main(["montecarlo", "--config", cfg,
                      "--out", str(blocker / "mc")])
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and str(blocker) in err
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_config(self, tmp_path, capsys, jobs):
@@ -500,6 +525,8 @@ class TestMonteCarloCommand:
         assert code == EXIT_GATE
         err = capsys.readouterr().err
         assert "yaw-observability" in err
+        # A gate failure is a result: its run is timed in its manifest.
+        assert_stages(tmp_path / "mc" / "manifest.json", {"campaigns", "outputs"})
 
     def test_manifest_times_stages(self, tmp_path):
         out = tmp_path / "mc"

@@ -42,6 +42,7 @@ from drs_inekf.streams import (
     IMU,
     KINDS,
     TIME_TOL,
+    TRUTH,
     FkOrientation,
     FkPosition,
     Stream,
@@ -183,12 +184,16 @@ class TestPropagateRun:
 
 
 def imu_only_stream(dt, gyro, accel, contact_vel):
-    """A stream of imu records only, from t = 0; values may carry a stream axis."""
+    """The truth sample a stream opens with, at t = 0, then imu records only;
+    values may carry a stream axis."""
     columns = {kind: {name: np.zeros((0,) + shape) for name, shape in fields.items()}
                for kind, fields in _FIELDS.items()}
+    columns["truth"] = {name: np.zeros((1,) + shape)
+                        for name, shape in _FIELDS["truth"].items()}
+    columns["truth"]["rot"][0] = np.eye(3)
     columns["imu"] = {"t": np.concatenate([[0.0], np.cumsum(dt)[:-1]]), "dt": dt,
                       "gyro": gyro, "accel": accel, "contact_vel": contact_vel}
-    return Stream(np.full(len(dt), IMU, dtype=np.int8), columns)
+    return Stream(np.array([TRUTH] + [IMU] * len(dt), dtype=np.int8), columns)
 
 
 class TestClosedFormRun:
@@ -226,7 +231,7 @@ class TestClosedFormRun:
         monkeypatch.setattr(filter_module, "propagate",
                             lambda *args: calls.append(1) or propagate(*args))
         est = StreamEstimator(s, noise, (Variant.PROPOSED, Variant.POSITION_ONLY))
-        assert list(est.fold(imu_only_stream(dt, *inputs))) == []
+        assert list(est.fold(imu_only_stream(dt, *inputs))) == [0]
         assert len(calls) == -(-n // filter_module._TERMS_BLOCK)
         for i, j in np.ndindex(2, 3):
             mean, cov = oracle_run(members[i][j], s.cov[i, j],
@@ -550,8 +555,9 @@ class TestStreamEstimator:
         assert np.allclose(embed(a.mean), embed(b.mean), atol=0.0)
 
     def test_imu_only_stream_longer_than_terms_block(self, rng):
-        # 1300 intervals in one run of imu records: folded in runs of at
-        # most _TERMS_BLOCK, against one interval per step.
+        # 1300 intervals in one run of imu records after the first truth
+        # sample: folded in runs of at most _TERMS_BLOCK, against one
+        # interval per step.
         noise = NoiseParams()
         n = 1300
         assert n > 2 * filter_module._TERMS_BLOCK
@@ -561,19 +567,20 @@ class TestStreamEstimator:
                for name, col in stream.columns["imu"].items()}
         imu["t"] = np.arange(n) * 0.0025
         imu["dt"] = np.full(n, 0.0025)
-        only = Stream(np.full(n, IMU, dtype=np.int8),
-                      {**{kind: {name: col[:0] for name, col in c.items()}
+        only = Stream(np.array([TRUTH] + [IMU] * n, dtype=np.int8),
+                      {**{kind: {name: col[:1 if kind == "truth" else 0]
+                                 for name, col in c.items()}
                           for kind, c in stream.columns.items()}, "imu": imu})
         s0 = make_state(rng)
         est = StreamEstimator(s0, noise, PROPOSED)
-        assert list(est.fold(only)) == []
+        assert list(est.fold(only)) == [0]
         steps = [ImuReading(imu["t"][k], imu["dt"][k], imu["gyro"][k], imu["accel"][k],
                             imu["contact_vel"][k]) for k in range(n)]
         assert_states_close(est.state, step_all(StreamEstimator(s0, noise, PROPOSED),
                                                 steps))
 
     def test_jittered_dt_holds_no_per_run_state(self, rng):
-        # The imu and surface records of a 30 s stream (3,000 runs of imu
+        # The truth, imu and surface records of a 30 s stream (3,000 runs of imu
         # records, as in the whole stream; the updates are left out to keep
         # the traced folds short), with the imu dt jittered by under
         # TIME_TOL / 5 so that no two runs have the same dt: each interval
@@ -584,7 +591,7 @@ class TestStreamEstimator:
         noise = NoiseParams()
         full = one_stream(generate_truth(GaitConfig(duration=30.0), SurfaceConfig(), 3),
                           noise, Rates(), 3)
-        kept = ("imu", "surface")
+        kept = ("truth", "imu", "surface")
         stream = Stream(full.kinds[np.isin(full.kinds, [KINDS.index(k) for k in kept])],
                         {kind: c if kind in kept else {name: col[:0] for name, col in c.items()}
                          for kind, c in full.columns.items()})

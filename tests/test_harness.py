@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, seed, settings
+from hypothesis import Phase, example, given, seed, settings
 from hypothesis import strategies as st
 
 from drs_inekf import filter as filter_module
@@ -29,7 +29,7 @@ from drs_inekf.harness import (
 from drs_inekf.liegroup import GroupElement, compose, sek3_exp, so3_exp
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth, synthesize_sensors
-from drs_inekf.streams import TRUTH, Stream, TruthSample
+from drs_inekf.streams import TruthSample
 
 from conftest import one_stream, oracle_metric_rows, random_element, routed, stream_records
 
@@ -218,17 +218,6 @@ class TestRunTrial:
         for a, b in zip(got, want):
             assert np.all(np.abs(a - b).max(axis=0) <= 1e-10 * np.abs(b).max(axis=0))
 
-    def test_stream_without_truth_rejected(self):
-        stream = short_stream()
-        truth = stream.columns["truth"]
-        no_truth = {name: col[:0] for name, col in truth.items()}
-        records = Stream(stream.kinds[stream.kinds != TRUTH],
-                         {**stream.columns, "truth": no_truth})
-        tcfg = TrialConfig(n_trials=1)
-        noise = NoiseParams()
-        with pytest.raises(ValueError, match="truth"):
-            run_trial(records, tcfg, noise, (Variant.PROPOSED,), offset(1, tcfg))
-
 
 def per_variant_metric_reductions(t, rows):
     """The bands, initial and final values, one variant and metric at a time."""
@@ -400,7 +389,10 @@ class TestEstimatorFuzz:
     # covariance with no eigenvalue below rounding, exact measurements
     # (a variance of 0) included.
     # No shrink phase: a broken filter fails many examples, and shrinking them
-    # took minutes; the failing example is printed either way.
+    # took minutes; the failing example is printed either way. The explicit
+    # example is one this seed draws when run for 60 examples: with exact
+    # measurements (variance 0) and no models.VAR_FLOOR it fails, which
+    # none of the 25 draws kept here does.
     @seed(FUZZ_SEED)
     @settings(max_examples=25, deadline=None, derandomize=True, database=None,
               phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -409,6 +401,8 @@ class TestEstimatorFuzz:
                            VARIANCE, VARIANCE, VARIANCE),
            pitch=st.floats(0.0, 0.3), belt=st.floats(-1.0, 1.0),
            imu_ticks=st.integers(480, 960))
+    @example(seed=480, noise=NoiseParams(0.005136795917146895, 0.0, 0.0, 0.0, 0.0, 0.0),
+             pitch=0.005744148388516935, belt=0.6946720469707546, imu_ticks=480)
     def test_metrics_finite_and_covariance_psd(self, seed, noise, pitch, belt, imu_ticks):
         assert_finite_and_psd(*run_recorded(noise, pitch, belt, imu_ticks, seed))
 

@@ -81,16 +81,15 @@ def record_index(stream, kind, k):
 
 class TestRoundtrip:
     def test_dict_roundtrip_preserves_values(self, rng, tmp_path):
-        # Each record alone in a one-line file (an fk_rot record after the
-        # surface pose it needs) reads back with its kind, time and values,
-        # and is written back as the same lines.
+        # Each prefix of a stream of every kind, from its first truth
+        # sample on, reads back with its kinds in order and its last
+        # record's time, and is written back as the same lines.
         records = sample_records(rng)
-        for d in records:
-            before = [records[1]] if d["kind"] == "fk_rot" else []
-            path = write_records(tmp_path / "one.jsonl", before + [d])
+        for n, d in enumerate(records, start=1):
+            path = write_records(tmp_path / "prefix.jsonl", records[:n])
             stream = read_jsonl(path)
-            assert stream.kinds.tolist()[-1:] == [KINDS.index(d["kind"])]
-            assert stream.columns[d["kind"]]["t"].tolist() == [d["t"]]
+            assert stream.kinds.tolist() == [KINDS.index(r["kind"]) for r in records[:n]]
+            assert stream.columns[d["kind"]]["t"][-1] == d["t"]
             write_jsonl(stream, tmp_path / "back.jsonl")
             assert (tmp_path / "back.jsonl").read_text() == path.read_text()
 
@@ -193,11 +192,17 @@ class TestErrors:
             read_jsonl(path)
 
     def test_interleaved_kinds_keep_independent_clocks(self, tmp_path):
+        # Timestamps increase within a kind: an fk_pos record may precede
+        # an earlier surface record within the imu interval after them.
         path = tmp_path / "ok.jsonl"
         with open(path, "w") as fh:
+            fh.write('{"kind": "truth", "t": 0, "rot": [1,0,0,0,1,0,0,0,1], '
+                     '"vel": [0, 0, 0], "pos": [0, 0, 0], "foot": [0, 0, 0]}\n')
             fh.write('{"kind": "fk_pos", "t": 0.02, "hp": [0, 0, 0]}\n')
             fh.write('{"kind": "surface", "t": 0.01, "rot": [1,0,0,0,1,0,0,0,1]}\n')
-        assert len(read_jsonl(path)) == 2
+            fh.write('{"kind": "imu", "t": 0, "dt": 0.025, "gyro": [0, 0, 0], '
+                     '"accel": [0, 0, 0], "contact_vel": [0, 0, 0]}\n')
+        assert len(read_jsonl(path)) == 4
 
     def test_imu_dt_checked_when_stream_is_built(self):
         # The last imu interval leaves no gap, so only the dt check sees it.
@@ -322,14 +327,35 @@ class TestStreamChecks:
         columns = with_column(SHORT, "swap", "t", lambda t: t + 0.002, 0)
         assert len(Stream(SHORT.kinds, columns)) == len(SHORT)
 
-    def test_stream_without_truth_has_no_clock(self):
-        # With no truth sample there is no clock, so no record is out of
-        # order or early.
+    def test_stream_without_truth_raises(self):
+        # A stream opens with its first truth sample: without truth, the
+        # first record (the surface pose at t = 0) is named; an empty
+        # stream has no record to name.
         truth = {name: col[:0] for name, col in SHORT.columns["truth"].items()}
         kinds = SHORT.kinds[SHORT.kinds != KINDS.index("truth")]
-        columns = with_column(SHORT, "fk_pos", "t", lambda _: -0.5, 0)
-        columns["swap"] = {**columns["swap"], "t": columns["swap"]["t"] + 1.0}
-        assert len(Stream(kinds, {**columns, "truth": truth})) == len(kinds)
+        with pytest.raises(StreamFormatError,
+                           match=r"^surface record at t=0 before the first truth record$") as err:
+            Stream(kinds, {**SHORT.columns, "truth": truth})
+        assert err.value.record == 0
+        empty = {kind: {name: col[:0] for name, col in c.items()}
+                 for kind, c in SHORT.columns.items()}
+        with pytest.raises(StreamFormatError, match="^no records: ") as err:
+            Stream(SHORT.kinds[:0], empty)
+        assert err.value.record is None
+
+    def test_swap_before_the_first_truth_raises(self):
+        # A swap at the first truth time sorts before that truth sample
+        # (swap, truth, ... at equal times), so the filter would apply its
+        # jump to the state the truth sample starts it from, which is
+        # already past the swap: record 0 is named.
+        swap = SHORT.columns["swap"]
+        columns = {**SHORT.columns, "swap": {
+            "t": np.insert(swap["t"], 0, 0.0),
+            "h_d": np.insert(swap["h_d"], 0, [0.0, 0.25, 0.0], axis=0)}}
+        with pytest.raises(StreamFormatError,
+                           match=r"^swap record at t=0 before the first truth record$") as err:
+            Stream(np.insert(SHORT.kinds, 0, KINDS.index("swap")), columns)
+        assert err.value.record == 0
 
     @pytest.mark.parametrize("dropped", [slice(None), slice(1)],
                              ids=["no-surface", "first-surface"])

@@ -129,6 +129,11 @@ MUTANTS = (
     ("metric-angles-in-radians",
      "harness", "*(np.abs(np.degrees(a)) for a in angles)", "*(np.abs(a) for a in angles)"),
     ("measurement-variance-floor-dropped", "models", "VAR_FLOOR = 1e-7", "VAR_FLOOR = 0.0"),
+    # A stream that opens with a record other than truth (a swap at the
+    # first truth time, say), and an empty stream.
+    ("stream-first-record-not-truth-allowed", "streams", "if kinds[0] != TRUTH:",
+     "if False:"),
+    ("stream-empty-check-dropped", "streams", "if not len(kinds):", "if False:"),
 )
 
 
