@@ -269,6 +269,8 @@ def main(argv=None) -> int:
         return EXIT_OK
     marks = {"start": time.perf_counter()}
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         cfg = load_config(args.config)
         code, manifest, outputs = args.func(args, build_all(cfg, args.seed), marks)
         write_manifest(manifest, args.command, cfg, args.seed, outputs, marks)

@@ -74,36 +74,22 @@ def vee(m: np.ndarray) -> np.ndarray:
     return np.multiply(0.5, (m - transposed(m))[..., [2, 0, 1], [1, 2, 0]], order="C")
 
 
-def _by_angle(theta: np.ndarray, series, closed) -> tuple:
-    """Coefficients `series(theta)` below SMALL_ANGLE, `closed(theta)` above.
-
-    Each branch sees only angles it is valid for (the closed form gets 1.0
-    in place of a small angle), so neither divides by zero.
-    """
-    small = theta < SMALL_ANGLE
-    n_small = np.count_nonzero(small)
-    if n_small == 0:
-        return closed(theta)
-    if n_small == small.size:
-        return series(theta)
-    lo = series(theta)
-    hi = closed(np.where(small, 1.0, theta))
-    return tuple(np.where(small, s, c) for s, c in zip(lo, hi))
-
-
 def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(dot(v, v))
+
+
+def _rodrigues(x: np.ndarray, y: np.ndarray, k: np.ndarray, kk: np.ndarray) -> np.ndarray:
+    """I + x K + y K^2, with K = k and K^2 = kk, per slice of the coefficients."""
+    return _EYE3 + x[..., None, None] * k + y[..., None, None] * kk
 
 
 def _exp_and_left_jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of v as matrices."""
     v = np.asarray(v, dtype=float)
-    a, b, c = _gamma_coeffs(_norm(v))
+    a, b, c = _gamma_coeffs(_norm(v), "abc")
     k = hat(v)
     kk = k @ k
-    b = b[..., None, None]
-    return (_EYE3 + a[..., None, None] * k + b * kk,
-            _EYE3 + b * k + c[..., None, None] * kk)
+    return _rodrigues(a, b, k, kk), _rodrigues(b, c, k, kk)
 
 
 def so3_exp(v: np.ndarray) -> np.ndarray:
@@ -170,60 +156,55 @@ def so3_left_jacobian(v: np.ndarray) -> np.ndarray:
 
 
 def _left_jacobian_inv(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    def series(t):
-        t2 = t * t
-        return (1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,)
-
-    def closed(t):
-        s_half = np.sin(0.5 * t)
-        one_minus_cos = 2.0 * s_half * s_half
-        return ((1.0 - t * np.sin(t) / (2.0 * one_minus_cos)) / (t * t),)
-
-    (e,) = _by_angle(theta, series, closed)
+    """J_l(v)^-1 = I - K/2 + e K^2, with K = hat(v) and theta = |v|."""
+    (e,) = _gamma_coeffs(theta, "e")
     k = hat(v)
     return _EYE3 - 0.5 * k + e[..., None, None] * (k @ k)
 
 
-def _gamma_coeffs(theta, n: int = 3):
-    """The first n (3 or 4) coefficients (a, b, c, g2b) of the Gamma matrices.
+_COEFFS = {  # name: ((c0, c2, c4) of its series, its closed form)
+    "a": ((1.0, 6.0, 120.0), lambda t, t2, s, vs: s / t),
+    "b": ((0.5, 24.0, 720.0), lambda t, t2, s, vs: vs / t2),
+    "c": ((1.0 / 6.0, 120.0, 5040.0), lambda t, t2, s, vs: (t - s) / (t2 * t)),
+    "g": ((1.0 / 24.0, 720.0, 40320.0), lambda t, t2, s, vs: (0.5 * t2 - vs) / (t2 * t2)),
+    "e": ((1.0 / 12.0, -720.0, 30240.0), lambda t, t2, s, vs: (1.0 - t * s / (2.0 * vs)) / t2),
+}
 
-    With K = hat(v): Gamma_0 = exp = I + a K + b K^2,
-    Gamma_1 = I + b K + c K^2 and Gamma_2 = I/2 + c K + g2b K^2.
-    """
-    def series(t):  # per coefficient c0 - t^2 / c2 + t^4 / c4
-        t2 = t * t
-        t4 = t2 * t2
-        return tuple(c0 - t2 / c2 + t4 / c4 for c0, c2, c4 in (
-            (1.0, 6.0, 120.0), (0.5, 24.0, 720.0), (1.0 / 6.0, 120.0, 5040.0),
-            (1.0 / 24.0, 720.0, 40320.0))[:n])
 
-    def closed(t):
-        s = np.sin(t)
-        s_half = np.sin(0.5 * t)
-        one_minus_cos = 2.0 * s_half * s_half
-        t2 = t * t
-        abc = (s / t, one_minus_cos / t2, (t - s) / (t2 * t))
-        return abc if n == 3 else abc + ((0.5 * t2 - one_minus_cos) / (t2 * t2),)
-
-    return _by_angle(theta, series, closed)
+def _gamma_coeffs(theta, names: str) -> tuple:
+    """The coefficients `names` of Gamma_0 = exp = I + a K + b K^2, Gamma_1 =
+    J_l = I + b K + c K^2, Gamma_2 = I/2 + c K + g K^2 and J_l^-1 = I - K/2 +
+    e K^2 (K = hat(v)) at theta = |v|: below SMALL_ANGLE the series c0 - t^2/c2
+    + t^4/c4, above it the closed form in t, t^2, sin t and vs = 1 - cos t, which
+    sees 1.0 in place of a small angle so that neither form divides by zero."""
+    small = theta < SMALL_ANGLE
+    n_small = np.count_nonzero(small)
+    if n_small:
+        t2 = theta * theta
+        lo = tuple(c0 - t2 / c2 + t2 * t2 / c4 for (c0, c2, c4), _ in map(_COEFFS.get, names))
+        if n_small == small.size:
+            return lo
+        theta = np.where(small, 1.0, theta)
+    s_half = np.sin(0.5 * theta)
+    forms = (theta, theta * theta, np.sin(theta), 2.0 * s_half * s_half)
+    hi = tuple(closed(*forms) for _, closed in map(_COEFFS.get, names))
+    return tuple(np.where(small, *lh) for lh in zip(lo, hi)) if n_small else hi
 
 
 def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
     """Gamma_0(v) as a matrix plus (Gamma_1(v) u, Gamma_2(v) u) as vectors.
 
-    Gamma_m = sum_n hat(v)^n / (n + m)!: Gamma_0 = exp, Gamma_1 = J_l and
-    Gamma_2 is the double integral term for the position update. Gamma_1
-    and Gamma_2 are applied to u through hat(v) u and hat(v)^2 u, never
-    formed.
+    Gamma_m = sum_n hat(v)^n / (n + m)!, Gamma_2 being the position update's
+    double integral; Gamma_1 and Gamma_2 act on u through hat(v) u and hat(v)^2 u.
     """
     v = np.asarray(v, dtype=float)
-    a, b, c, g2b = _gamma_coeffs(_norm(v), 4)
+    a, b, c, g = _gamma_coeffs(_norm(v), "abcg")
     k = hat(v)
-    g0 = _EYE3 + a[..., None, None] * k + b[..., None, None] * (k @ k)
+    g0 = _rodrigues(a, b, k, k @ k)
     ku = matvec(k, u)
     kku = matvec(k, ku)
     b, c = b[..., None], c[..., None]
-    return g0, u + b * ku + c * kku, 0.5 * u + c * ku + g2b[..., None] * kku
+    return g0, u + b * ku + c * kku, 0.5 * u + c * ku + g[..., None] * kku
 
 
 def project_to_rotation(m: np.ndarray) -> np.ndarray:

@@ -24,8 +24,9 @@ from drs_inekf.liegroup import (
     sek3_exp,
     sek3_log,
 )
-from drs_inekf.filter import State, imu_terms
-from drs_inekf.models import GRAVITY, ImuStep, state_transition
+from drs_inekf import filter as filter_module
+from drs_inekf.filter import EPSILON, State, imu_terms
+from drs_inekf.models import GRAVITY, ImuStep, innovation, state_transition
 from drs_inekf.sim import synthesize_sensors
 from drs_inekf.streams import (
     IMU,
@@ -38,6 +39,29 @@ from drs_inekf.streams import (
     SwapEvent,
     TruthSample,
 )
+
+
+@pytest.fixture
+def nis_by_kind(monkeypatch):
+    """The NIS z^T S^-1 z of every member at each `filter.update`, by kind.
+
+    A dict {"fk_pos": [...], "fk_rot": [...]} that gains one flat array per
+    update call, recomputed from the update's inputs (z and S as `update`
+    forms them) before the update runs. Reaches only this process.
+    """
+    calls = {"fk_pos": [], "fk_rot": []}
+    update = filter_module.update
+
+    def recording_update(s, m):
+        z = innovation(m, s.mean)
+        eye = np.eye(3)
+        cov = m.H @ s.cov @ np.swapaxes(m.H, -1, -2) + m.var * eye + EPSILON * eye
+        nis = (z[..., None, :] @ np.linalg.solve(cov, z[..., None]))[..., 0, 0]
+        calls["fk_rot" if m.cols == XI_R else "fk_pos"].append(nis.ravel())
+        return update(s, m)
+
+    monkeypatch.setattr(filter_module, "update", recording_update)
+    return calls
 
 
 @pytest.fixture
@@ -264,7 +288,7 @@ def so3_gammas(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Gamma_m = sum_n hat(v)^n / (n + m)!; Gamma_0 = exp, Gamma_1 = J_l and
     Gamma_2 is the double integral term for the position update.
     """
-    a, b, c, g2b = _gamma_coeffs(np.sqrt(v @ v), 4)
+    a, b, c, g2b = _gamma_coeffs(np.sqrt(v @ v), "abcg")
     k = hat(v)
     k2 = k @ k
     eye = np.eye(3)

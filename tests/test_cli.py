@@ -168,6 +168,15 @@ def test_every_command_prints_config(capsys, command):
     assert printed == json.dumps(DEFAULT_DOCUMENT, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("command", ["sim", "estimate", "montecarlo"])
+def test_negative_seed_exits_config(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    stream = ["--stream", str(tmp_path / "s.jsonl")] if command == "estimate" else []
+    assert main([command, "--seed", "-1", "--out", str(out)] + stream) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --seed: must be >= 0, got -1\n"
+    assert not out.exists()  # rejected before any work started
+
+
 def test_estimate_without_stream_exits_config(capsys):
     assert main(["estimate"]) == EXIT_CONFIG
     assert "--stream" in capsys.readouterr().err

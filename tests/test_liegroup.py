@@ -140,6 +140,16 @@ class TestSo3:
             assert np.allclose(g1, series[1], atol=1e-12)
             assert np.allclose(g2, series[2], atol=1e-12)
 
+    def test_series_match_closed_forms(self):
+        # Every coefficient's small-angle series against its closed form at
+        # an angle where both are accurate: they differ by O(t^6) there,
+        # a wrong series term by O(t^2) or O(t^4).
+        t = np.array(1e-2)
+        forms = (t, t * t, np.sin(t), 2.0 * np.sin(0.5 * t) ** 2)
+        for name, ((c0, c2, c4), closed) in lg._COEFFS.items():
+            series = c0 - t * t / c2 + t ** 4 / c4
+            assert abs(series - closed(*forms)) < 1e-9, name
+
     def test_gamma_applied_matches_matrices(self, rng):
         for _ in range(100):
             v = rng.standard_normal(3) * rng.uniform(0.0, 1.0)

@@ -92,8 +92,8 @@ MUTANTS = (
     ("surface-normal-from-column-1", "models", "n_s = surface_rot[..., 2]",
      "n_s = surface_rot[..., 1]"),
     ("left-jacobian-b-c-swapped",
-     "liegroup", "_EYE3 + b * k + c[..., None, None] * kk",
-     "_EYE3 + c[..., None, None] * k + b * kk"),
+     "liegroup", "_rodrigues(b, c, k, kk)",
+     "_rodrigues(c, b, k, kk)"),
     # A block of IMU intervals that opens inside a run, and the fixed
     # SE_3(3) adjoint's last diagonal block (the one the jump noise enters).
     ("block-start-not-a-run", "filter", "first[0] = True", "pass"),
@@ -134,6 +134,13 @@ MUTANTS = (
     ("stream-first-record-not-truth-allowed", "streams", "if kinds[0] != TRUTH:",
      "if False:"),
     ("stream-empty-check-dropped", "streams", "if not len(kinds):", "if False:"),
+    # The small-angle table's J_l^-1 entry, the switch to its series, and
+    # a negative master seed.
+    ("left-jacobian-inv-series-sign", "liegroup", "(1.0 / 12.0, -720.0, 30240.0)",
+     "(1.0 / 12.0, 720.0, 30240.0)"),
+    ("gamma-series-below-one-radian", "liegroup",
+     "small = theta < SMALL_ANGLE\n    n_small", "small = theta < 1.0\n    n_small"),
+    ("negative-seed-allowed", "cli", "if args.seed < 0:", "if False:"),
 )
 
 
