@@ -6,17 +6,17 @@ its updates, must lie in the two-sided 95 % chi-square band of that mean
 (Bar-Shalom, Li & Kirubarajan 2001, sec. 5.4). A position innovation has 3
 dof; an orientation innovation has 2, since the surface normal's own
 direction carries only second-order error. Swapping the two variances,
-where the streams are made or where the filter reads them, moves both
-means far outside their bands.
+where the streams are made or where the filter reads them, moves a mean
+tenfold.
 """
 
 import math
 
+import numpy as np
+
 from drs_inekf.harness import TrialConfig, campaigns
 from drs_inekf.models import NoiseParams
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig
-
-import numpy as np
 
 N_TRIALS, DURATION = 8, 6.0
 NOISE = NoiseParams(fk_pos_var=1e-4, surface_orient_var=1e-3)
