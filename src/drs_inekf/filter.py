@@ -5,11 +5,12 @@ right-invariant error coordinates xi = log(X_true @ X_hat^-1) with block
 order (xi_R, xi_v, xi_p, xi_d). The process is group-affine and its error
 dynamics A are constant, so a run of IMU intervals takes one closed-form
 step: the intervals' zero-order-hold strapdown maps compose ahead, from the
-inputs alone (`imu_terms`), Phi(a) Phi(b) = Phi(a + b) for Phi(tau) = exp(A
-tau), and an `ImuStep` is the run's dt and those terms. As every noise is
-isotropic by type (`NoiseParams` holds one variance each), the run's noise
-term needs no adjoint (`propagate`) and a measurement's noise is its
-variance, var I in every frame (`InvariantMeasurement.var`).
+inputs and the noise densities (`imu_terms`), Phi(a) Phi(b) = Phi(a + b)
+for Phi(tau) = exp(A tau), and an `ImuStep` is the run's dt and those
+terms. As every noise is isotropic by type (`NoiseParams` holds one
+variance each), the run's noise term needs no adjoint (`propagate`) and a
+measurement's noise is its variance, var I in every frame
+(`InvariantMeasurement.var`).
 Corrections are applied by left multiplication: X_hat+ = exp(K z) X_hat.
 
 The proposed estimator fuses the foot-position kinematic measurement and
@@ -60,6 +61,7 @@ from .models import (
 from .streams import (
     IMU,
     KINDS,
+    RECORD_TYPES,
     TRUTH,
     FkOrientation,
     FkPosition,
@@ -120,18 +122,20 @@ _E0[0, 3:6] = _E0[1, 9:] = _E1[0, 6:9] = _EYE3
 _STILL = np.moveaxis([_E0 @ _T(_E0), _E0 @ _T(_E1) + _E1 @ _T(_E0), _E1 @ _T(_E1)], 1, -1)
 
 
-def imu_terms(dt, gyro, accel, contact_vel, first):
-    """Integration terms of runs of IMU intervals, composed ahead.
+def imu_terms(dt, gyro, accel, contact_vel, first, noise: NoiseParams):
+    """The ImuStep of each run of IMU intervals, in order: its terms, composed ahead.
 
     Interval k maps the mean (R, cols = [v, p, d]) to (R G, R C + cols M +
     W): G = Gamma_0(gyro dt), C = [Gamma_1 accel dt, Gamma_2 accel dt^2, 0],
     M = M(dt) adds v dt to p, W = [g dt, g dt^2 / 2, contact_vel dt]; maps
     compose as (G_a G_b, G_a C_b + C_a M_b, W_a M_b + W_b). Runs (time axis
-    first) start at interval 0 and the true entries of `first`. Returns what
-    `propagate` reads: per interval, the carried noise arguments, the map up
-    to its start drifted with zero input to its run's end (C, W); per run,
-    its map ([G | C], W), M(T), Phi(T) and `still`, the run's sums of e_v
-    e_v^T dt and e_d e_d^T dt (last axis).
+    first) start at interval 0 and the true entries of `first`. A step's
+    terms are what `propagate` reads: per interval (on the axis before the
+    matrix axes), the carried noise arguments, the map up to its start
+    drifted with zero input to its run's end (C, W), and its gyro weight
+    sg^2 dt; per run, its map ([G | C], W), M(T), Phi(T) and the sum of
+    (sa^2 e_v e_v^T + sc^2 e_d e_d^T) dt. The steps are made as they are
+    taken, from views of arrays computed for all the runs at once.
     """
     dt = np.asarray(dt, dtype=float)
     n = len(dt)
@@ -172,12 +176,19 @@ def imu_terms(dt, gyro, accel, contact_vel, first):
     moments = np.add.reduceat(dt[:, None] * rest[:, None] ** [0, 1, 2], starts)
     shift = _EYE3 + tau[ends, None, None] * np.outer(_EYE3[0], _EYE3[1])
     run_maps = maps[ends]
-    return ((carried[..., :3], carried[..., 3:]),
-            (run_maps[..., :6], run_maps[..., 6:], shift, state_transition(tau[ends]),
-             np.tensordot(moments, _STILL, 1)))
+    still = np.tensordot(moments, _STILL, 1) @ (noise.accel_density,
+                                                noise.contact_vel_density)
+    runs = zip(run_maps[..., :6], run_maps[..., 6:], shift,
+               state_transition(tau[ends]), still)
+    carried = np.moveaxis(carried, 0, -3)  # the interval axis next to the matrices
+    carried_c, carried_w = carried[..., :3], carried[..., 3:]
+    weight = (noise.gyro_density * dt)[:, None, None]
+    return (ImuStep(dt[i:j], ((carried_c[..., i:j, :, :], carried_w[..., i:j, :, :],
+                               weight[i:j]), run))
+            for i, j, run in zip(starts.tolist(), (ends + 1).tolist(), runs))
 
 
-def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
+def propagate(s: State, u: ImuStep) -> State:
     """Advance mean and covariance over the run of IMU intervals u.
 
     One closed-form step, from u.terms (`imu_terms`) and the run's start
@@ -185,32 +196,29 @@ def propagate(s: State, u: ImuStep, noise: NoiseParams) -> State:
     moves to (R0 G, R0 C + cols0 M(T) + W), the covariance to Phi(T) cov
     Phi(T)^T + sum_i Phi(tau_i) Ad_i Qc Ad_i^T Phi(tau_i)^T dt_i, Ad_i at
     interval i's start, tau_i from there to the run's end. The densities of
-    `NoiseParams` give Qc = diag(sg^2 I, sa^2 I, 0, sc^2 I), and R sg^2 I
-    R^T = sg^2 I: term i is sg^2 Z_i Z_i^T + E_i diag(sa^2 I, sc^2 I)
-    E_i^T, Z_i = [I; hat(v + g tau_i); hat(p + tau_i v + g tau_i^2 / 2);
-    hat(d)] at the mean's columns there, E_i = [e_v | e_d] = [0, 0; I, 0;
-    tau_i I, 0; 0, I]: no adjoint.
+    the `NoiseParams` that u.terms were made with give Qc = diag(sg^2 I,
+    sa^2 I, 0, sc^2 I), and R sg^2 I R^T = sg^2 I: term i is sg^2 Z_i
+    Z_i^T + E_i diag(sa^2 I, sc^2 I) E_i^T, Z_i = [I; hat(v + g tau_i);
+    hat(p + tau_i v + g tau_i^2 / 2); hat(d)] at the mean's columns there,
+    E_i = [e_v | e_d] = [0, 0; I, 0; tau_i I, 0; 0, I]: no adjoint.
     """
-    (carried_c, carried_w), (body, offset, shift, phi, still) = u.terms
+    (carried_c, carried_w, weight), (body, offset, shift, phi, still) = u.terms
     rot, cols = s.mean.rot, s.mean.cols
     # Every member is within tolerance when no entry of R^T R - I exceeds
     # a third of it (the Frobenius norm is at most 3 times that).
-    if np.abs(_T(rot) @ rot - _EYE3).max() > _ORTHO_TOL / 3.0:
+    if np.count_nonzero(np.abs(_T(rot) @ rot - _EYE3) > _ORTHO_TOL / 3.0):
         drifted = rotation_defect(rot) > _ORTHO_TOL
         rot = np.where(drifted[..., None, None], project_to_rotation(rot), rot)
     moved = cols @ shift
     rotated = rot @ body
     mean = GroupElement(rotated[..., :3], rotated[..., 3:] + moved + offset)
-    # The Z_i arguments, time first: the inputs' axes are the state's last.
-    lead = carried_c.shape[:1] + (1,) * (rot.ndim + 1 - carried_c.ndim)
-    args = (rot @ carried_c.reshape(lead + carried_c.shape[1:])
-            + carried_w.reshape(lead + carried_w.shape[1:]) + moved)
+    # The Z_i arguments, the interval axis before the matrix axes: the
+    # inputs' axes before it are the state's last.
+    args = rot[..., None, :, :] @ carried_c + carried_w + moved[..., None, :, :]
     z = np.empty(args.shape[:-2] + (12, 3))
     z[..., :3, :] = _EYE3
     z[..., 3:, :] = hat(_T(args)).reshape(args.shape[:-2] + (9, 3))
-    weight = (noise.gyro_density * u.dt).reshape(u.dt.shape + (1,) * (z.ndim - 1))
-    still_cov = still @ (noise.accel_density, noise.contact_vel_density)
-    noise_cov = ((z * weight) @ _T(z)).sum(0) + still_cov
+    noise_cov = ((z * weight) @ _T(z)).sum(-3) + still
     cov = _symmetrize(phi @ s.cov @ _T(phi) + noise_cov)
     return State(mean, cov)
 
@@ -224,19 +232,21 @@ def update(s: State, m: InvariantMeasurement) -> State:
     K (m.var I) K^T to the Joseph form; EPSILON I regularises the former.
     """
     z = innovation(m, s.mean)
-    h = m.H[..., m.cols]
-    pht = s.cov[..., m.cols] @ _T(h)
-    sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3
+    cols, cov = m.cols, s.cov
+    h = m.H[..., cols]
+    pht = cov[..., cols] @ _T(h)
+    sce = h @ pht[..., cols, :] + m.var * _EYE3 + EPSILON * _EYE3
     try:
         gain = _T(np.linalg.solve(_T(sce), _T(pht)))
     except np.linalg.LinAlgError as exc:
         raise FilterError(f"singular innovation covariance: {exc}") from exc
-    if not np.isfinite(gain).all():
+    if np.count_nonzero(np.isfinite(gain)) < gain.size:
         raise FilterError("non-finite Kalman gain (degenerate innovation covariance)")
     mean = compose(sek3_exp(_mv(gain, z)), s.mean)
     ikh = _EYE12 - gain @ m.H
-    cov = _symmetrize(ikh @ s.cov @ _T(ikh) + (gain * m.var) @ _T(gain))
-    return State(mean, cov)
+    joseph = ikh @ cov @ _T(ikh)
+    joseph += (gain * m.var) @ _T(gain)
+    return State(mean, _symmetrize(joseph))
 
 
 def apply_jump(s: State, h_d: np.ndarray, jump_pos_var: float) -> State:
@@ -306,7 +316,7 @@ class StreamEstimator:
         FkOrientation, FkPosition or SwapEvent into `self.state`."""
         noise = self.noise
         if isinstance(event, ImuStep):
-            self.state = propagate(self.state, event, noise)
+            self.state = propagate(self.state, event)
         elif isinstance(event, SurfacePose):
             self.surface_rot = event.rot
         elif isinstance(event, FkOrientation):
@@ -329,34 +339,34 @@ class StreamEstimator:
         IMU records is one ImuStep of at most _TERMS_BLOCK intervals, whose
         integration terms are computed ahead _TERMS_BLOCK intervals at once:
         such a step is a run of its terms block, the block's runs taken in
-        order, so it carries its dt, its intervals' terms and its run's own.
+        order. Any other record is built from its kind's times, as a list,
+        and its value column (`RECORD_TYPES`).
         """
         imu, kinds = stream.columns["imu"], stream.kinds
         opens = np.diff(kinds == IMU, prepend=False)[kinds == IMU]  # starts a run
         edges = np.flatnonzero(np.diff(kinds, prepend=-1, append=-1))  # kind runs
-        seen, end, run = [0] * len(KINDS), 0, 0  # end: first interval without terms
-        for first, stop in zip(map(int, edges[:-1]), map(int, edges[1:])):
-            code = int(kinds[first])
+        # Each run's first record, end and kind code as plain ints, made as
+        # they are taken (a memoryview yields ints, not numpy scalars).
+        runs = zip(*map(memoryview, (edges[:-1], edges[1:], kinds[edges[:-1]])))
+        seen, end = [0] * len(KINDS), 0  # end: first interval without terms
+        for first, stop, code in runs:
             k, seen[code] = seen[code], seen[code] + stop - first
             if code == TRUTH:
                 yield from range(k, seen[code])
                 continue
             if code != IMU:
+                (cls, name), c = RECORD_TYPES[code], stream.columns[KINDS[code]]
+                records = zip(c["t"][k:seen[code]].tolist(), c[name][k:seen[code]])
                 try:
-                    for i in range(k, seen[code]):
-                        self.step(stream.record(code, i))
+                    for i, (t, value) in enumerate(records, first):
+                        self.step(cls(t, value))
                 except FilterError as exc:  # within a kind, a time names one record
-                    t = stream.columns[KINDS[code]]["t"][i]
                     message = f"{KINDS[code]} record at t={t:.9g}: {exc}"
-                    raise FilterError(message, first + i - k) from exc
+                    raise FilterError(message, i) from exc
                 continue
             for a in range(k, seen[code], _TERMS_BLOCK):
-                b = min(a + _TERMS_BLOCK, seen[code])
-                if b > end:
-                    start, end, run = a, a + _TERMS_BLOCK, 0
-                    intervals, runs = imu_terms(
-                        *(imu[name][start:end] for name in _IMU_INPUTS), opens[start:end])
-                self.step(ImuStep(imu["dt"][a:b], (
-                    tuple(x[a - start:b - start] for x in intervals),
-                    tuple(x[run] for x in runs))))
-                run += 1
+                if min(a + _TERMS_BLOCK, seen[code]) > end:
+                    end = a + _TERMS_BLOCK
+                    steps = imu_terms(*(imu[name][a:end] for name in _IMU_INPUTS),
+                                      opens[a:end], self.noise)
+                self.step(next(steps))

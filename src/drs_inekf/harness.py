@@ -15,7 +15,6 @@ convergence).
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,6 +218,8 @@ def campaigns(tcfg: TrialConfig, gait: GaitConfig, surfaces: list[SurfaceConfig]
              gait, list(surfaces), noise, rates, tcfg)
             for chunk in chunks]
     if len(args) > 1:
+        import multiprocessing  # here only: a single chunk runs without it
+
         with multiprocessing.Pool(len(args)) as pool:
             chunked = pool.map(_chunk_worker, args)
     else:

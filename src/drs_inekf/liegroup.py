@@ -65,8 +65,8 @@ _HAT.setflags(write=False)
 
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix with hat(v) @ u == cross(v, u)."""
-    v = np.asarray(v, dtype=float)
-    return (v @ _HAT).reshape(v.shape[:-1] + (3, 3))
+    m = v @ _HAT
+    return m.reshape(m.shape[:-1] + (3, 3))
 
 
 def vee(m: np.ndarray) -> np.ndarray:
@@ -75,26 +75,27 @@ def vee(m: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    return np.sqrt(dot(v, v))
+    """|v| over the last axis: the square root of dot(v, v)."""
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 def _rodrigues(x: np.ndarray, y: np.ndarray, k: np.ndarray, kk: np.ndarray) -> np.ndarray:
-    """I + x K + y K^2, with K = k and K^2 = kk, per slice of the coefficients."""
-    return _EYE3 + x[..., None, None] * k + y[..., None, None] * kk
+    """I + x K + y K^2, with K = k, K^2 = kk and coefficients of shape (..., 1, 1)."""
+    return _EYE3 + x * k + y * kk
 
 
 def _exp_and_left_jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of v as matrices."""
-    v = np.asarray(v, dtype=float)
+    """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of a float array v as matrices."""
     a, b, c = _gamma_coeffs(_norm(v), "abc")
-    k = hat(v)
+    k, b = hat(v), b[..., None, None]
     kk = k @ k
+    a, c = a[..., None, None], c[..., None, None]
     return _rodrigues(a, b, k, kk), _rodrigues(b, c, k, kk)
 
 
 def so3_exp(v: np.ndarray) -> np.ndarray:
     """Rotation matrix exp(hat(v)) by the Rodrigues formula."""
-    return _exp_and_left_jacobian(v)[0]
+    return _exp_and_left_jacobian(np.asarray(v, dtype=float))[0]
 
 
 def so3_log(rot: np.ndarray) -> np.ndarray:
@@ -152,7 +153,7 @@ def _near_pi_axis(rot, cos_theta, skew_vec, sin_norm) -> np.ndarray:
 
 def so3_left_jacobian(v: np.ndarray) -> np.ndarray:
     """Left Jacobian J_l of SO(3): integral of exp over [0, 1]."""
-    return _exp_and_left_jacobian(v)[1]
+    return _exp_and_left_jacobian(np.asarray(v, dtype=float))[1]
 
 
 def _left_jacobian_inv(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -162,33 +163,35 @@ def _left_jacobian_inv(v: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return _EYE3 - 0.5 * k + e[..., None, None] * (k @ k)
 
 
-_COEFFS = {  # name: ((c0, c2, c4) of its series, its closed form)
-    "a": ((1.0, 6.0, 120.0), lambda t, t2, s, vs: s / t),
-    "b": ((0.5, 24.0, 720.0), lambda t, t2, s, vs: vs / t2),
-    "c": ((1.0 / 6.0, 120.0, 5040.0), lambda t, t2, s, vs: (t - s) / (t2 * t)),
-    "g": ((1.0 / 24.0, 720.0, 40320.0), lambda t, t2, s, vs: (0.5 * t2 - vs) / (t2 * t2)),
-    "e": ((1.0 / 12.0, -720.0, 30240.0), lambda t, t2, s, vs: (1.0 - t * s / (2.0 * vs)) / t2),
-}
+# Per coefficient of `_gamma_coeffs`, (c0, c2, c4) of its series c0 - t^2/c2 + t^4/c4.
+_SERIES = {"a": (1.0, 6.0, 120.0), "b": (0.5, 24.0, 720.0), "c": (1.0 / 6.0, 120.0, 5040.0),
+           "g": (1.0 / 24.0, 720.0, 40320.0), "e": (1.0 / 12.0, -720.0, 30240.0)}
 
 
-def _gamma_coeffs(theta, names: str) -> tuple:
-    """The coefficients `names` of Gamma_0 = exp = I + a K + b K^2, Gamma_1 =
-    J_l = I + b K + c K^2, Gamma_2 = I/2 + c K + g K^2 and J_l^-1 = I - K/2 +
-    e K^2 (K = hat(v)) at theta = |v|: below SMALL_ANGLE the series c0 - t^2/c2
-    + t^4/c4, above it the closed form in t, t^2, sin t and vs = 1 - cos t, which
-    sees 1.0 in place of a small angle so that neither form divides by zero."""
+def _gamma_coeffs(theta, names: str) -> list:
+    """The coefficients `names` ("abc", "abcg" or "e") of Gamma_0 = exp = I + a K
+    + b K^2, Gamma_1 = J_l = I + b K + c K^2, Gamma_2 = I/2 + c K + g K^2 and
+    J_l^-1 = I - K/2 + e K^2 (K = hat(v)) at theta = |v|: below SMALL_ANGLE the
+    series (`_SERIES`), above it the closed form in t, t^2, sin t and vs = 1 -
+    cos t, which sees 1.0 in place of a small angle so that neither form
+    divides by zero."""
     small = theta < SMALL_ANGLE
     n_small = np.count_nonzero(small)
     if n_small:
         t2 = theta * theta
-        lo = tuple(c0 - t2 / c2 + t2 * t2 / c4 for (c0, c2, c4), _ in map(_COEFFS.get, names))
+        lo = [c0 - t2 / c2 + t2 * t2 / c4 for c0, c2, c4 in map(_SERIES.get, names)]
         if n_small == small.size:
             return lo
         theta = np.where(small, 1.0, theta)
-    s_half = np.sin(0.5 * theta)
-    forms = (theta, theta * theta, np.sin(theta), 2.0 * s_half * s_half)
-    hi = tuple(closed(*forms) for _, closed in map(_COEFFS.get, names))
-    return tuple(np.where(small, *lh) for lh in zip(lo, hi)) if n_small else hi
+    t, t2, s, s_half = theta, theta * theta, np.sin(theta), np.sin(0.5 * theta)
+    vs = 2.0 * s_half * s_half
+    if names == "e":
+        hi = [(1.0 - t * s / (2.0 * vs)) / t2]
+    else:
+        hi = [s / t, vs / t2, (t - s) / (t2 * t)]
+        if names == "abcg":
+            hi.append((0.5 * t2 - vs) / (t2 * t2))
+    return [np.where(small, *lh) for lh in zip(lo, hi)] if n_small else hi
 
 
 def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
@@ -200,7 +203,7 @@ def gamma0_and_applied(v: np.ndarray, u: np.ndarray):
     v = np.asarray(v, dtype=float)
     a, b, c, g = _gamma_coeffs(_norm(v), "abcg")
     k = hat(v)
-    g0 = _rodrigues(a, b, k, k @ k)
+    g0 = _rodrigues(a[..., None, None], b[..., None, None], k, k @ k)
     ku = matvec(k, u)
     kku = matvec(k, ku)
     b, c = b[..., None], c[..., None]

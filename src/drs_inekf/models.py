@@ -33,7 +33,6 @@ from .liegroup import (
     XI_V,
     hat,
 )
-from .liegroup import matvec as _mv
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -43,10 +42,11 @@ class ImuStep:
     """A run of n consecutive IMU intervals: their dt (n,) and their terms.
 
     The terms are what `filter.propagate` reads of the run's inputs (body-
-    frame gyro/accel, world-frame contact-point velocity), composed ahead by
-    `filter.imu_terms`: per interval the carried noise arguments, per run
-    its map, M(T), Phi(T) and noise sums. They may carry stream axes after
-    the run axis (several streams in lockstep).
+    frame gyro/accel, world-frame contact-point velocity) and the noise
+    densities, composed ahead by `filter.imu_terms`: per interval the
+    carried noise arguments and gyro weight, per run its map, M(T), Phi(T)
+    and noise sum. They may carry stream axes (several streams in lockstep),
+    before the per-interval terms' interval axis.
     """
 
     dt: np.ndarray
@@ -160,7 +160,7 @@ class InvariantMeasurement:
 
 def innovation(m: InvariantMeasurement, xhat: GroupElement) -> np.ndarray:
     """z = R_hat y + cols_hat w - b, the top three rows of X_hat Y - b."""
-    return _mv(xhat.rot, m.y) + _mv(xhat.cols, m.w) - m.b
+    return (xhat.rot @ m.y[..., None] + xhat.cols @ m.w[..., None])[..., 0] - m.b
 
 
 def error_jacobian_A() -> np.ndarray:

@@ -111,9 +111,10 @@ _FIELDS = {
     "fk_pos": {"t": (), "hp": (3,)},
     "imu": {"t": (), "dt": (), "gyro": (3,), "accel": (3,), "contact_vel": (3,)},
 }
-# The record class and value column of each kind whose record is (t, value).
-_PAIRS = {SWAP: (SwapEvent, "h_d"), SURFACE: (SurfacePose, "rot"),
-          FK_ROT: (FkOrientation, "rot"), FK_POS: (FkPosition, "hp")}
+# The record class and value column of each kind whose record is (t, value),
+# by kind code: what `StreamEstimator.fold` builds its records from.
+RECORD_TYPES = {SWAP: (SwapEvent, "h_d"), SURFACE: (SurfacePose, "rot"),
+                FK_ROT: (FkOrientation, "rot"), FK_POS: (FkPosition, "hp")}
 # JSON integers are read as floats; NaN and Infinity too, which Stream rejects.
 _DECODER = json.JSONDecoder(parse_int=float)
 _BLOCK = 512  # records of a kind parsed before they are converted to arrays
@@ -198,12 +199,6 @@ class Stream:
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def record(self, code: int, k: int):
-        """Record `k` of kind `code` (swap, surface, fk_rot or fk_pos) as its class."""
-        c = self.columns[KINDS[code]]
-        cls, name = _PAIRS[code]
-        return cls(float(c["t"][k]), c[name][k])
 
 
 def _first_bad(ok, at, message, key="line") -> None:

@@ -31,6 +31,7 @@ from drs_inekf.sim import synthesize_sensors
 from drs_inekf.streams import (
     IMU,
     KINDS,
+    RECORD_TYPES,
     TRUTH,
     FkOrientation,
     FkPosition,
@@ -45,9 +46,10 @@ from drs_inekf.streams import (
 def nis_by_kind(monkeypatch):
     """The NIS z^T S^-1 z of every member at each `filter.update`, by kind.
 
-    A dict {"fk_pos": [...], "fk_rot": [...]} that gains one flat array per
-    update call, recomputed from the update's inputs (z and S as `update`
-    forms them) before the update runs. Reaches only this process.
+    A dict {"fk_pos": [...], "fk_rot": [...]} that gains one array per update
+    call, of the updated members' batch shape, recomputed from the update's
+    inputs (z and S as `update` forms them) before the update runs. Reaches
+    only this process.
     """
     calls = {"fk_pos": [], "fk_rot": []}
     update = filter_module.update
@@ -57,7 +59,7 @@ def nis_by_kind(monkeypatch):
         eye = np.eye(3)
         cov = m.H @ s.cov @ np.swapaxes(m.H, -1, -2) + m.var * eye + EPSILON * eye
         nis = (z[..., None, :] @ np.linalg.solve(cov, z[..., None]))[..., 0, 0]
-        calls["fk_rot" if m.cols == XI_R else "fk_pos"].append(nis.ravel())
+        calls["fk_rot" if m.cols == XI_R else "fk_pos"].append(nis)
         return update(s, m)
 
     monkeypatch.setattr(filter_module, "update", recording_update)
@@ -84,22 +86,23 @@ class ImuReading:
     contact_vel: np.ndarray
 
 
-def imu_step(dt, gyro, accel, contact_vel) -> ImuStep:
-    """The ImuStep of one run of intervals (time axis first), via imu_terms."""
+def imu_step(dt, gyro, accel, contact_vel, noise) -> ImuStep:
+    """The ImuStep of one run of intervals (time axis first) under the noise
+    model `noise`, via imu_terms."""
     dt = np.asarray(dt, dtype=float)
-    intervals, runs = imu_terms(dt, gyro, accel, contact_vel, np.zeros(len(dt), bool))
-    return ImuStep(dt, (intervals, tuple(x[0] for x in runs)))
+    (step,) = imu_terms(dt, gyro, accel, contact_vel, np.zeros(len(dt), bool), noise)
+    return step
 
 
-def imu_run(readings) -> ImuStep:
+def imu_run(readings, noise) -> ImuStep:
     """The ImuStep of consecutive readings; a lone reading is a run of one."""
     return imu_step(*(np.array([getattr(u, name) for u in readings], dtype=float)
-                      for name in ("dt", "gyro", "accel", "contact_vel")))
+                      for name in ("dt", "gyro", "accel", "contact_vel")), noise)
 
 
-def routed(rec):
+def routed(rec, noise):
     """What `StreamEstimator.step` takes for a record: a reading as a run of one."""
-    return imu_run([rec]) if isinstance(rec, ImuReading) else rec
+    return imu_run([rec], noise) if isinstance(rec, ImuReading) else rec
 
 
 # -- Lie-group, model and trajectory oracles ----------------------------------
@@ -234,7 +237,9 @@ def stream_records(stream):
                                       imu["gyro"][k], imu["accel"][k],
                                       imu["contact_vel"][k]))
         else:
-            records.append(stream.record(code, k))
+            cls, name = RECORD_TYPES[code]
+            c = stream.columns[KINDS[code]]
+            records.append(cls(float(c["t"][k]), c[name][k]))
         seen[code] += 1
     return records
 
@@ -264,7 +269,7 @@ def step_all(est, records):
     """Route each record but the truth samples through `est.step`; the final state."""
     for rec in records:
         if not isinstance(rec, TruthSample):
-            est.step(routed(rec))
+            est.step(routed(rec, est.noise))
     return est.state
 
 

@@ -262,7 +262,7 @@ def test_criterion_6_keystone_self_consistency():
     worst_pos = worst_vel = 0.0
     for rec in records:
         if not isinstance(rec, TruthSample):
-            est.step(routed(rec))
+            est.step(routed(rec, est.noise))
         else:
             _, xi = error_vs_truth(est.state.mean, rec.element)
             pos_err, vel_err = metric_rows(est.state.mean, est.state.cov, rec.element)[:2]

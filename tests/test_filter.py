@@ -87,7 +87,7 @@ class TestPropagate:
                   np.eye(12) * 1e-4)
         start = s
         for k in range(1000):
-            s = propagate(s, imu_run([static_step(k * 0.0025)]), ZERO)
+            s = propagate(s, imu_run([static_step(k * 0.0025)], ZERO))
         assert np.linalg.norm(s.mean.rot - start.mean.rot) < 1e-12
         assert np.linalg.norm(s.mean.cols - start.mean.cols) < 1e-12
 
@@ -96,7 +96,7 @@ class TestPropagate:
         dt = 1.0 / 400.0
         for k in range(400):
             u = ImuReading(k * dt, dt, np.zeros(3), np.zeros(3), np.zeros(3))
-            s = propagate(s, imu_run([u]), ZERO)
+            s = propagate(s, imu_run([u], ZERO))
         assert np.linalg.norm(s.mean.vel - GRAVITY) < 1e-6
         assert np.linalg.norm(s.mean.pos - 0.5 * GRAVITY) < 1e-6
 
@@ -105,13 +105,13 @@ class TestPropagate:
         x_oracle = s.mean
         for k in range(50):
             u = random_imu(rng, t=k * 0.0025)
-            s = propagate(s, imu_run([u]), ZERO)
+            s = propagate(s, imu_run([u], ZERO))
             x_oracle = rk4_flow(x_oracle, u, u.dt, substeps=10)
         assert np.linalg.norm(embed(s.mean) - embed(x_oracle)) < 1e-8
 
     def test_covariance_grows_with_noise(self, rng):
         s = make_state(rng)
-        s2 = propagate(s, imu_run([random_imu(rng)]), NoiseParams())
+        s2 = propagate(s, imu_run([random_imu(rng)], NoiseParams()))
         assert np.trace(s2.cov) > np.trace(s.cov)
         assert np.array_equal(s2.cov, s2.cov.T)
 
@@ -138,7 +138,7 @@ class TestPropagateRun:
 
     def one_by_one(self, s, steps, noise):
         for u in steps:
-            s = propagate(s, imu_run([u]), noise)
+            s = propagate(s, imu_run([u], noise))
         return s
 
     def test_unequal_intervals(self, rng):
@@ -147,7 +147,7 @@ class TestPropagateRun:
         for dt in (0.0025, 0.001, 0.004, 0.0025, 0.0137):
             steps.append(random_imu(rng, t=t, dt=dt))
             t += dt
-        assert_states_close(propagate(s, imu_run(steps), noise),
+        assert_states_close(propagate(s, imu_run(steps, noise)),
                             self.one_by_one(s, steps, noise))
 
     def test_run_that_reprojects_the_rotation(self, rng, monkeypatch):
@@ -163,7 +163,7 @@ class TestPropagateRun:
         drifted = GroupElement(s.mean.rot * (1.0 + 1e-8), s.mean.cols)
         s = State(drifted, s.cov)
         steps = [random_imu(rng, t=k * 0.0025) for k in range(4)]
-        run = propagate(s, imu_run(steps), noise)
+        run = propagate(s, imu_run(steps, noise))
         assert calls
         assert_states_close(run, self.one_by_one(s, steps, noise))
 
@@ -178,7 +178,7 @@ class TestPropagateRun:
         steps = [ImuReading(k * 0.0025, 0.0025, rng.standard_normal((3, 3)),
                             rng.standard_normal((3, 3)) * 3.0,
                             rng.standard_normal((3, 3)) * 0.3) for k in range(6)]
-        run = propagate(s, imu_run(steps), noise)
+        run = propagate(s, imu_run(steps, noise))
         assert run.cov.shape == (2, 3, 12, 12)
         assert_states_close(run, self.one_by_one(s, steps, noise))
 
@@ -226,7 +226,7 @@ class TestClosedFormRun:
         # run of 600 records is folded as runs of _TERMS_BLOCK and the rest.
         noise = NoiseParams()
         s, dt, inputs, members = self.batch(rng, n)
-        stepped = propagate(s, imu_step(dt, *inputs), noise)
+        stepped = propagate(s, imu_step(dt, *inputs, noise))
         calls = []
         monkeypatch.setattr(filter_module, "propagate",
                             lambda *args: calls.append(1) or propagate(*args))
@@ -241,6 +241,21 @@ class TestClosedFormRun:
                 assert rel_err(got.mean.rot[i, j], mean.rot) <= 1e-12
                 assert rel_err(got.mean.cols[i, j], mean.cols) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_each_slice_equals_its_unbatched_call(self, rng, n):
+        # Batch invariance: each member of the (2, 3) batch, propagated
+        # alone over its own stream's run, gives its slice bit for bit.
+        noise = NoiseParams()
+        s, dt, inputs, _ = self.batch(rng, n)
+        batched = propagate(s, imu_step(dt, *inputs, noise))
+        for i, j in np.ndindex(2, 3):
+            alone = propagate(State(GroupElement(s.mean.rot[i, j], s.mean.cols[i, j]),
+                                    s.cov[i, j]),
+                              imu_step(dt, *(x[:, j] for x in inputs), noise))
+            assert np.array_equal(batched.mean.rot[i, j], alone.mean.rot)
+            assert np.array_equal(batched.mean.cols[i, j], alone.mean.cols)
+            assert np.array_equal(batched.cov[i, j], alone.cov)
+
     def test_mean_tick_by_tick(self, rng):
         # Each prefix of a run of 40 intervals, composed in one step, gives
         # the mean that oracle_propagate reaches tick by tick.
@@ -250,7 +265,7 @@ class TestClosedFormRun:
             mean = members[i][j]
             for k, u in enumerate(self.member_steps(dt, inputs, j), start=1):
                 mean, _ = oracle_propagate(mean, np.eye(12), u, noise)
-                got = propagate(s, imu_step(dt[:k], *(x[:k] for x in inputs)), noise).mean
+                got = propagate(s, imu_step(dt[:k], *(x[:k] for x in inputs), noise)).mean
                 assert rel_err(got.rot[i, j], mean.rot) <= 1e-12
                 assert rel_err(got.cols[i, j], mean.cols) <= 1e-12
 
@@ -260,7 +275,7 @@ class TestClosedFormRun:
 
         monkeypatch.setattr(filter_module, "adjoint", refused)
         s, dt, inputs, _ = self.batch(rng, 4)
-        propagate(s, imu_step(dt, *inputs), NoiseParams())
+        propagate(s, imu_step(dt, *inputs, NoiseParams()))
 
 
 class TestUpdate:
@@ -399,7 +414,7 @@ class TestExactSymmetry:
         noise = NoiseParams()
         steps = [
             lambda s: propagate(s, imu_run([ImuReading(0.0, 0.0025, gyro, 3.0 * accel,
-                                                       0.3 * contact_vel)]), noise),
+                                                       0.3 * contact_vel)], noise)),
             lambda s: update(s, position_measurement(
                 rng.standard_normal(shape + (3,)), noise)),
             lambda s: update(s, orientation_measurement(
@@ -509,7 +524,7 @@ class TestStreamEstimator:
         est = StreamEstimator(s, noise, PROPOSED)
         folded = s
         for u in steps:
-            folded = propagate(folded, imu_run([u]), noise)
+            folded = propagate(folded, imu_run([u], noise))
         streamed = step_all(est, steps)
         assert np.allclose(embed(streamed.mean), embed(folded.mean), atol=0.0)
         assert np.array_equal(streamed.cov, folded.cov)
@@ -526,7 +541,7 @@ class TestStreamEstimator:
         surface = None
         for rec in records:
             if isinstance(rec, ImuReading):
-                manual = propagate(manual, imu_run([rec]), noise)
+                manual = propagate(manual, imu_run([rec], noise))
             elif isinstance(rec, SurfacePose):
                 surface = rec.rot
             elif isinstance(rec, FkOrientation):
@@ -629,8 +644,8 @@ class TestInvariantErrorPropagation:
             sb = State(compose(g, base), np.eye(12))
             errors = []
             for u in steps:
-                sa = propagate(sa, imu_run([u]), ZERO)
-                sb = propagate(sb, imu_run([u]), ZERO)
+                sa = propagate(sa, imu_run([u], ZERO))
+                sb = propagate(sb, imu_run([u], ZERO))
                 errors.append(embed(compose(sb.mean, inverse(sa.mean))))
             return errors
 
@@ -654,8 +669,8 @@ class TestInvariantErrorPropagation:
         sb = State(compose(g, base), np.eye(12))
         for k in range(200):
             u = random_imu(rng, t=k * 0.0025, contact_vel_scale=0.0)
-            sa = propagate(sa, imu_run([u]), ZERO)
-            sb = propagate(sb, imu_run([u]), ZERO)
+            sa = propagate(sa, imu_run([u], ZERO))
+            sb = propagate(sb, imu_run([u], ZERO))
         err = compose(sb.mean, inverse(sa.mean))
         assert np.linalg.norm(embed(err) - embed(g)) < 1e-9
 
@@ -683,7 +698,7 @@ class TestLongRunHygiene:
             draws = rng.standard_normal((run, 3, 3))
             est.step(imu_step(np.full(run, dt), draws[:, 0] * 0.3,
                               np.array([0.0, 0.0, 9.81]) + draws[:, 1] * 0.3,
-                              draws[:, 2] * 0.1))
+                              draws[:, 2] * 0.1, noise))
             if k % check_every == 0:
                 cov = est.state.cov
                 assert np.array_equal(cov, cov.T)

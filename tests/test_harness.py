@@ -313,7 +313,7 @@ class TestYawConvergenceReferenceRun:
         last = None
         for rec in records:
             if not isinstance(rec, TruthSample):
-                est.step(routed(rec))
+                est.step(routed(rec, est.noise))
             else:
                 last = rec
         final_yaw = metric_rows(est.state.mean, est.state.cov,

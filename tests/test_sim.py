@@ -409,7 +409,7 @@ class TestKeystone:
         terminal = None
         for rec in records:
             if not isinstance(rec, TruthSample):
-                est.step(routed(rec))
+                est.step(routed(rec, est.noise))
             else:
                 _, xi = error_vs_truth(est.state.mean, rec.element)
                 worst = max(worst, float(np.max(np.abs(xi))))
@@ -429,7 +429,7 @@ class TestKeystone:
         est = StreamEstimator(start, NoiseParams(), (Variant.POSITION_ONLY,))
         for rec in records:
             if not isinstance(rec, TruthSample):
-                est.step(routed(rec))
+                est.step(routed(rec, est.noise))
             else:
                 _, xi = error_vs_truth(est.state.mean, rec.element)
                 assert np.max(np.abs(xi)) < 1e-5

@@ -38,17 +38,18 @@ MUTANTS = (
     # re-projection and the jump noise.
     ("symmetrize-returns-input", "filter", "return 0.5 * (m + _T(m))", "return m"),
     ("update-short-form",
-     "filter", "cov = _symmetrize(ikh @ s.cov @ _T(ikh) + (gain * m.var) @ _T(gain))",
-     "cov = _symmetrize(ikh @ s.cov)"),
+     "filter", "joseph = ikh @ cov @ _T(ikh)\n    joseph += (gain * m.var) @ _T(gain)",
+     "joseph = ikh @ cov"),
     ("propagate-no-reproject",
-     "filter", "if np.abs(_T(rot) @ rot - _EYE3).max() > _ORTHO_TOL / 3.0:", "if False:"),
+     "filter", "if np.count_nonzero(np.abs(_T(rot) @ rot - _EYE3) > _ORTHO_TOL / 3.0):",
+     "if False:"),
     ("jump-noise-subtracted",
      "filter", "cov = cov + jump_pos_var * (ad @ _T(ad))",
      "cov = cov - jump_pos_var * (ad @ _T(ad))"),
     # The closed-form IMU run.
     ("run-no-accel-contact-noise",
-     "filter", "noise_cov = ((z * weight) @ _T(z)).sum(0) + still_cov",
-     "noise_cov = ((z * weight) @ _T(z)).sum(0)"),
+     "filter", "noise_cov = ((z * weight) @ _T(z)).sum(-3) + still",
+     "noise_cov = ((z * weight) @ _T(z)).sum(-3)"),
     ("carried-no-gravity-drift",
      "filter", "carried[..., 3] += GRAVITY * rest.reshape(col.shape)", "pass"),
     ("rest-off-by-one-interval",
@@ -74,13 +75,13 @@ MUTANTS = (
     # A run's terms, a measurement's variance and the jump.
     ("run-map-at-first-interval", "filter", "run_maps = maps[ends]", "run_maps = maps[starts]"),
     ("fold-first-run-terms-of-block",
-     "filter", "tuple(x[run] for x in runs)", "tuple(x[0] for x in runs)"),
+     "filter", "(ends + 1).tolist(), runs))",
+     "(ends + 1).tolist(), [next(runs)] * len(starts)))"),
     ("variance-dropped-from-S",
-     "filter", "sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3",
-     "sce = h @ pht[..., m.cols, :] + EPSILON * _EYE3"),
+     "filter", "sce = h @ pht[..., cols, :] + m.var * _EYE3 + EPSILON * _EYE3",
+     "sce = h @ pht[..., cols, :] + EPSILON * _EYE3"),
     ("joseph-noise-term-dropped",
-     "filter", "cov = _symmetrize(ikh @ s.cov @ _T(ikh) + (gain * m.var) @ _T(gain))",
-     "cov = _symmetrize(ikh @ s.cov @ _T(ikh))"),
+     "filter", "joseph += (gain * m.var) @ _T(gain)", "pass"),
     ("builders-variances-swapped",
      "models", "max(noise.surface_orient_var, VAR_FLOOR), XI_R)",
      "max(noise.fk_pos_var, VAR_FLOOR), XI_R)"),
@@ -114,7 +115,7 @@ MUTANTS = (
     ("sim-second-gait-allowed", "sim", "if truth.gait != truths[0].gait:", "if False:"),
     # A failed correction that does not name its record.
     ("fold-failure-without-record",
-     "filter", "raise FilterError(message, first + i - k) from exc", "raise"),
+     "filter", "raise FilterError(message, i) from exc", "raise"),
     # The next tick's foot of an IMU interval with the next tick's stance
     # (across a swap, the new foot), and a record's line counting blank lines.
     ("sim-next-foot-of-next-stance", "sim", "truth.foot_pos(t[1:], stance_idx[a:b])",
