@@ -5,12 +5,11 @@ right-invariant error coordinates xi = log(X_true @ X_hat^-1) with block
 order (xi_R, xi_v, xi_p, xi_d). The process is group-affine and its error
 dynamics A are constant, so a run of IMU intervals takes one closed-form
 step: the intervals' zero-order-hold strapdown maps compose ahead, from the
-inputs and the noise densities (`imu_terms`), Phi(a) Phi(b) = Phi(a + b)
-for Phi(tau) = exp(A tau), and an `ImuStep` is the run's dt and those
-terms. As every noise is isotropic by type (`NoiseParams` holds one
-variance each), the run's noise term needs no adjoint (`propagate`) and a
-measurement's noise is its variance, var I in every frame
-(`InvariantMeasurement.var`).
+inputs and noise densities (`imu_terms`), Phi(a) Phi(b) = Phi(a + b) for
+Phi(tau) = exp(A tau), and an `ImuStep` is the run's dt and those terms. As
+every noise is isotropic by type (`NoiseParams` holds one variance each),
+the run's noise term needs no adjoint (`propagate`) and a measurement's
+noise is its variance, var I in every frame (`InvariantMeasurement.var`).
 Corrections are applied by left multiplication: X_hat+ = exp(K z) X_hat.
 
 The proposed estimator fuses the foot-position kinematic measurement and
@@ -123,19 +122,17 @@ _STILL = np.moveaxis([_E0 @ _T(_E0), _E0 @ _T(_E1) + _E1 @ _T(_E0), _E1 @ _T(_E1
 
 
 def imu_terms(dt, gyro, accel, contact_vel, first, noise: NoiseParams):
-    """The ImuStep of each run of IMU intervals, in order: its terms, composed ahead.
+    """The ImuStep of each run of IMU intervals, its terms composed ahead.
 
     Interval k maps the mean (R, cols = [v, p, d]) to (R G, R C + cols M +
     W): G = Gamma_0(gyro dt), C = [Gamma_1 accel dt, Gamma_2 accel dt^2, 0],
     M = M(dt) adds v dt to p, W = [g dt, g dt^2 / 2, contact_vel dt]; maps
     compose as (G_a G_b, G_a C_b + C_a M_b, W_a M_b + W_b). Runs (time axis
-    first) start at interval 0 and the true entries of `first`. A step's
-    terms are what `propagate` reads: per interval (on the axis before the
-    matrix axes), the carried noise arguments, the map up to its start
-    drifted with zero input to its run's end (C, W), and its gyro weight
-    sg^2 dt; per run, its map ([G | C], W), M(T), Phi(T) and the sum of
-    (sa^2 e_v e_v^T + sc^2 e_d e_d^T) dt. The steps are made as they are
-    taken, from views of arrays computed for all the runs at once.
+    first) start at interval 0 and the true entries of `first`. Yields, as
+    taken, views of what `propagate` reads: per interval (axis -3), the
+    carried noise arguments, the map up to its start drifted with zero input
+    to its run's end (C, W), and sg^2 dt; per run, its map ([G | C], W),
+    M(T), Phi(T) and the sum of (sa^2 e_v e_v^T + sc^2 e_d e_d^T) dt.
     """
     dt = np.asarray(dt, dtype=float)
     n = len(dt)
@@ -232,10 +229,9 @@ def update(s: State, m: InvariantMeasurement) -> State:
     K (m.var I) K^T to the Joseph form; EPSILON I regularises the former.
     """
     z = innovation(m, s.mean)
-    cols, cov = m.cols, s.cov
-    h = m.H[..., cols]
-    pht = cov[..., cols] @ _T(h)
-    sce = h @ pht[..., cols, :] + m.var * _EYE3 + EPSILON * _EYE3
+    h = m.H[..., m.cols]
+    pht = s.cov[..., m.cols] @ _T(h)
+    sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3
     try:
         gain = _T(np.linalg.solve(_T(sce), _T(pht)))
     except np.linalg.LinAlgError as exc:
@@ -244,7 +240,7 @@ def update(s: State, m: InvariantMeasurement) -> State:
         raise FilterError("non-finite Kalman gain (degenerate innovation covariance)")
     mean = compose(sek3_exp(_mv(gain, z)), s.mean)
     ikh = _EYE12 - gain @ m.H
-    joseph = ikh @ cov @ _T(ikh)
+    joseph = ikh @ s.cov @ _T(ikh)
     joseph += (gain * m.var) @ _T(gain)
     return State(mean, _symmetrize(joseph))
 
@@ -345,8 +341,7 @@ class StreamEstimator:
         imu, kinds = stream.columns["imu"], stream.kinds
         opens = np.diff(kinds == IMU, prepend=False)[kinds == IMU]  # starts a run
         edges = np.flatnonzero(np.diff(kinds, prepend=-1, append=-1))  # kind runs
-        # Each run's first record, end and kind code as plain ints, made as
-        # they are taken (a memoryview yields ints, not numpy scalars).
+        # Plain ints as they are taken: a memoryview yields ints, not numpy scalars.
         runs = zip(*map(memoryview, (edges[:-1], edges[1:], kinds[edges[:-1]])))
         seen, end = [0] * len(KINDS), 0  # end: first interval without terms
         for first, stop, code in runs:

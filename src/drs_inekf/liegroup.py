@@ -75,7 +75,6 @@ def vee(m: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
-    """|v| over the last axis: the square root of dot(v, v)."""
     return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
@@ -87,9 +86,8 @@ def _rodrigues(x: np.ndarray, y: np.ndarray, k: np.ndarray, kk: np.ndarray) -> n
 def _exp_and_left_jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of a float array v as matrices."""
     a, b, c = _gamma_coeffs(_norm(v), "abc")
-    k, b = hat(v), b[..., None, None]
+    k, a, b, c = hat(v), a[..., None, None], b[..., None, None], c[..., None, None]
     kk = k @ k
-    a, c = a[..., None, None], c[..., None, None]
     return _rodrigues(a, b, k, kk), _rodrigues(b, c, k, kk)
 
 
@@ -185,12 +183,10 @@ def _gamma_coeffs(theta, names: str) -> list:
         theta = np.where(small, 1.0, theta)
     t, t2, s, s_half = theta, theta * theta, np.sin(theta), np.sin(0.5 * theta)
     vs = 2.0 * s_half * s_half
-    if names == "e":
-        hi = [(1.0 - t * s / (2.0 * vs)) / t2]
-    else:
-        hi = [s / t, vs / t2, (t - s) / (t2 * t)]
-        if names == "abcg":
-            hi.append((0.5 * t2 - vs) / (t2 * t2))
+    hi = ([(1.0 - t * s / (2.0 * vs)) / t2] if names == "e"
+          else [s / t, vs / t2, (t - s) / (t2 * t)])
+    if names == "abcg":
+        hi.append((0.5 * t2 - vs) / (t2 * t2))
     return [np.where(small, *lh) for lh in zip(lo, hi)] if n_small else hi
 
 

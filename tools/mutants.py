@@ -38,7 +38,7 @@ MUTANTS = (
     # re-projection and the jump noise.
     ("symmetrize-returns-input", "filter", "return 0.5 * (m + _T(m))", "return m"),
     ("update-short-form",
-     "filter", "joseph = ikh @ cov @ _T(ikh)\n    joseph += (gain * m.var) @ _T(gain)",
+     "filter", "joseph = ikh @ s.cov @ _T(ikh)\n    joseph += (gain * m.var) @ _T(gain)",
      "joseph = ikh @ cov"),
     ("propagate-no-reproject",
      "filter", "if np.count_nonzero(np.abs(_T(rot) @ rot - _EYE3) > _ORTHO_TOL / 3.0):",
@@ -78,8 +78,8 @@ MUTANTS = (
      "filter", "(ends + 1).tolist(), runs))",
      "(ends + 1).tolist(), [next(runs)] * len(starts)))"),
     ("variance-dropped-from-S",
-     "filter", "sce = h @ pht[..., cols, :] + m.var * _EYE3 + EPSILON * _EYE3",
-     "sce = h @ pht[..., cols, :] + EPSILON * _EYE3"),
+     "filter", "sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3",
+     "sce = h @ pht[..., m.cols, :] + EPSILON * _EYE3"),
     ("joseph-noise-term-dropped",
      "filter", "joseph += (gain * m.var) @ _T(gain)", "pass"),
     ("builders-variances-swapped",
