@@ -83,12 +83,12 @@ def _rodrigues(x: np.ndarray, y: np.ndarray, k: np.ndarray, kk: np.ndarray) -> n
     return _EYE3 + x * k + y * kk
 
 
-def _exp_and_left_jacobian(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of a float array v as matrices."""
-    a, b, c = _gamma_coeffs(_norm(v), "abc")
-    k, a, b, c = hat(v), a[..., None, None], b[..., None, None], c[..., None, None]
-    kk = k @ k
-    return _rodrigues(a, b, k, kk), _rodrigues(b, c, k, kk)
+def _exp_and_left_jacobian(v: np.ndarray) -> np.ndarray:
+    """(exp(hat(v)), J_l(v)): Gamma_0 and Gamma_1 of a float array v as matrices,
+    one Rodrigues sum over the coefficients (a, b) and (b, c) stacked."""
+    abc = np.array(_gamma_coeffs(_norm(v), "abc"))[..., None, None]
+    k = hat(v)
+    return _rodrigues(abc[:2], abc[1:], k, k @ k)
 
 
 def so3_exp(v: np.ndarray) -> np.ndarray:

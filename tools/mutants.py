@@ -93,8 +93,8 @@ MUTANTS = (
     ("surface-normal-from-column-1", "models", "n_s = surface_rot[..., 2]",
      "n_s = surface_rot[..., 1]"),
     ("left-jacobian-b-c-swapped",
-     "liegroup", "_rodrigues(b, c, k, kk)",
-     "_rodrigues(c, b, k, kk)"),
+     "liegroup", "_rodrigues(abc[:2], abc[1:], k, k @ k)",
+     "_rodrigues(abc[[0, 2]], abc[[1, 1]], k, k @ k)"),
     # A block of IMU intervals that opens inside a run, and the fixed
     # SE_3(3) adjoint's last diagonal block (the one the jump noise enters).
     ("block-start-not-a-run", "filter", "first[0] = True", "pass"),
