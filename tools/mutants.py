@@ -39,7 +39,7 @@ MUTANTS = (
     ("symmetrize-returns-input", "filter", "return 0.5 * (m + _T(m))", "return m"),
     ("update-short-form",
      "filter", "joseph = ikh @ s.cov @ _T(ikh)\n    joseph += (gain * m.var) @ _T(gain)",
-     "joseph = ikh @ cov"),
+     "joseph = ikh @ s.cov"),
     ("propagate-no-reproject",
      "filter", "if np.count_nonzero(np.abs(_T(rot) @ rot - _EYE3) > _ORTHO_TOL / 3.0):",
      "if False:"),
