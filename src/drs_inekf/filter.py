@@ -6,7 +6,7 @@ order (xi_R, xi_v, xi_p, xi_d). The process is group-affine and its error
 dynamics A are constant, so a run of IMU intervals takes one closed-form
 step: the intervals' zero-order-hold strapdown maps compose ahead, from the
 inputs and noise densities (`imu_terms`), Phi(a) Phi(b) = Phi(a + b) for
-Phi(tau) = exp(A tau), and an `ImuStep` is the run's dt and those terms. As
+Phi(tau) = exp(A tau), and an `ImuStep` holds a run's terms. As
 every noise is isotropic by type (`NoiseParams` holds one variance each),
 the run's noise term needs no adjoint (`propagate`) and a measurement's
 noise is its variance, var I in every frame (`InvariantMeasurement.var`).
@@ -72,10 +72,10 @@ _ORTHO_TOL = 1e-9
 EPSILON = 1e-9  # regularisation of the innovation covariance and of NEES
 _TERMS_BLOCK = 512  # IMU intervals whose integration terms are computed together
 _IMU_INPUTS = ("dt", "gyro", "accel", "contact_vel")  # imu_terms' inputs
-_EYE3 = np.eye(3)
-_EYE3.setflags(write=False)
-_EYE12 = np.eye(12)
-_EYE12.setflags(write=False)
+_EYE3, _EYE12 = np.eye(3), np.eye(12)
+_EPSILON_I = EPSILON * _EYE3  # what update adds to the innovation covariance
+for _constant in (_EYE3, _EYE12, _EPSILON_I):
+    _constant.setflags(write=False)
 
 
 class FilterError(RuntimeError):
@@ -180,8 +180,8 @@ def imu_terms(dt, gyro, accel, contact_vel, first, noise: NoiseParams):
     carried = np.moveaxis(carried, 0, -3)  # the interval axis next to the matrices
     carried_c, carried_w = carried[..., :3], carried[..., 3:]
     weight = (noise.gyro_density * dt)[:, None, None]
-    return (ImuStep(dt[i:j], ((carried_c[..., i:j, :, :], carried_w[..., i:j, :, :],
-                               weight[i:j]), run))
+    return (ImuStep(((carried_c[..., i:j, :, :], carried_w[..., i:j, :, :], weight[i:j]),
+                     run))
             for i, j, run in zip(starts.tolist(), (ends + 1).tolist(), runs))
 
 
@@ -223,15 +223,14 @@ def propagate(s: State, u: ImuStep) -> State:
 def update(s: State, m: InvariantMeasurement) -> State:
     """Right-invariant correction with Joseph-form covariance update.
 
-    P H^T and H P H^T read only the columns m.cols where H is nonzero: the
-    products left out are exact zeros, so both equal the dense ones bit for
-    bit. The noise m.var I adds m.var I to the innovation covariance and
-    K (m.var I) K^T to the Joseph form; EPSILON I regularises the former.
+    m.H is the Jacobian's block on the columns m.cols, zero elsewhere: P H^T,
+    H P H^T and I - K H (I but on m.cols) read those columns alone, each equal
+    to the dense product bit for bit. The noise m.var I adds m.var I to the
+    innovation covariance S and K m.var K^T to the Joseph form; EPSILON I, to S.
     """
     z = innovation(m, s.mean)
-    h = m.H[..., m.cols]
-    pht = s.cov[..., m.cols] @ _T(h)
-    sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3
+    pht = s.cov[..., m.cols] @ _T(m.H)
+    sce = m.H @ pht[..., m.cols, :] + m.var * _EYE3 + _EPSILON_I
     try:
         gain = _T(np.linalg.solve(_T(sce), _T(pht)))
     except np.linalg.LinAlgError as exc:
@@ -239,7 +238,9 @@ def update(s: State, m: InvariantMeasurement) -> State:
     if np.count_nonzero(np.isfinite(gain)) < gain.size:
         raise FilterError("non-finite Kalman gain (degenerate innovation covariance)")
     mean = compose(sek3_exp(_mv(gain, z)), s.mean)
-    ikh = _EYE12 - gain @ m.H
+    ikh = np.empty(gain.shape[:-2] + (12, 12))
+    ikh[...] = _EYE12
+    ikh[..., m.cols] -= gain @ m.H
     joseph = ikh @ s.cov @ _T(ikh)
     joseph += (gain * m.var) @ _T(gain)
     return State(mean, _symmetrize(joseph))

@@ -32,6 +32,8 @@ METRIC_NAMES = ("pos_err", "vel_err", "roll_err", "pitch_err", "yaw_err", "nees"
 # the observability dichotomy.
 CONVERGENCE_METRICS = ("roll_err", "pitch_err", "vel_err")
 _TRUTH_BLOCK = 64  # truth samples whose metrics are evaluated together
+_EPSILON_I = EPSILON * np.eye(12)  # what nees adds to the covariance
+_EPSILON_I.setflags(write=False)
 FINAL_WINDOW = 5.0  # s at the end of a trial that its final value summarizes
 # Gate thresholds (`evaluate_gates`).
 YAW_RATIO = 5.0
@@ -83,7 +85,7 @@ def initial_covariance(tcfg: TrialConfig) -> np.ndarray:
 def nees(xi: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Normalized estimation error squared xi^T (cov + EPSILON I)^-1 xi."""
     try:
-        sol = np.linalg.solve(cov + EPSILON * np.eye(xi.shape[-1]), xi[..., None])
+        sol = np.linalg.solve(cov + _EPSILON_I, xi[..., None])
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular covariance in nees: {exc}") from exc
     if not np.all(np.isfinite(sol)):

@@ -12,8 +12,8 @@ the foot-surface contact point:
 
 Measurements come in the right-invariant form Y = X^-1 b + V. Error
 convention used throughout: xi = log(X_true @ X_hat^-1), so the innovation
-z = (X_hat Y - b)[:3] linearizes as z = H xi + R_hat-mapped noise, and the
-filter correction is X_hat+ = exp(K z) X_hat.
+z = (X_hat Y - b)[:3] linearizes as z = H xi[cols] + R_hat-mapped noise, H the
+nonzero block of the Jacobian, and the filter correction is X_hat+ = exp(K z) X_hat.
 """
 
 from __future__ import annotations
@@ -39,17 +39,14 @@ GRAVITY = np.array([0.0, 0.0, -9.81])
 
 @dataclass(frozen=True)
 class ImuStep:
-    """A run of n consecutive IMU intervals: their dt (n,) and their terms.
+    """A run of consecutive IMU intervals: the terms `filter.propagate` reads.
 
-    The terms are what `filter.propagate` reads of the run's inputs (body-
-    frame gyro/accel, world-frame contact-point velocity) and the noise
-    densities, composed ahead by `filter.imu_terms`: per interval the
-    carried noise arguments and gyro weight, per run its map, M(T), Phi(T)
-    and noise sum. They may carry stream axes (several streams in lockstep),
-    before the per-interval terms' interval axis.
+    `filter.imu_terms` composes them ahead from the run's inputs and the
+    noise densities: per interval the carried noise arguments and gyro
+    weight, per run its map, M(T), Phi(T) and noise sum. They may carry
+    stream axes (streams in lockstep) before the interval axis.
     """
 
-    dt: np.ndarray
     terms: tuple = field(repr=False, compare=False)
 
 
@@ -144,8 +141,8 @@ class InvariantMeasurement:
 
     X's bottom rows are [0 I], so Y = [y; w] and b = [b; w] share their
     augmentation rows w, and the innovation z = (X_hat Y - b)[:3] reads
-    3-vectors only. H is its 3x12 Jacobian in the right-invariant error,
-    zero outside the state columns `cols` (slice(0, 12) for a dense H).
+    3-vectors only. H is its Jacobian in the right-invariant error on the
+    state columns `cols`, zero on the others (slice(0, 12): a dense Jacobian).
     var (at least VAR_FLOOR) is the variance of the isotropic noise V: its
     X_hat-mapped covariance is var I in every frame, as R_hat var I R_hat^T = var I.
     """
@@ -202,12 +199,8 @@ VAR_FLOOR = 1e-7
 _ZERO3 = np.zeros(3)
 _POSITION_W = np.array([0.0, 1.0, -1.0])
 _POSITION_COLS = slice(XI_P.start, XI_D.stop)  # (xi_p, xi_d)
-_POSITION_H = np.zeros((3, 12))
-_POSITION_H[:, XI_P] = -np.eye(3)
-_POSITION_H[:, XI_D] = np.eye(3)
-# The orientation H = [hat(n_s) 0 0 0] is n_s @ this, row j [hat(e_j) 0 0 0].
-_ORIENTATION_H = np.concatenate([hat(np.eye(3)), np.zeros((3, 3, 9))], -1).reshape(3, 36)
-for _constant in (_ZERO3, _POSITION_W, _POSITION_H, _ORIENTATION_H):
+_POSITION_H = np.concatenate([-np.eye(3), np.eye(3)], 1)  # [-I I] on those columns
+for _constant in (_ZERO3, _POSITION_W, _POSITION_H):
     _constant.setflags(write=False)
 
 
@@ -217,13 +210,13 @@ def orientation_measurement(surface_rot: np.ndarray, foot_rot_in_base: np.ndarra
 
     During secured flat-foot contact the foot normal and the surface normal
     are parallel, giving Y = [foot_rot_in_base e3; 0] = X^-1 [surface_rot e3; 0]:
-    y and b are the rotations' third columns, w = 0 and H = [hat(n_s) 0 0 0]
-    for n_s = surface_rot e3. Only xi_R is observed; the yaw component drops
-    out exactly when the surface normal is parallel to gravity.
+    y and b are the rotations' third columns, w = 0, and the Jacobian
+    [hat(n_s) 0 0 0] for n_s = surface_rot e3 is the block H = hat(n_s) on
+    xi_R alone. The yaw component drops out exactly when the surface normal
+    is parallel to gravity.
     """
     n_s = surface_rot[..., 2]
-    h = (n_s @ _ORIENTATION_H).reshape(n_s.shape[:-1] + (3, 12))
-    return InvariantMeasurement(foot_rot_in_base[..., 2], _ZERO3, n_s, h,
+    return InvariantMeasurement(foot_rot_in_base[..., 2], _ZERO3, n_s, hat(n_s),
                                 max(noise.surface_orient_var, VAR_FLOOR), XI_R)
 
 
@@ -232,7 +225,8 @@ def position_measurement(hp: np.ndarray, noise: NoiseParams) -> InvariantMeasure
 
     hp is the support-foot position relative to the base, in the base frame,
     so hp = R^T (d - p) + noise and Y = [hp; 0, 1, -1], b = [0; 0, 1, -1]:
-    y = hp, w = (0, 1, -1), b = 0 and H = [0 0 -I I], nonzero on (xi_p, xi_d).
+    y = hp, w = (0, 1, -1), b = 0, and the Jacobian [0 0 -I I] is the
+    constant block H = [-I I] on (xi_p, xi_d).
     The innovation R_hat hp + p_hat - d_hat observes xi_d - xi_p.
     """
     return InvariantMeasurement(hp, _POSITION_W, _ZERO3, _POSITION_H,

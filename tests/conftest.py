@@ -55,9 +55,9 @@ def nis_by_kind(monkeypatch):
     update = filter_module.update
 
     def recording_update(s, m):
-        z = innovation(m, s.mean)
+        z, h = innovation(m, s.mean), dense_jacobian(m)
         eye = np.eye(3)
-        cov = m.H @ s.cov @ np.swapaxes(m.H, -1, -2) + m.var * eye + EPSILON * eye
+        cov = h @ s.cov @ np.swapaxes(h, -1, -2) + m.var * eye + EPSILON * eye
         nis = (z[..., None, :] @ np.linalg.solve(cov, z[..., None]))[..., 0, 0]
         calls["fk_rot" if m.cols == XI_R else "fk_pos"].append(nis)
         return update(s, m)
@@ -333,6 +333,14 @@ def fd_error_jacobian(x_base, u, h=1e-3, eps=1e-5, substeps=10):
     return np.real(logm(phi)) / h
 
 
+def dense_jacobian(m) -> np.ndarray:
+    """A measurement's 3x12 Jacobian: its block m.H on the columns m.cols,
+    zero elsewhere, over the block's leading batch axes."""
+    h = np.zeros(m.H.shape[:-1] + (12,))
+    h[..., m.cols] = m.H
+    return h
+
+
 def fd_measurement_jacobian(build_innovation, eps=1e-6):
     """Central finite differences of an innovation over error perturbations."""
     h = np.zeros((3, 12))
@@ -416,20 +424,22 @@ def oracle_update(mean, cov, y, b, h, n, epsilon):
 def dense_update(s, m, epsilon):
     """`filter.update` by the dense-Jacobian formulas, as a batched State.
 
-    P H^T as cov @ H^T over all 12 columns, H P H^T as H @ (P H^T), and the
-    innovation of the augmented 6-vectors Y = [y; w] and [b; w]. The update
-    that reads only m.cols of H must equal it bit for bit.
+    With H = dense_jacobian(m): P H^T as cov @ H^T over all 12 columns,
+    H P H^T as H @ (P H^T), I - K H over all 12, and the innovation of the
+    augmented 6-vectors Y = [y; w] and [b; w]. The update that reads only
+    the block on m.cols must equal it bit for bit.
     """
     def t(a):
         return np.swapaxes(a, -1, -2)
 
+    h = dense_jacobian(m)
     y = np.concatenate(np.broadcast_arrays(m.y, m.w), axis=-1)
     b = np.concatenate(np.broadcast_arrays(m.b, m.w), axis=-1)
     z = matvec(s.mean.rot, y[..., :3]) + matvec(s.mean.cols, y[..., 3:]) - b[..., :3]
-    pht = s.cov @ t(m.H)
-    sce = m.H @ pht + m.var * np.eye(3) + epsilon * np.eye(3)
+    pht = s.cov @ t(h)
+    sce = h @ pht + m.var * np.eye(3) + epsilon * np.eye(3)
     gain = t(np.linalg.solve(t(sce), t(pht)))
-    ikh = np.eye(12) - gain @ m.H
+    ikh = np.eye(12) - gain @ h
     cov = ikh @ s.cov @ t(ikh) + (gain * m.var) @ t(gain)
     return State(compose(sek3_exp(matvec(gain, z)), s.mean), 0.5 * (cov + t(cov)))
 

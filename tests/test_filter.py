@@ -8,6 +8,7 @@ import pytest
 
 from drs_inekf import filter as filter_module
 from drs_inekf.filter import (
+    EPSILON,
     FilterError,
     State,
     StreamEstimator,
@@ -117,10 +118,8 @@ class TestPropagate:
 
 
 def simple_measurement(z_target):
-    """Measurement on the velocity block with identity-at-origin innovation z."""
-    h = np.zeros((3, 12))
-    h[:, 3:6] = np.eye(3)
-    return InvariantMeasurement(z_target, np.zeros(3), np.zeros(3), h, 1.0, XI_V)
+    """Measurement with the block H = I on xi_v and identity-at-origin innovation z."""
+    return InvariantMeasurement(z_target, np.zeros(3), np.zeros(3), np.eye(3), 1.0, XI_V)
 
 
 def rel_err(got, want):
@@ -288,25 +287,28 @@ class TestUpdate:
         assert np.linalg.norm(embed(s2.mean) - embed(xhat)) < 1e-12
         assert np.trace(s2.cov) < np.trace(s.cov)
 
-    def test_scalar_slice_matches_textbook_gain(self, monkeypatch):
-        # 1-D analogue: P = 1, N = 1, H = 1, z = 1 gives K = 0.5.
-        monkeypatch.setattr(filter_module, "EPSILON", 1e-15)
+    def test_scalar_slice_matches_textbook_gain(self):
+        # 1-D analogue: P = 1, N = 1, H = 1, z = 1 gives K = 1 / (2 + EPSILON)
+        # and the Joseph form's P+ = (1 - K)^2 + K^2, both about 0.5.
+        k = 1.0 / (2.0 + EPSILON)
         s = State(identity(), np.eye(12))
         s2 = update(s, simple_measurement(np.array([1.0, 0.0, 0.0])))
-        assert abs(s2.mean.vel[0] - 0.5) < 1e-9
-        assert abs(s2.cov[3, 3] - 0.5) < 1e-9
+        assert abs(s2.mean.vel[0] - k) < 1e-9
+        assert abs(s2.cov[3, 3] - ((1.0 - k) ** 2 + k * k)) < 1e-9
 
-    def test_matches_information_form_oracle(self, rng, monkeypatch):
+    def test_matches_information_form_oracle(self, rng):
         # Full 12-D update against an independently coded information-filter
-        # step (inverse-covariance composition).
-        monkeypatch.setattr(filter_module, "EPSILON", 1e-15)
+        # step (inverse-covariance composition). The update's regularisation
+        # EPSILON I enters its gain as noise, so the gain is the information
+        # form's at noise (var + EPSILON) I, but not its Joseph noise term
+        # K var K^T, which falls short of that form's by EPSILON K K^T.
         for _ in range(20):
             xhat = random_element(rng)
             a = rng.standard_normal((12, 12))
             cov = a @ a.T / 12.0 + 0.1 * np.eye(12)
             h = rng.standard_normal((3, 12))
             var = 0.5 + rng.uniform(0.0, 2.0)
-            n_cov = var * np.eye(3)
+            n_cov = (var + EPSILON) * np.eye(3)
             y = np.concatenate([rng.standard_normal(3), [0.0, 1.0, -1.0]])
             bvec = np.concatenate([rng.standard_normal(3), [0.0, 1.0, -1.0]])
             m = InvariantMeasurement(y[:3], y[3:], bvec[:3], h, var, slice(0, 12))
@@ -317,7 +319,9 @@ class TestUpdate:
             z = xhat.rot @ y[:3] + xhat.cols @ y[3:] - bvec[:3]
             info = np.linalg.inv(cov) + h.T @ np.linalg.inv(n_cov) @ h
             cov_oracle = np.linalg.inv(info)
-            delta = cov_oracle @ h.T @ np.linalg.inv(n_cov) @ z
+            gain = cov_oracle @ h.T @ np.linalg.inv(n_cov)
+            cov_oracle -= EPSILON * gain @ gain.T
+            delta = gain @ z
             mean_oracle = compose(sek3_exp(delta), xhat)
             assert np.linalg.norm(s2.cov - cov_oracle) < 1e-9
             assert np.linalg.norm(embed(s2.mean) - embed(mean_oracle)) < 1e-9
@@ -330,10 +334,10 @@ class TestUpdate:
         s2 = update(s, m)
         assert np.linalg.norm(embed(s2.mean) - embed(xhat)) < 1e-6
 
-    def test_degenerate_innovation_covariance_raises(self, monkeypatch):
-        monkeypatch.setattr(filter_module, "EPSILON", 0.0)
+    def test_degenerate_innovation_covariance_raises(self):
+        # A zero block and var = -EPSILON make S = 0 + var I + EPSILON I exactly 0.
         m = InvariantMeasurement(np.zeros(3), np.zeros(3), np.zeros(3), np.zeros((3, 12)),
-                                 0.0, slice(0, 12))
+                                 -EPSILON, slice(0, 12))
         s = State(identity(), np.eye(12))
         with pytest.raises(FilterError):
             update(s, m)

@@ -8,6 +8,7 @@ from drs_inekf.liegroup import (
     XI_P,
     XI_R,
     XI_V,
+    GroupElement,
     compose,
     hat,
     inverse,
@@ -15,6 +16,7 @@ from drs_inekf.liegroup import (
     sek3_log,
     so3_exp,
 )
+from drs_inekf.liegroup import transposed as _T
 from drs_inekf.models import (
     GRAVITY,
     NoiseParams,
@@ -27,6 +29,7 @@ from drs_inekf.models import (
 
 from conftest import (
     ImuReading,
+    dense_jacobian,
     embed,
     fd_error_jacobian,
     fd_measurement_jacobian,
@@ -210,8 +213,28 @@ class TestOrientationMeasurement:
                 return innovation(m, xhat)
 
             m = orientation_measurement(rs, xhat.rot.T @ rs, noise)
-            assert np.max(np.abs(fd_measurement_jacobian(build) - m.H)) < 1e-6
-            assert np.allclose(m.H[:, 3:], 0.0)
+            assert np.max(np.abs(fd_measurement_jacobian(build) - dense_jacobian(m))) < 1e-6
+
+    def test_batched_jacobian_matches_finite_differences_per_member(self, rng):
+        # A batch of surface poses, one normal n_s per member: each member's
+        # block sits on xi_R and matches that member's innovation.
+        n = 4
+        means = [random_element(rng) for _ in range(n)]
+        xhat = GroupElement(np.array([x.rot for x in means]),
+                            np.array([x.cols for x in means]))
+        rs = so3_exp(rng.standard_normal((n, 3)) * 0.5)
+        m = orientation_measurement(rs, _T(xhat.rot) @ rs, ZERO)
+        assert m.H.shape == (n, 3, 3)
+        h = dense_jacobian(m)
+        for i in range(n):
+            def build(xi):
+                x_true = compose(sek3_exp(xi), xhat)
+                return innovation(orientation_measurement(rs, _T(x_true.rot) @ rs, ZERO),
+                                  xhat)[i]
+
+            assert np.max(np.abs(fd_measurement_jacobian(build) - h[i])) < 1e-6
+            assert np.array_equal(h[i], dense_jacobian(orientation_measurement(
+                rs[i], means[i].rot.T @ rs[i], ZERO)))
 
     def test_noise_mapped_through_rotation(self, rng):
         # The body-frame noise mapped into the world frame is R_hat V R_hat^T:
@@ -249,7 +272,7 @@ class TestPositionMeasurement:
         assert np.allclose(z, [0.1, 0.0, 0.0], atol=1e-12)
         # ... and H maps the corresponding error to the same innovation.
         xi = sek3_log(compose(truth, inverse(xhat)))
-        assert np.allclose(m.H @ xi, z, atol=1e-8)
+        assert np.allclose(dense_jacobian(m) @ xi, z, atol=1e-8)
 
     def test_jacobian_matches_finite_differences(self, rng):
         noise = ZERO
@@ -263,14 +286,14 @@ class TestPositionMeasurement:
                 return innovation(m, xhat)
 
             m = position_measurement(np.zeros(3), noise)
-            assert np.max(np.abs(fd_measurement_jacobian(build) - m.H)) < 1e-6
+            assert np.max(np.abs(fd_measurement_jacobian(build) - dense_jacobian(m))) < 1e-6
 
     def test_jacobian_blocks(self, rng):
-        m = position_measurement(np.zeros(3), ZERO)
-        assert np.allclose(m.H[:, XI_P], -np.eye(3))
-        assert np.allclose(m.H[:, XI_D], np.eye(3))
-        assert np.allclose(m.H[:, XI_R], 0.0)
-        assert np.allclose(m.H[:, XI_V], 0.0)
+        h = dense_jacobian(position_measurement(np.zeros(3), ZERO))
+        assert np.allclose(h[:, XI_P], -np.eye(3))
+        assert np.allclose(h[:, XI_D], np.eye(3))
+        assert np.allclose(h[:, XI_R], 0.0)
+        assert np.allclose(h[:, XI_V], 0.0)
 
 
 class TestNoiseParams:

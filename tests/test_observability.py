@@ -22,7 +22,7 @@ from drs_inekf.models import (
 )
 from drs_inekf.sim import GaitConfig, Rates, SurfaceConfig, generate_truth
 
-from conftest import one_stream
+from conftest import dense_jacobian, one_stream
 
 
 WINDOW = 40  # kinematic samples, 10 ms apart at the default rates
@@ -39,10 +39,10 @@ def observability_matrix(stream, variant: Variant) -> np.ndarray:
     assert np.array_equal(fk_rot["t"][:WINDOW], t)
     rows = []
     for k, phi in enumerate(state_transition(t - t[0])):
-        rows.append(position_measurement(fk_pos["hp"][k], NOISE).H @ phi)
+        rows.append(dense_jacobian(position_measurement(fk_pos["hp"][k], NOISE)) @ phi)
         if variant is Variant.PROPOSED:
-            rows.append(orientation_measurement(surface["rot"][k], fk_rot["rot"][k],
-                                                NOISE).H @ phi)
+            rows.append(dense_jacobian(orientation_measurement(
+                surface["rot"][k], fk_rot["rot"][k], NOISE)) @ phi)
     return np.concatenate(rows)
 
 

@@ -78,10 +78,11 @@ MUTANTS = (
      "filter", "(ends + 1).tolist(), runs))",
      "(ends + 1).tolist(), [next(runs)] * len(starts)))"),
     ("variance-dropped-from-S",
-     "filter", "sce = h @ pht[..., m.cols, :] + m.var * _EYE3 + EPSILON * _EYE3",
-     "sce = h @ pht[..., m.cols, :] + EPSILON * _EYE3"),
+     "filter", "sce = m.H @ pht[..., m.cols, :] + m.var * _EYE3 + _EPSILON_I",
+     "sce = m.H @ pht[..., m.cols, :] + _EPSILON_I"),
     ("joseph-noise-term-dropped",
      "filter", "joseph += (gain * m.var) @ _T(gain)", "pass"),
+    ("joseph-kh-block-dropped", "filter", "ikh[..., m.cols] -= gain @ m.H", "pass"),
     ("builders-variances-swapped",
      "models", "max(noise.surface_orient_var, VAR_FLOOR), XI_R)",
      "max(noise.fk_pos_var, VAR_FLOOR), XI_R)"),
